@@ -52,8 +52,10 @@ from .classical import (
     upsample_time,
 )
 from .sampling import (
+    OPERATORS,
     SamplingContext,
     VertexCorrespondence,
+    apply_operator,
     fractional_downsample,
     ideal_lowpass_index,
     ideal_lowpass_lambda,

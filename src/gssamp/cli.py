@@ -23,10 +23,12 @@ A config is a JSON object with keys:
               {"kind": "constant"} |
               {"kind": "spectral-decay", "alpha": float} |
               {"kind": "cluster-band", "bands": [[lo,hi],[lo,hi]]}
-    operators list of operator names (vertex, index, index-folded, spectrum,
-              spectrum-folded for integer-rate experiments; frac-index,
-              frac-index-folded, frac-spectrum, frac-spectrum-folded for
-              fractional ones)
+    operators list of operator names, from ``sampling.OPERATORS``:
+              downsample, upsample: vertex, index, index-folded, spectrum,
+                spectrum-folded
+              fractional: frac-index, frac-index-folded, frac-spectrum,
+                frac-spectrum-folded
+              other kinds take none; any other name is a config error (exit 1)
     seed      int
     extras    kind-specific options (levels, fractions, bands, ...)
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import sys
@@ -55,15 +58,11 @@ from .reduction import (
     spectral_bisection,
 )
 from .sampling import (
+    OPERATORS,
     SamplingContext,
     VertexCorrespondence,
+    apply_operator,
     fractional_downsample,
-    spectral_downsample_index,
-    spectral_downsample_spectrum,
-    spectral_upsample_index,
-    spectral_upsample_spectrum,
-    vertex_downsample,
-    vertex_upsample,
 )
 from .spectral import eigendecompose, gft, igft
 
@@ -78,30 +77,15 @@ _GENERATORS = {
     "random_sensor": G.build_random_sensor,
 }
 
-_DOWN_OPS = ("vertex", "index", "index-folded", "spectrum", "spectrum-folded")
-_UP_OPS = _DOWN_OPS
-_FRAC_OPS = (
-    "frac-index",
-    "frac-index-folded",
-    "frac-spectrum",
-    "frac-spectrum-folded",
-)
-_KINDS = (
-    "downsample",
-    "upsample",
-    "fractional",
-    "repeated-eigenvalues",
-    "cluster-energy",
-    "pyramid-nla",
-)
+_DIRECTIONS = {"downsample": "down", "upsample": "up", "fractional": "frac"}
+_KINDS = (*_DIRECTIONS, "repeated-eigenvalues", "cluster-energy", "pyramid-nla")
 
 
 # ---------------------------------------------------------------------------
 # presets
 
-
-def _preset_path_downsample():
-    return {
+_PRESETS = (
+    {
         "name": "path-downsample",
         "kind": "downsample",
         "graph": {"generator": "path", "params": {"n": 100}},
@@ -110,11 +94,8 @@ def _preset_path_downsample():
         "signal": {"kind": "bandlimited-random", "cutoff": 25},
         "operators": ["vertex", "index", "index-folded", "spectrum", "spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_path_upsample():
-    return {
+    },
+    {
         "name": "path-upsample",
         "kind": "upsample",
         "graph": {"generator": "path", "params": {"n": 50}},
@@ -123,11 +104,8 @@ def _preset_path_upsample():
         "signal": {"kind": "bandlimited-random", "cutoff": 12},
         "operators": ["vertex", "index", "index-folded", "spectrum", "spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_grid_downsample():
-    return {
+    },
+    {
         "name": "grid-downsample",
         "kind": "downsample",
         "graph": {"generator": "grid", "params": {"rows": 16, "cols": 16}},
@@ -136,11 +114,8 @@ def _preset_grid_downsample():
         "signal": {"kind": "bandlimited-random", "cutoff": 16},
         "operators": ["vertex", "index", "index-folded", "spectrum", "spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_random_regular():
-    return {
+    },
+    {
         "name": "random-regular-downsample",
         "kind": "downsample",
         "graph": {"generator": "random_regular", "params": {"n": 100, "degree": 10, "seed": 1}},
@@ -149,11 +124,8 @@ def _preset_random_regular():
         "signal": {"kind": "bandlimited-random", "cutoff": 25},
         "operators": ["vertex", "index-folded", "spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_aliasing_path():
-    return {
+    },
+    {
         "name": "aliasing-path",
         "kind": "downsample",
         "graph": {"generator": "path", "params": {"n": 100}},
@@ -162,40 +134,25 @@ def _preset_aliasing_path():
         "signal": {"kind": "spectral-decay", "alpha": 2.0},
         "operators": ["index", "index-folded", "spectrum", "spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_repeated_eigenvalues():
-    return {
+    },
+    {
         "name": "repeated-eigenvalues",
         "kind": "repeated-eigenvalues",
         "graph": {"generator": "complete", "params": {"n": 100}},
         "reduction": {"keep_first": 52},
         "signal": {"kind": "bandlimited-random", "cutoff": 50},
         "seed": 7,
-    }
-
-
-def _preset_community_fractional():
-    return {
+    },
+    {
         "name": "community-fractional",
         "kind": "fractional",
-        "graph": {
-            "generator": "community",
-            "params": {"n": 256, "k_communities": 8, "seed": 3},
-        },
-        "graph1": {
-            "generator": "community",
-            "params": {"n": 192, "k_communities": 8, "seed": 4},
-        },
+        "graph": {"generator": "community", "params": {"n": 256, "k_communities": 8, "seed": 3}},
+        "graph1": {"generator": "community", "params": {"n": 192, "k_communities": 8, "seed": 4}},
         "signal": {"kind": "bandlimited-random", "cutoff": 24},
         "operators": ["frac-index-folded", "frac-spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_comet_fractional():
-    return {
+    },
+    {
         "name": "comet-fractional",
         "kind": "fractional",
         "graph": {"generator": "comet", "params": {"n": 32, "center_degree": 12}},
@@ -203,48 +160,26 @@ def _preset_comet_fractional():
         "signal": {"kind": "bandlimited-random", "cutoff": 8},
         "operators": ["frac-index-folded", "frac-spectrum-folded"],
         "seed": 7,
-    }
-
-
-def _preset_minnesota_energy():
-    return {
+    },
+    {
         "name": "minnesota-energy",
         "kind": "cluster-energy",
         "graph": {"edge_list": None},  # user must supply a path
         "signal": {"kind": "cluster-band", "bands": [[0.06, 0.08], [3.5, 4.0]]},
         "seed": 7,
-    }
-
-
-def _preset_pyramid_nla():
-    return {
+    },
+    {
         "name": "pyramid-nla",
         "kind": "pyramid-nla",
         "graph": {"generator": "random_sensor", "params": {"n": 128, "k_nearest": 6, "seed": 2}},
         "signal": {"kind": "bandlimited-random", "cutoff": 10},
         "extras": {"levels": 3, "fractions": [0.0, 0.05, 0.1, 0.2, 0.4, 0.8, 1.0]},
         "seed": 7,
-    }
+    },
+)
 
-
-PRESETS = {
-    p["name"]: f
-    for f, p in (
-        (f, f())
-        for f in (
-            _preset_path_downsample,
-            _preset_path_upsample,
-            _preset_grid_downsample,
-            _preset_random_regular,
-            _preset_aliasing_path,
-            _preset_repeated_eigenvalues,
-            _preset_community_fractional,
-            _preset_comet_fractional,
-            _preset_minnesota_energy,
-            _preset_pyramid_nla,
-        )
-    )
-}
+# name -> zero-argument factory returning a fresh copy of the preset config
+PRESETS = {p["name"]: functools.partial(copy.deepcopy, p) for p in _PRESETS}
 
 
 def list_presets() -> list[str]:
@@ -316,11 +251,13 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append("signal.cutoff must be a positive integer")
         elif isinstance(n0, int) and cutoff > n0:
             errors.append(f"signal.cutoff {cutoff} exceeds graph size {n0}")
-    ops = cfg.get("operators", [])
-    valid_ops = set(_DOWN_OPS) | set(_UP_OPS) | set(_FRAC_OPS)
-    for op in ops:
-        if op not in valid_ops:
-            errors.append(f"unknown operator {op!r}")
+    allowed = OPERATORS.get(_DIRECTIONS.get(kind), ())
+    for op in cfg.get("operators", []):
+        if op not in allowed:
+            errors.append(
+                f"operator {op!r} does not apply to kind {kind!r}; "
+                f"allowed: {', '.join(allowed) or 'none'}"
+            )
     return errors
 
 
@@ -384,24 +321,6 @@ def _reduce(cfg, graph, lap, basis, rate):
     return result.graph, result.correspondence
 
 
-def _apply_down(op, ctx, corr, f, rate):
-    if op == "vertex":
-        return vertex_downsample(f, corr)
-    folded = op.endswith("-folded")
-    if op.startswith("index"):
-        return spectral_downsample_index(ctx, f, rate, folded=folded)
-    return spectral_downsample_spectrum(ctx, f, rate, folded=folded)
-
-
-def _apply_up(op, ctx, corr, f, rate, n1):
-    if op == "vertex":
-        return vertex_upsample(f, corr, n1)
-    folded = op.endswith("-folded")
-    if op.startswith("index"):
-        return spectral_upsample_index(ctx, f, rate, folded=folded)
-    return spectral_upsample_spectrum(ctx, f, rate, folded=folded)
-
-
 class _Artifacts:
     """Collects CSV outputs under one directory and builds the manifest."""
 
@@ -455,47 +374,27 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     lap = G.laplacian(graph)
     basis = eigendecompose(lap)
 
-    if kind == "downsample":
-        rate = cfg["rate"]
-        reduced, corr = _reduce(cfg, graph, lap, basis, rate)
-        basis1 = eigendecompose(G.laplacian(reduced))
+    if kind in _DIRECTIONS:
+        direction, rate, corr = _DIRECTIONS[kind], cfg.get("rate"), None
+        if kind == "downsample":
+            target, corr = _reduce(cfg, graph, lap, basis, rate)
+        else:
+            target = _build_graph(cfg["graph1"])
+            if kind == "upsample":
+                corr = VertexCorrespondence(np.arange(0, target.n, rate))
+        basis1 = eigendecompose(G.laplacian(target))
         ctx = SamplingContext(basis, basis1)
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
         art.spectrum_csv("original_spectrum.csv", basis, f)
         art.signal_csv("original_signal.csv", f)
         for op in cfg["operators"]:
-            out = _apply_down(op, ctx, corr, f, rate)
-            art.spectrum_csv(f"{op}_spectrum.csv", basis1, out)
-            art.signal_csv(f"{op}_signal.csv", out)
-            art.scalars[f"{op}_energy"] = float(np.linalg.norm(out) ** 2)
-
-    elif kind == "upsample":
-        rate = cfg["rate"]
-        big = _build_graph(cfg["graph1"])
-        basis1 = eigendecompose(G.laplacian(big))
-        ctx = SamplingContext(basis, basis1)
-        corr = VertexCorrespondence(np.arange(0, big.n, rate))
-        f = _build_signal(cfg["signal"], basis, cfg["seed"])
-        art.spectrum_csv("original_spectrum.csv", basis, f)
-        art.signal_csv("original_signal.csv", f)
-        for op in cfg["operators"]:
-            out = _apply_up(op, ctx, corr, f, rate, big.n)
-            art.spectrum_csv(f"{op}_spectrum.csv", basis1, out)
-            art.signal_csv(f"{op}_signal.csv", out)
-            art.scalars[f"{op}_energy"] = float(np.linalg.norm(out) ** 2)
-
-    elif kind == "fractional":
-        small = _build_graph(cfg["graph1"])
-        basis1 = eigendecompose(G.laplacian(small))
-        ctx = SamplingContext(basis, basis1)
-        f = _build_signal(cfg["signal"], basis, cfg["seed"])
-        art.spectrum_csv("original_spectrum.csv", basis, f)
-        art.signal_csv("original_signal.csv", f)
-        for op in cfg["operators"]:
-            mode = "index" if "index" in op else "spectrum"
-            out = fractional_downsample(ctx, f, mode=mode, folded=op.endswith("-folded"))
-            art.spectrum_csv(f"{op.replace('-', '_')}_spectrum.csv", basis1, out)
-            art.signal_csv(f"{op.replace('-', '_')}_signal.csv", out)
+            out = apply_operator(op, direction, ctx, f, rate, corr)
+            # fractional artifacts use underscores and record no energy
+            stem = op.replace("-", "_") if direction == "frac" else op
+            art.spectrum_csv(f"{stem}_spectrum.csv", basis1, out)
+            art.signal_csv(f"{stem}_signal.csv", out)
+            if direction != "frac":
+                art.scalars[f"{op}_energy"] = float(np.linalg.norm(out) ** 2)
 
     elif kind == "repeated-eigenvalues":
         # On a graph with a repeated top eigenvalue the eigenvector order is
@@ -603,20 +502,14 @@ def main(argv=None) -> int:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3
 
+    errors = validate_config(cfg)
+    for e in errors:
+        print(f"config error: {e}", file=sys.stderr)
+    if errors:
+        return 1
     if args.command == "validate":
-        errors = validate_config(cfg)
-        if errors:
-            for e in errors:
-                print(f"config error: {e}", file=sys.stderr)
-            return 1
         print("ok")
         return 0
-
-    errors = validate_config(cfg)
-    if errors:
-        for e in errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 1
     try:
         manifest = run_experiment(cfg, args.out, seed=args.seed)
     except NumericError as exc:

@@ -16,15 +16,7 @@ import numpy as np
 from .errors import GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
 from .reduction import kron_reduce, select_every_other, select_polarity, sparsify
-from .sampling import (
-    SamplingContext,
-    spectral_downsample_index,
-    spectral_downsample_spectrum,
-    spectral_upsample_index,
-    spectral_upsample_spectrum,
-    vertex_downsample,
-    vertex_upsample,
-)
+from .sampling import SamplingContext, VertexCorrespondence, apply_operator
 from .spectral import SpectralBasis, eigendecompose
 
 
@@ -132,6 +124,13 @@ class PyramidConfig:
     def g_filter(self) -> FilterSpec:
         return self.synthesis_filter or self.analysis_filter
 
+    @property
+    def operator(self) -> str:
+        """Name of the sampling operator in ``sampling.OPERATORS``."""
+        if self.sampling == "vertex" or not self.folded:
+            return self.sampling
+        return f"{self.sampling}-folded"
+
 
 @dataclass(frozen=True)
 class PyramidLevel:
@@ -179,24 +178,6 @@ def _reduce_level(graph: Graph, basis: SpectralBasis, lap: Laplacian, config):
     return keep, reduced
 
 
-def _down(ctx, f, keep, config):
-    if config.sampling == "vertex":
-        return f[keep]
-    if config.sampling == "index":
-        return spectral_downsample_index(ctx, f, 2, folded=config.folded)
-    return spectral_downsample_spectrum(ctx, f, 2, folded=config.folded)
-
-
-def _up(ctx_up, f, keep, n0, config):
-    if config.sampling == "vertex":
-        out = np.zeros(n0)
-        out[keep] = f
-        return out
-    if config.sampling == "index":
-        return spectral_upsample_index(ctx_up, f, 2, folded=config.folded)
-    return spectral_upsample_spectrum(ctx_up, f, 2, folded=config.folded)
-
-
 def analyze(
     f: np.ndarray, graph: Graph, num_levels: int, config: PyramidConfig | None = None
 ) -> PyramidDecomposition:
@@ -227,11 +208,11 @@ def analyze(
         reduced_basis = eigendecompose(laplacian(reduced))
         ctx_down = SamplingContext(basis, reduced_basis)
         ctx_up = SamplingContext(reduced_basis, basis)
+        corr = VertexCorrespondence(keep)
         filtered = filter_signal(basis, current, config.analysis_filter, lap)
-        coarse = _down(ctx_down, filtered, keep, config)
-        predicted = filter_signal(
-            basis, _up(ctx_up, coarse, keep, graph.n, config), config.g_filter, lap
-        )
+        coarse = apply_operator(config.operator, "down", ctx_down, filtered, 2, corr)
+        upsampled = apply_operator(config.operator, "up", ctx_up, coarse, 2, corr)
+        predicted = filter_signal(basis, upsampled, config.g_filter, lap)
         y = current - predicted
         levels.append(
             PyramidLevel(
@@ -257,12 +238,9 @@ def synthesize(dec: PyramidDecomposition) -> np.ndarray:
         if current.shape != (lvl.reduced_graph.n,):
             raise InvalidParameterError("coarse band size does not match level chain")
         ctx_up = SamplingContext(lvl.reduced_basis, lvl.basis)
-        predicted = filter_signal(
-            lvl.basis,
-            _up(ctx_up, current, lvl.keep, lvl.graph.n, config),
-            config.g_filter,
-            lvl.lap,
-        )
+        corr = VertexCorrespondence(lvl.keep)
+        upsampled = apply_operator(config.operator, "up", ctx_up, current, 2, corr)
+        predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
         current = predicted + lvl.prediction_error
     return current
 

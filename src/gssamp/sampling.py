@@ -15,6 +15,9 @@ contaminating low frequencies; they are the recommended defaults.
 
 Fractional resampling generalizes the spectrum stretch to non-integer
 ratios r = N0/N1 and needs no vertex correspondence at all.
+
+``OPERATORS`` names every operator per direction and ``apply_operator``
+runs one by name.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ class VertexCorrespondence:
     targets: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.targets, dtype=int)
+        t = np.array(self.targets, dtype=int)  # a copy: the caller's array stays writable
         if t.ndim != 1:
             raise InvalidParameterError("targets must be a 1-D index array")
         if np.unique(t).size != t.size:
@@ -128,12 +131,14 @@ def vertex_upsample(f: np.ndarray, corr: VertexCorrespondence, n0: int) -> np.nd
 # spectral index domain
 
 
-def _fold_index_coeffs(coeffs: np.ndarray, m: int, folded: bool) -> np.ndarray:
-    blocks = coeffs.reshape(m, -1)
-    if folded:
-        blocks = blocks.copy()
-        blocks[1::2] = blocks[1::2, ::-1]
-    return blocks.sum(axis=0)
+def _check_rate(ctx: SamplingContext, rate: int, up: bool) -> None:
+    """Require the larger graph to hold exactly ``rate`` times the smaller one."""
+    big, small = (ctx.n1, ctx.n0) if up else (ctx.n0, ctx.n1)
+    if rate < 1 or big != rate * small:
+        b, s = ("n1", "n0") if up else ("n0", "n1")
+        raise InvalidParameterError(
+            f"size mismatch: expected {b} = {rate} * {s}, got {big} vs {small}"
+        )
 
 
 def spectral_downsample_index(
@@ -142,15 +147,11 @@ def spectral_downsample_index(
     """Downsample by summing length-N/M segments of the spectrum.
 
     Unfolded sums the segments as-is (S_d = [I I ...]); folded flips every
-    odd segment first (S'_d = [I J I J ...]).
+    odd segment first (S'_d = [I J I J ...]). This is index-mode
+    ``fractional_downsample`` at the integer ratio M.
     """
-    f = _check_signal(f, ctx.n0)
-    if m < 1 or ctx.n0 != m * ctx.n1:
-        raise InvalidParameterError(
-            f"size mismatch: expected n0 = {m} * n1, got {ctx.n0} vs {ctx.n1}"
-        )
-    coeffs = _analysis(ctx.u0, f)
-    return ctx.u1 @ _fold_index_coeffs(coeffs, m, folded)
+    _check_rate(ctx, m, up=False)
+    return fractional_downsample(ctx, f, mode="index", folded=folded)
 
 
 def spectral_upsample_index(
@@ -162,10 +163,7 @@ def spectral_upsample_index(
     spectrum so consecutive copies mirror each other.
     """
     f = _check_signal(f, ctx.n0)
-    if l < 1 or ctx.n1 != l * ctx.n0:
-        raise InvalidParameterError(
-            f"size mismatch: expected n1 = {l} * n0, got {ctx.n1} vs {ctx.n0}"
-        )
+    _check_rate(ctx, l, up=True)
     coeffs = _analysis(ctx.u0, f)
     copies = [coeffs if p % 2 == 0 or not folded else coeffs[::-1] for p in range(l)]
     return ctx.u1 @ np.concatenate(copies)
@@ -194,20 +192,6 @@ def _stretch_queries(lam1: np.ndarray, ratio: float, folded: bool) -> list[np.nd
     return out
 
 
-def _spectrum_downsample_coeffs(
-    spectrum: Spectrum, lam1: np.ndarray, rho: float, ratio: float, folded: bool
-) -> np.ndarray:
-    lam0_max = float(spectrum.grid[-1])
-    total = np.zeros(lam1.shape[0])
-    for q in _stretch_queries(lam1, ratio, folded):
-        queries = (rho / ratio) * q
-        in_range = queries <= lam0_max * (1.0 + 1e-12) + 1e-12
-        if not np.any(in_range):
-            continue
-        total[in_range] += sample_interpolant(spectrum, queries[in_range])
-    return total
-
-
 def spectral_downsample_spectrum(
     ctx: SamplingContext, f: np.ndarray, m: int, folded: bool = True
 ) -> np.ndarray:
@@ -216,15 +200,10 @@ def spectral_downsample_spectrum(
     The original spectrum is linearly interpolated on its eigenvalue grid,
     stretched by M, resampled on the reduced graph's eigenvalues, and the M
     overlapping segments are summed (reflected for the primed variant).
+    This is spectrum-mode ``fractional_downsample`` at the integer ratio M.
     """
-    f = _check_signal(f, ctx.n0)
-    if m < 1 or ctx.n0 != m * ctx.n1:
-        raise InvalidParameterError(
-            f"size mismatch: expected n0 = {m} * n1, got {ctx.n0} vs {ctx.n1}"
-        )
-    spec = Spectrum(_analysis(ctx.u0, f).real, ctx.lambdas0)
-    coeffs = _spectrum_downsample_coeffs(spec, ctx.lambdas1, ctx.rho, float(m), folded)
-    return ctx.u1 @ coeffs
+    _check_rate(ctx, m, up=False)
+    return fractional_downsample(ctx, f, mode="spectrum", folded=folded)
 
 
 def spectral_upsample_spectrum(
@@ -238,10 +217,7 @@ def spectral_upsample_spectrum(
     for every output index k on the larger graph.
     """
     f = _check_signal(f, ctx.n0)
-    if l < 1 or ctx.n1 != l * ctx.n0:
-        raise InvalidParameterError(
-            f"size mismatch: expected n1 = {l} * n0, got {ctx.n1} vs {ctx.n0}"
-        )
+    _check_rate(ctx, l, up=True)
     base = _analysis(ctx.u0, f).real
     lam0 = ctx.lambdas0
     lam0_max = float(lam0[-1])
@@ -283,12 +259,12 @@ def fractional_downsample(
 ) -> np.ndarray:
     """Downsample at the (possibly non-integer) ratio r = N0 / N1.
 
-    ``mode="spectrum"`` stretches the interpolated spectrum by r exactly as
-    the integer-rate spectrum operators do; stretched segments falling beyond
-    lambda_{0,max} contribute nothing. ``mode="index"`` applies the same
-    segment construction on the coefficient index axis (segments of length
-    N1, odd segments reflected when folded), dropping indices >= N0.
-    At integer ratios both modes reduce to the integer-rate operators.
+    ``mode="spectrum"`` stretches the interpolated spectrum by r; stretched
+    segments falling beyond lambda_{0,max} contribute nothing.
+    ``mode="index"`` applies the same segment construction on the
+    coefficient index axis (segments of length N1, odd segments reflected
+    when folded), dropping indices >= N0. At an integer ratio these are the
+    integer-rate downsampling operators.
     """
     f = _check_signal(f, ctx.n0)
     if ctx.n1 > ctx.n0:
@@ -296,10 +272,15 @@ def fractional_downsample(
     ratio = ctx.n0 / ctx.n1
     if mode == "spectrum":
         spec = Spectrum(_analysis(ctx.u0, f).real, ctx.lambdas0)
-        coeffs = _spectrum_downsample_coeffs(
-            spec, ctx.lambdas1, ctx.rho, ratio, folded
-        )
-        return ctx.u1 @ coeffs
+        lam0_max = float(spec.grid[-1])
+        scale = ctx.rho / ratio
+        total = np.zeros(ctx.n1)
+        for q in _stretch_queries(ctx.lambdas1, ratio, folded):
+            queries = scale * q
+            in_range = queries <= lam0_max * (1.0 + 1e-12) + 1e-12
+            if np.any(in_range):
+                total[in_range] += sample_interpolant(spec, queries[in_range])
+        return ctx.u1 @ total
     if mode == "index":
         base = _analysis(ctx.u0, f)
         total = np.zeros(ctx.n1, dtype=base.dtype)
@@ -315,7 +296,49 @@ def fractional_downsample(
     raise InvalidParameterError(f"unknown mode {mode!r}, expected 'index' or 'spectrum'")
 
 
-def operator_matrix(op, n_in: int) -> np.ndarray:
-    """Extract the matrix of a linear sampling operator column by column."""
-    cols = [np.asarray(op(e)) for e in np.eye(n_in)]
-    return np.stack(cols, axis=1)
+# ---------------------------------------------------------------------------
+# operator table
+
+_SPECTRAL = ("index", "index-folded", "spectrum", "spectrum-folded")
+
+# Operator names per direction: "down" and "up" are integer-rate, "frac"
+# resamples at the ratio of the two graphs' sizes.
+OPERATORS = {
+    "down": ("vertex", *_SPECTRAL),
+    "up": ("vertex", *_SPECTRAL),
+    "frac": tuple(f"frac-{name}" for name in _SPECTRAL),
+}
+
+
+def apply_operator(
+    name: str,
+    direction: str,
+    ctx: SamplingContext,
+    f: np.ndarray,
+    rate: int | None = None,
+    corr: VertexCorrespondence | None = None,
+) -> np.ndarray:
+    """Apply the operator ``name`` of ``OPERATORS[direction]`` to ``f``.
+
+    ``ctx`` runs from the input graph to the output graph. Integer-rate
+    spectral operators take ``rate``; the vertex operators take ``corr``.
+    A name outside the direction's table raises InvalidParameterError.
+    """
+    names = OPERATORS.get(direction, ())
+    if name not in names:
+        raise InvalidParameterError(
+            f"unknown {direction!r} operator {name!r}, expected one of {names}"
+        )
+    family, _, variant = name.removeprefix("frac-").partition("-")
+    folded = variant == "folded"
+    if direction == "frac":
+        return fractional_downsample(ctx, f, mode=family, folded=folded)
+    if family == "vertex":
+        if direction == "down":
+            return vertex_downsample(f, corr)
+        return vertex_upsample(f, corr, ctx.n1)
+    if direction == "down":
+        op = spectral_downsample_index if family == "index" else spectral_downsample_spectrum
+    else:
+        op = spectral_upsample_index if family == "index" else spectral_upsample_spectrum
+    return op(ctx, f, rate, folded=folded)

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
+from gssamp.errors import InvalidParameterError
 
 
 def run_cli(argv, capsys):
@@ -55,6 +56,31 @@ class TestListAndValidate:
             if name == "minnesota-energy":
                 continue  # needs an external edge list
             assert validate_config(cfg) == [], name
+
+    def test_presets_return_fresh_copies(self):
+        cfg = PRESETS["path-downsample"]()
+        cfg["graph"]["params"]["n"] = 4
+        assert PRESETS["path-downsample"]()["graph"]["params"]["n"] == 100
+
+    @pytest.mark.parametrize(
+        "preset, operators",
+        [
+            ("path-downsample", ["frac-index", "spectrum"]),
+            ("community-fractional", ["vertex"]),
+            ("path-upsample", ["frac-index-folded"]),
+            ("pyramid-nla", ["index"]),
+        ],
+    )
+    def test_operator_outside_kind_rejected(self, preset, operators, tmp_path, capsys):
+        cfg = PRESETS[preset]()
+        cfg["operators"] = operators
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, _, err = run_cli(["validate", str(p)], capsys)
+        assert code == 1
+        assert "config error" in err
+        with pytest.raises(InvalidParameterError, match="does not apply to kind"):
+            run_experiment(cfg, tmp_path / "out")
 
 
 class TestRun:
@@ -115,3 +141,119 @@ class TestRun:
         s = m["scalars"]
         assert s["ordered_fold_energy"] < 1e-12
         assert s["permuted_fold_energy"] > 0.25 * s["permuted_total_energy"]
+
+
+# Sorted artifact file names and scalar keys of every self-contained preset.
+# Fractional stems use underscores and record no energy; integer-rate stems
+# keep the operator's hyphens and record one energy per operator.
+PRESET_OUTPUTS = {
+    "path-downsample": (
+        [
+            "index-folded_signal.csv", "index-folded_spectrum.csv", "index_signal.csv",
+            "index_spectrum.csv", "original_signal.csv", "original_spectrum.csv",
+            "spectrum-folded_signal.csv", "spectrum-folded_spectrum.csv",
+            "spectrum_signal.csv", "spectrum_spectrum.csv", "vertex_signal.csv",
+            "vertex_spectrum.csv",
+        ],
+        [
+            "index-folded_energy", "index_energy", "spectrum-folded_energy",
+            "spectrum_energy", "vertex_energy",
+        ],
+    ),
+    "path-upsample": (
+        [
+            "index-folded_signal.csv", "index-folded_spectrum.csv", "index_signal.csv",
+            "index_spectrum.csv", "original_signal.csv", "original_spectrum.csv",
+            "spectrum-folded_signal.csv", "spectrum-folded_spectrum.csv",
+            "spectrum_signal.csv", "spectrum_spectrum.csv", "vertex_signal.csv",
+            "vertex_spectrum.csv",
+        ],
+        [
+            "index-folded_energy", "index_energy", "spectrum-folded_energy",
+            "spectrum_energy", "vertex_energy",
+        ],
+    ),
+    "grid-downsample": (
+        [
+            "index-folded_signal.csv", "index-folded_spectrum.csv", "index_signal.csv",
+            "index_spectrum.csv", "original_signal.csv", "original_spectrum.csv",
+            "spectrum-folded_signal.csv", "spectrum-folded_spectrum.csv",
+            "spectrum_signal.csv", "spectrum_spectrum.csv", "vertex_signal.csv",
+            "vertex_spectrum.csv",
+        ],
+        [
+            "index-folded_energy", "index_energy", "spectrum-folded_energy",
+            "spectrum_energy", "vertex_energy",
+        ],
+    ),
+    "random-regular-downsample": (
+        [
+            "index-folded_signal.csv", "index-folded_spectrum.csv",
+            "original_signal.csv", "original_spectrum.csv",
+            "spectrum-folded_signal.csv", "spectrum-folded_spectrum.csv",
+            "vertex_signal.csv", "vertex_spectrum.csv",
+        ],
+        [
+            "index-folded_energy", "spectrum-folded_energy", "vertex_energy",
+        ],
+    ),
+    "aliasing-path": (
+        [
+            "index-folded_signal.csv", "index-folded_spectrum.csv", "index_signal.csv",
+            "index_spectrum.csv", "original_signal.csv", "original_spectrum.csv",
+            "spectrum-folded_signal.csv", "spectrum-folded_spectrum.csv",
+            "spectrum_signal.csv", "spectrum_spectrum.csv",
+        ],
+        [
+            "index-folded_energy", "index_energy", "spectrum-folded_energy",
+            "spectrum_energy",
+        ],
+    ),
+    "repeated-eigenvalues": (
+        [
+            "ordered_down_spectrum.csv", "permuted_down_spectrum.csv",
+        ],
+        [
+            "ordered_fold_energy", "ordered_total_energy", "permuted_fold_energy",
+            "permuted_total_energy",
+        ],
+    ),
+    "community-fractional": (
+        [
+            "frac_index_folded_signal.csv", "frac_index_folded_spectrum.csv",
+            "frac_spectrum_folded_signal.csv", "frac_spectrum_folded_spectrum.csv",
+            "original_signal.csv", "original_spectrum.csv",
+        ],
+        [],
+    ),
+    "comet-fractional": (
+        [
+            "frac_index_folded_signal.csv", "frac_index_folded_spectrum.csv",
+            "frac_spectrum_folded_signal.csv", "frac_spectrum_folded_spectrum.csv",
+            "original_signal.csv", "original_spectrum.csv",
+        ],
+        [],
+    ),
+    "pyramid-nla": (
+        [
+            "nla_index.csv", "nla_spectrum.csv", "nla_vertex.csv",
+            "original_signal.csv",
+        ],
+        [
+            "index_error_at_0.2", "spectrum_error_at_0.2", "vertex_error_at_0.2",
+        ],
+    ),
+}
+
+
+def test_preset_outputs_table_covers_self_contained_presets():
+    assert sorted(PRESET_OUTPUTS) == [p for p in list_presets() if p != "minnesota-energy"]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_OUTPUTS))
+def test_preset_artifact_names_and_scalar_keys(preset, tmp_path):
+    files, scalars = PRESET_OUTPUTS[preset]
+    manifest = run_experiment(PRESETS[preset](), tmp_path)
+    assert sorted(manifest["files"]) == files
+    assert sorted(manifest["scalars"]) == scalars
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["manifest.json"])

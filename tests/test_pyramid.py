@@ -120,6 +120,29 @@ class TestPerfectReconstruction:
         rec = gs.synthesize(gs.analyze(f, g, num_levels=2, config=config))
         assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
 
+    @pytest.mark.parametrize("sampling", ["index", "spectrum"])
+    def test_unfolded_operators_reconstruct(self, sampling):
+        g = gs.build_random_sensor(64, seed=7)
+        f = np.random.default_rng(11).standard_normal(64)
+        config = gs.PyramidConfig(sampling=sampling, folded=False)
+        rec = gs.synthesize(gs.analyze(f, g, num_levels=2, config=config))
+        assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
+
+    @pytest.mark.parametrize(
+        "sampling, folded, name",
+        [
+            ("vertex", True, "vertex"),
+            ("vertex", False, "vertex"),
+            ("index", True, "index-folded"),
+            ("index", False, "index"),
+            ("spectrum", True, "spectrum-folded"),
+            ("spectrum", False, "spectrum"),
+        ],
+    )
+    def test_config_names_a_table_operator(self, sampling, folded, name):
+        assert gs.PyramidConfig(sampling=sampling, folded=folded).operator == name
+        assert name in gs.OPERATORS["down"] and name in gs.OPERATORS["up"]
+
     def test_level_sizes_halve(self):
         g = gs.build_random_sensor(64, seed=7)
         f = np.zeros(64)

@@ -184,13 +184,14 @@ class TestClusterBandSignal:
     def test_empty_band_rejected(self):
         b, clusters = self._setup()
         lam = b.eigenvalues
-        gap_lo = (lam[3] + 2 * lam[4]) / 3
-        gap_hi = (2 * lam[3] + lam[4]) / 3
-        if gap_lo >= gap_hi:
-            pytest.skip("no usable eigenvalue gap for this graph")
-        with pytest.raises(InvalidParameterError):
+        # a band strictly inside the widest gap between consecutive eigenvalues
+        i = int(np.argmax(np.diff(lam)))
+        gap_lo = (2 * lam[i] + lam[i + 1]) / 3
+        gap_hi = (lam[i] + 2 * lam[i + 1]) / 3
+        assert lam[i] < gap_lo < gap_hi < lam[i + 1]
+        with pytest.raises(InvalidParameterError, match="contains no eigenvalue"):
             gs.make_cluster_band_signal(
-                b, clusters, [(gap_hi, gap_lo), (0.0, b.lambda_max)]
+                b, clusters, [(gap_lo, gap_hi), (0.0, b.lambda_max)]
             )
         with pytest.raises(InvalidParameterError):
             gs.make_cluster_band_signal(

@@ -3,7 +3,12 @@ import pytest
 
 import gssamp as gs
 from gssamp.errors import InvalidParameterError
-from gssamp.sampling import operator_matrix
+
+
+def operator_matrix(op, n_in: int) -> np.ndarray:
+    """Extract the matrix of a linear sampling operator column by column."""
+    cols = [np.asarray(op(e)) for e in np.eye(n_in)]
+    return np.stack(cols, axis=1)
 
 
 def basis_of(graph):
@@ -36,6 +41,11 @@ class TestVertexOps:
         corr = gs.VertexCorrespondence(np.array([0, 2]))
         out = gs.vertex_upsample(np.array([5.0, 7.0]), corr, 4)
         assert out.tolist() == [5.0, 0.0, 7.0, 0.0]
+
+    def test_caller_array_left_writable(self):
+        keep = np.array([0, 2, 4])
+        corr = gs.VertexCorrespondence(keep)
+        assert keep.flags.writeable and not corr.targets.flags.writeable
 
     def test_injectivity_enforced(self):
         with pytest.raises(InvalidParameterError):
@@ -339,6 +349,55 @@ class TestFractional:
         resampled = np.interp(q1, q0, s0)
         corr = np.dot(resampled, s1) / (np.linalg.norm(resampled) * np.linalg.norm(s1))
         assert corr > 0.9
+
+
+# The direct call each (direction, name) of the operator table must make.
+DIRECT_CALLS = {
+    ("down", "vertex"): lambda ctx, f, corr: gs.vertex_downsample(f, corr),
+    ("down", "index"): lambda ctx, f, corr: gs.spectral_downsample_index(ctx, f, 2, False),
+    ("down", "index-folded"): lambda ctx, f, corr: gs.spectral_downsample_index(ctx, f, 2),
+    ("down", "spectrum"): lambda ctx, f, corr: gs.spectral_downsample_spectrum(ctx, f, 2, False),
+    ("down", "spectrum-folded"): lambda ctx, f, corr: gs.spectral_downsample_spectrum(ctx, f, 2),
+    ("up", "vertex"): lambda ctx, f, corr: gs.vertex_upsample(f, corr, 16),
+    ("up", "index"): lambda ctx, f, corr: gs.spectral_upsample_index(ctx, f, 2, False),
+    ("up", "index-folded"): lambda ctx, f, corr: gs.spectral_upsample_index(ctx, f, 2),
+    ("up", "spectrum"): lambda ctx, f, corr: gs.spectral_upsample_spectrum(ctx, f, 2, False),
+    ("up", "spectrum-folded"): lambda ctx, f, corr: gs.spectral_upsample_spectrum(ctx, f, 2),
+    ("frac", "frac-index"): lambda ctx, f, corr: gs.fractional_downsample(ctx, f, "index", False),
+    ("frac", "frac-index-folded"): lambda ctx, f, corr: gs.fractional_downsample(ctx, f, "index"),
+    ("frac", "frac-spectrum"): lambda ctx, f, corr: gs.fractional_downsample(ctx, f, folded=False),
+    ("frac", "frac-spectrum-folded"): lambda ctx, f, corr: gs.fractional_downsample(ctx, f),
+}
+
+
+class TestApplyOperator:
+    def test_table_lists_every_operator(self):
+        table = [(d, name) for d, names in gs.OPERATORS.items() for name in names]
+        assert sorted(table) == sorted(DIRECT_CALLS)
+
+    @pytest.mark.parametrize("direction, name", sorted(DIRECT_CALLS))
+    def test_name_runs_its_operator(self, direction, name):
+        n0, n1 = {"down": (16, 8), "up": (8, 16), "frac": (16, 12)}[direction]
+        ctx = path_context(n0, n1)
+        corr = gs.VertexCorrespondence(np.arange(0, 16, 2))
+        f = np.random.default_rng(5).standard_normal(n0)
+        got = gs.apply_operator(name, direction, ctx, f, 2, corr)
+        assert np.array_equal(got, DIRECT_CALLS[direction, name](ctx, f, corr))
+
+    @pytest.mark.parametrize(
+        "direction, name",
+        [
+            ("down", "frac-index"),
+            ("up", "frac-spectrum-folded"),
+            ("frac", "vertex"),
+            ("frac", "spectrum"),
+            ("down", "index-folded-folded"),
+            ("sideways", "index"),
+        ],
+    )
+    def test_name_outside_direction_rejected(self, direction, name):
+        with pytest.raises(InvalidParameterError, match="operator"):
+            gs.apply_operator(name, direction, path_context(16, 8), np.ones(16), 2)
 
 
 def ctx_basis0(ctx):
