@@ -77,9 +77,11 @@ from .reduction import (
 )
 from .pyramid import (
     FilterSpec,
+    PyramidChain,
     PyramidConfig,
     PyramidDecomposition,
     analyze,
+    build_chain,
     filter_signal,
     halving_lowpass,
     nla_error_curve,

@@ -15,7 +15,7 @@ A config is a JSON object with keys:
               "repeated-eigenvalues" | "cluster-energy" | "pyramid-nla"
     graph     {"generator": name, "params": {...}} or {"edge_list": path,
               "coordinates": path?}
-    graph1    target graph for "upsample"/"fractional" (same form), optional
+    graph1    target graph, required for "upsample"/"fractional" (same form)
     reduction "generator" | "every_other" | "polarity" | {"keep_first": k}
     rate      int sampling rate (down- or upsampling factor)
     signal    {"kind": "bandlimited-random", "cutoff": int} |
@@ -28,7 +28,8 @@ A config is a JSON object with keys:
                 spectrum-folded
               fractional: frac-index, frac-index-folded, frac-spectrum,
                 frac-spectrum-folded
-              other kinds take none; any other name is a config error (exit 1)
+              these three kinds need at least one, other kinds take none;
+                any other name is a config error (exit 1)
     seed      int
     extras    kind-specific options (levels, fractions, bands, ...)
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import graphs as G
 from .errors import GssampError, InvalidParameterError, NumericError
-from .pyramid import FilterSpec, PyramidConfig, nla_error_curve
+from .pyramid import FilterSpec, PyramidConfig, build_chain, nla_error_curve
 from .reduction import (
     kron_reduce,
     make_cluster_band_signal,
@@ -203,6 +204,29 @@ def load_config(source: str) -> dict:
         return json.load(fh)
 
 
+def _check_graph_spec(gspec, key: str, errors: list) -> int | None:
+    """Append the errors of one graph spec; return its vertex count if known."""
+    if not isinstance(gspec, dict):
+        errors.append(f"{key} must be an object")
+        return None
+    n = None
+    if "generator" in gspec:
+        gen = gspec["generator"]
+        if gen not in _GENERATORS:
+            errors.append(f"unknown generator {gen!r}")
+        else:
+            params = gspec.get("params", {})
+            n = params.get("n")
+            if gen == "grid" and "rows" in params and "cols" in params:
+                n = params["rows"] * params["cols"]
+    elif "edge_list" in gspec:
+        if not gspec["edge_list"]:
+            errors.append(f"{key}.edge_list path is required for this config")
+    else:
+        errors.append(f"{key} needs 'generator' or 'edge_list'")
+    return n
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Dry-run structural checks (no eigendecomposition). Returns error list."""
     errors = []
@@ -211,25 +235,12 @@ def validate_config(cfg: dict) -> list[str]:
     kind = cfg.get("kind")
     if kind not in _KINDS:
         errors.append(f"kind must be one of {_KINDS}, got {kind!r}")
-    gspec = cfg.get("graph")
-    if not isinstance(gspec, dict):
-        errors.append("graph must be an object")
-        gspec = {}
-    n0 = None
-    if "generator" in gspec:
-        gen = gspec["generator"]
-        if gen not in _GENERATORS:
-            errors.append(f"unknown generator {gen!r}")
+    n0 = _check_graph_spec(cfg.get("graph"), "graph", errors)
+    if kind in ("upsample", "fractional"):
+        if "graph1" in cfg:
+            _check_graph_spec(cfg["graph1"], "graph1", errors)
         else:
-            params = gspec.get("params", {})
-            n0 = params.get("n")
-            if gen == "grid" and "rows" in params and "cols" in params:
-                n0 = params["rows"] * params["cols"]
-    elif "edge_list" in gspec:
-        if not gspec["edge_list"]:
-            errors.append("graph.edge_list path is required for this config")
-    else:
-        errors.append("graph needs 'generator' or 'edge_list'")
+            errors.append(f"kind {kind!r} needs a target graph in graph1")
     rate = cfg.get("rate")
     if kind in ("downsample", "upsample"):
         if not isinstance(rate, int) or rate < 2:
@@ -251,8 +262,20 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append("signal.cutoff must be a positive integer")
         elif isinstance(n0, int) and cutoff > n0:
             errors.append(f"signal.cutoff {cutoff} exceeds graph size {n0}")
+    if sig.get("kind") == "delta-spectrum":
+        index = sig.get("index")
+        if not isinstance(index, int) or index < 0:
+            errors.append("signal.index must be a nonnegative integer")
+        elif isinstance(n0, int) and index >= n0:
+            errors.append(f"signal.index {index} out of range for graph size {n0}")
+    operators = cfg.get("operators", [])
+    if not isinstance(operators, list):
+        errors.append("operators must be a list")
+        operators = []
+    elif kind in _DIRECTIONS and not operators:
+        errors.append(f"kind {kind!r} needs a non-empty operators list")
     allowed = OPERATORS.get(_DIRECTIONS.get(kind), ())
-    for op in cfg.get("operators", []):
+    for op in operators:
         if op not in allowed:
             errors.append(
                 f"operator {op!r} does not apply to kind {kind!r}; "
@@ -277,6 +300,10 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
     if kind == "constant":
         return np.ones(basis.n)
     if kind == "delta-spectrum":
+        if not 0 <= sig["index"] < basis.n:
+            raise InvalidParameterError(
+                f"signal.index {sig['index']} out of range for graph size {basis.n}"
+            )
         coeffs = np.zeros(basis.n)
         coeffs[sig["index"]] = 1.0
         return igft(basis, coeffs)
@@ -458,9 +485,11 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         fractions = extras.get("fractions", [0.0, 0.1, 0.2, 0.4, 0.8, 1.0])
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
         art.signal_csv("original_signal.csv", f)
+        # the level chain depends only on the graph: one for all families
+        chain = build_chain(lap, basis, levels, PyramidConfig())
         for sampling in ("vertex", "index", "spectrum"):
             pcfg = PyramidConfig(sampling=sampling, analysis_filter=FilterSpec())
-            curve = nla_error_curve(f, graph, pcfg, fractions, num_levels=levels)
+            curve = nla_error_curve(f, chain, pcfg, fractions)
             art.write_csv(f"nla_{sampling}.csv", "fraction,error", curve)
             art.scalars[f"{sampling}_error_at_0.2"] = next(
                 (e for fr, e in curve if abs(fr - 0.2) < 1e-12), float("nan")

@@ -47,6 +47,8 @@ class Graph:
         a = np.array(self.adjacency, dtype=float)  # defensive copy, frozen below
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidParameterError("adjacency must be a square matrix")
+        if not np.all(np.isfinite(a)):
+            raise DataError("edge weights must be finite")
         if not np.allclose(a, a.T, atol=_SYM_TOL, rtol=0.0):
             raise InvalidParameterError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
@@ -280,8 +282,9 @@ def save_edge_list(graph: Graph, path, coordinates_path=None) -> None:
 def load_edge_list(path, coordinates_path=None) -> Graph:
     """Load a graph from an edge-list CSV; weights are symmetrized.
 
-    Raises ParseError for malformed lines and DataError for self-loops or
-    duplicate edges with conflicting weights.
+    Raises ParseError for malformed lines and DataError for self-loops,
+    negative or non-finite weights, or duplicate edges with conflicting
+    weights.
     """
     edges: dict[tuple[int, int], float] = {}
     nmax = -1
@@ -301,6 +304,8 @@ def load_edge_list(path, coordinates_path=None) -> Graph:
                 raise ParseError("vertex indices must be nonnegative", lineno)
             if i == j:
                 raise DataError(f"self-loop on vertex {i} (line {lineno})")
+            if not np.isfinite(w):
+                raise DataError(f"non-finite weight on line {lineno}")
             if w < 0:
                 raise DataError(f"negative weight on line {lineno}")
             key = (min(i, j), max(i, j))

@@ -133,14 +133,33 @@ class PyramidConfig:
 
 
 @dataclass(frozen=True)
-class PyramidLevel:
+class ChainLevel:
+    """Signal-independent part of one pyramid level."""
+
     graph: Graph
-    basis: SpectralBasis
     lap: Laplacian
+    basis: SpectralBasis
     keep: np.ndarray
-    prediction_error: np.ndarray
     reduced_graph: Graph
     reduced_basis: SpectralBasis
+
+
+@dataclass(frozen=True)
+class PyramidChain:
+    """Level chain of a graph, shared by every signal and sampling family.
+
+    Records the reduction choices it was built with; a config that disagrees
+    cannot run over it.
+    """
+
+    levels: tuple[ChainLevel, ...]
+    reduction: str
+    sparsify_ratio: float
+
+
+@dataclass(frozen=True)
+class PyramidLevel(ChainLevel):
+    prediction_error: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,56 +197,73 @@ def _reduce_level(graph: Graph, basis: SpectralBasis, lap: Laplacian, config):
     return keep, reduced
 
 
+def build_chain(
+    lap: Laplacian, basis: SpectralBasis, num_levels: int, config: PyramidConfig | None = None
+) -> PyramidChain:
+    """Graphs, bases and keep sets of a ``num_levels`` pyramid over ``lap``.
+
+    Only ``config.reduction`` and ``config.sparsify_ratio`` matter; the chain
+    serves any signal and sampling family. Each level reuses the previous
+    level's reduced Laplacian and basis, so this takes ``num_levels``
+    eigendecompositions on top of the caller's ``basis``.
+    """
+    config = config or PyramidConfig()
+    if num_levels < 1:
+        raise InvalidParameterError("need at least one level")
+    levels = []
+    for level in range(num_levels):
+        try:
+            keep, reduced = _reduce_level(lap.graph, basis, lap, config)
+        except GssampError as exc:
+            raise type(exc)(f"level {level}: {exc}") from exc
+        reduced_lap = laplacian(reduced)
+        reduced_basis = eigendecompose(reduced_lap)
+        levels.append(ChainLevel(lap.graph, lap, basis, keep, reduced, reduced_basis))
+        lap, basis = reduced_lap, reduced_basis
+    return PyramidChain(tuple(levels), config.reduction, config.sparsify_ratio)
+
+
+def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> PyramidDecomposition:
+    """Per-signal analysis pass over a prebuilt level chain."""
+    if (config.reduction, config.sparsify_ratio) != (chain.reduction, chain.sparsify_ratio):
+        raise InvalidParameterError(
+            f"config reduction {config.reduction!r} / sparsify_ratio {config.sparsify_ratio} "
+            f"does not match the chain's {chain.reduction!r} / {chain.sparsify_ratio}"
+        )
+    f = np.asarray(f, dtype=float)
+    if f.shape != (chain.levels[0].graph.n,):
+        raise InvalidParameterError("signal length does not match graph size")
+    levels = []
+    current = f
+    for level, lvl in enumerate(chain.levels):
+        if config.sampling != "vertex" and lvl.graph.n % 2 != 0:
+            raise InvalidParameterError(
+                f"level {level}: spectral sampling needs an even vertex count"
+            )
+        ctx_down = SamplingContext(lvl.basis, lvl.reduced_basis)
+        ctx_up = SamplingContext(lvl.reduced_basis, lvl.basis)
+        corr = VertexCorrespondence(lvl.keep)
+        filtered = filter_signal(lvl.basis, current, config.analysis_filter, lvl.lap)
+        coarse = apply_operator(config.operator, "down", ctx_down, filtered, 2, corr)
+        upsampled = apply_operator(config.operator, "up", ctx_up, coarse, 2, corr)
+        predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
+        levels.append(PyramidLevel(**vars(lvl), prediction_error=current - predicted))
+        current = coarse
+    return PyramidDecomposition(levels=tuple(levels), coarse=current, config=config)
+
+
 def analyze(
     f: np.ndarray, graph: Graph, num_levels: int, config: PyramidConfig | None = None
 ) -> PyramidDecomposition:
     """Decompose a signal into ``num_levels`` prediction errors plus a coarse band.
 
+    Builds the level chain of ``graph`` and runs one analysis pass over it.
     Spectral sampling modes require the vertex count to stay even down the
     chain (each level halves the graph).
     """
     config = config or PyramidConfig()
-    f = np.asarray(f, dtype=float)
-    if f.shape != (graph.n,):
-        raise InvalidParameterError("signal length does not match graph size")
-    if num_levels < 1:
-        raise InvalidParameterError("need at least one level")
-    levels = []
-    current = f
-    for level in range(num_levels):
-        if config.sampling != "vertex" and graph.n % 2 != 0:
-            raise InvalidParameterError(
-                f"level {level}: spectral sampling needs an even vertex count"
-            )
-        lap = laplacian(graph)
-        basis = eigendecompose(lap)
-        try:
-            keep, reduced = _reduce_level(graph, basis, lap, config)
-        except GssampError as exc:
-            raise type(exc)(f"level {level}: {exc}") from exc
-        reduced_basis = eigendecompose(laplacian(reduced))
-        ctx_down = SamplingContext(basis, reduced_basis)
-        ctx_up = SamplingContext(reduced_basis, basis)
-        corr = VertexCorrespondence(keep)
-        filtered = filter_signal(basis, current, config.analysis_filter, lap)
-        coarse = apply_operator(config.operator, "down", ctx_down, filtered, 2, corr)
-        upsampled = apply_operator(config.operator, "up", ctx_up, coarse, 2, corr)
-        predicted = filter_signal(basis, upsampled, config.g_filter, lap)
-        y = current - predicted
-        levels.append(
-            PyramidLevel(
-                graph=graph,
-                basis=basis,
-                lap=lap,
-                keep=keep,
-                prediction_error=y,
-                reduced_graph=reduced,
-                reduced_basis=reduced_basis,
-            )
-        )
-        graph = reduced
-        current = coarse
-    return PyramidDecomposition(levels=tuple(levels), coarse=current, config=config)
+    lap = laplacian(graph)
+    return _decompose(f, build_chain(lap, eigendecompose(lap), num_levels, config), config)
 
 
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
@@ -251,45 +287,44 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
     Details from all levels are pooled; ties at the threshold are broken by
     (level, index) order, so the result is deterministic.
     """
-    total = sum(dec.detail_sizes())
+    sizes = dec.detail_sizes()
+    total = sum(sizes)
     if not 0 <= n_kept <= total:
         raise InvalidParameterError(f"n_kept must be in [0, {total}]")
-    entries = []  # (magnitude, level, index)
-    for li, lvl in enumerate(dec.levels):
-        for idx, v in enumerate(lvl.prediction_error):
-            entries.append((abs(v), li, idx))
-    entries.sort(key=lambda t: (-t[0], t[1], t[2]))
-    kept = {(li, idx) for _, li, idx in entries[:n_kept]}
-    new_levels = []
-    for li, lvl in enumerate(dec.levels):
-        y = np.array(
-            [v if (li, i) in kept else 0.0 for i, v in enumerate(lvl.prediction_error)]
-        )
-        new_levels.append(replace(lvl, prediction_error=y))
-    return PyramidDecomposition(levels=tuple(new_levels), coarse=dec.coarse, config=dec.config)
+    values = np.concatenate([lvl.prediction_error for lvl in dec.levels])
+    # pooled positions run in (level, index) order, so a stable sort on
+    # magnitude alone breaks its ties the documented way
+    kept = np.zeros(total, dtype=bool)
+    kept[np.argsort(-np.abs(values), kind="stable")[:n_kept]] = True
+    trimmed = np.split(np.where(kept, values, 0.0), np.cumsum(sizes)[:-1])
+    new_levels = tuple(
+        replace(lvl, prediction_error=y) for lvl, y in zip(dec.levels, trimmed)
+    )
+    return PyramidDecomposition(levels=new_levels, coarse=dec.coarse, config=dec.config)
 
 
 def nla_error_curve(
     f: np.ndarray,
-    graph: Graph,
+    chain: PyramidChain,
     config: PyramidConfig,
     fractions: Sequence[float],
-    num_levels: int = 1,
 ) -> list[tuple[float, float]]:
     """Normalized reconstruction error vs fraction of retained detail coefficients.
 
-    n_kept = round(fraction * N) with N the original graph size, capped at
-    the total detail count.
+    Decomposes ``f`` once over ``chain`` (from ``build_chain``) with the
+    sampling family of ``config``. n_kept = round(fraction * N) with N the
+    original graph size, capped at the total detail count.
     """
     f = np.asarray(f, dtype=float)
-    dec = analyze(f, graph, num_levels, config)
+    dec = _decompose(f, chain, config)
+    n = chain.levels[0].graph.n
     total = sum(dec.detail_sizes())
     norm = np.linalg.norm(f)
     out = []
     for frac in fractions:
         if not 0.0 <= frac <= 1.0:
             raise InvalidParameterError("fractions must lie in [0, 1]")
-        n_kept = min(round(frac * graph.n), total)
+        n_kept = min(round(frac * n), total)
         rec = synthesize(nonlinear_approximate(dec, n_kept))
         out.append((float(frac), float(np.linalg.norm(f - rec) / norm)))
     return out

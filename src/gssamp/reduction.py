@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParameterError, NumericError
 from .graphs import Graph, Laplacian
@@ -69,11 +70,16 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     )
 
 
+def _connected(adjacency: np.ndarray) -> bool:
+    return connected_components(adjacency, directed=False)[0] == 1
+
+
 def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     """Drop edges lighter than threshold_ratio * max weight, keeping connectivity.
 
     If the thresholded graph is disconnected, removed edges are restored in
-    decreasing weight order until it reconnects.
+    decreasing (weight, i, j) order: the shortest such prefix that reconnects
+    it, or all of them if none does.
     """
     if not 0.0 <= threshold_ratio < 1.0:
         raise InvalidParameterError("threshold_ratio must be in [0, 1)")
@@ -83,22 +89,29 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     cutoff = threshold_ratio * a.max()
     weak = (a > 0) & (a < cutoff)
     a[weak] = 0.0
-    candidate = Graph(a, coordinates=graph.coordinates,
-                      structure=graph.structure, grid_shape=graph.grid_shape)
-    if candidate.is_connected():
-        return candidate
-    removed = [
-        (graph.adjacency[i, j], i, j)
-        for i, j in zip(*np.nonzero(np.triu(weak)))
-    ]
-    removed.sort(reverse=True)
-    for w, i, j in removed:
-        a[i, j] = a[j, i] = w
-        candidate = Graph(a, coordinates=graph.coordinates,
-                          structure=graph.structure, grid_shape=graph.grid_shape)
-        if candidate.is_connected():
-            return candidate
-    return candidate
+    if not _connected(a):
+        rows, cols = np.nonzero(np.triu(weak))
+        weights = graph.adjacency[rows, cols]
+        order = np.lexsort((-cols, -rows, -weights))
+        rows, cols, weights = rows[order], cols[order], weights[order]
+
+        def restored(k):  # upper triangle only: enough for connectivity
+            b = a.copy()
+            b[rows[:k], cols[:k]] = weights[:k]
+            return b
+
+        # connectivity is monotone in the prefix length: prefix lo is
+        # disconnected, and prefix hi connects unless it is every edge
+        lo, hi = 0, weights.size
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _connected(restored(mid)):
+                hi = mid
+            else:
+                lo = mid
+        a[rows[:hi], cols[:hi]] = a[cols[:hi], rows[:hi]] = weights[:hi]
+    return Graph(a, coordinates=graph.coordinates,
+                 structure=graph.structure, grid_shape=graph.grid_shape)
 
 
 def select_every_other(graph: Graph, m: int):

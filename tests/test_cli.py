@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gssamp import build_path, save_edge_list
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
 from gssamp.errors import InvalidParameterError
 
@@ -81,6 +82,90 @@ class TestListAndValidate:
         assert "config error" in err
         with pytest.raises(InvalidParameterError, match="does not apply to kind"):
             run_experiment(cfg, tmp_path / "out")
+
+
+def _drop(key):
+    def edit(cfg):
+        del cfg[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(cfg):
+        cfg[key] = value
+    return edit
+
+
+def _delta(index):
+    return _set("signal", {"kind": "delta-spectrum", "index": index})
+
+
+class TestIncompleteConfig:
+    """Configs that once validated and then crashed ``run`` with a traceback."""
+
+    @pytest.mark.parametrize(
+        "preset, edit, match",
+        [
+            ("path-upsample", _drop("graph1"), "graph1"),
+            ("community-fractional", _drop("graph1"), "graph1"),
+            ("path-upsample", _set("graph1", {"params": {"n": 100}}), "graph1 needs"),
+            ("path-downsample", _drop("operators"), "non-empty operators"),
+            ("path-upsample", _set("operators", []), "non-empty operators"),
+            ("comet-fractional", _drop("operators"), "non-empty operators"),
+            ("path-downsample", _set("operators", "vertex"), "must be a list"),
+            ("path-downsample", _delta(100), "signal.index 100 out of range"),
+            ("path-downsample", _delta(-1), "signal.index must be"),
+            ("path-downsample", _delta("3"), "signal.index must be"),
+        ],
+    )
+    def test_validate_and_run_report_config_error(self, preset, edit, match, tmp_path, capsys):
+        cfg = PRESETS[preset]()
+        edit(cfg)
+        assert any(match in e for e in validate_config(cfg)), validate_config(cfg)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 1 and out == ""
+            assert "config error" in err and match in err
+
+    def test_delta_index_beyond_edge_list_graph(self, tmp_path, capsys):
+        # the vertex count is unknown until the edge list is read
+        edges = tmp_path / "edges.csv"
+        save_edge_list(build_path(10), edges)
+        cfg = {
+            "name": "delta-edge-list",
+            "kind": "downsample",
+            "graph": {"edge_list": str(edges)},
+            "reduction": "polarity",
+            "rate": 2,
+            "signal": {"kind": "delta-spectrum", "index": 10},
+            "operators": ["vertex"],
+            "seed": 0,
+        }
+        assert validate_config(cfg) == []
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+        assert code == 1
+        assert "signal.index 10 out of range for graph size 10" in err
+        cfg["signal"]["index"] = 9
+        p.write_text(json.dumps(cfg))
+        code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+        assert code == 0
+
+
+@pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
+def test_non_finite_edge_weight_is_data_error(weight, tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"# src,dst,weight\n0,1,1.0\n1,2,{weight}\n2,3,1.0\n")
+    cfg = dict(PRESETS["minnesota-energy"](), graph={"edge_list": str(edges)})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and out == ""
+    assert "non-finite weight on line 3" in err
+    assert "Traceback" not in err
 
 
 class TestRun:

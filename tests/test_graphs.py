@@ -163,6 +163,22 @@ class TestEdgeList:
             gs.load_edge_list(p)
 
 
+@pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+def test_non_finite_weight_rejected_before_symmetry(weight):
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = 1.0
+    a[1, 2] = weight  # also asymmetric: the finiteness check must come first
+    with pytest.raises(DataError, match="edge weights must be finite"):
+        gs.Graph(a)
+
+
+def test_non_finite_weight_in_edge_list(tmp_path):
+    p = tmp_path / "edges.csv"
+    p.write_text("0,1,1.0\n1,2,nan\n")
+    with pytest.raises(DataError, match="non-finite weight on line 2"):
+        gs.load_edge_list(p)
+
+
 def test_graph_is_immutable():
     g = gs.build_path(4)
     with pytest.raises(ValueError):

@@ -1,13 +1,22 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import gssamp as gs
+from gssamp import cli, reduction, spectral
 from gssamp.errors import GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
 
 
 def basis_of(graph):
     return gs.eigendecompose(gs.laplacian(graph))
+
+
+def chain_of(graph, num_levels, config=None):
+    lap = gs.laplacian(graph)
+    return gs.build_chain(lap, gs.eigendecompose(lap), num_levels, config)
 
 
 def smooth_signal(basis, cutoff, seed=0):
@@ -173,15 +182,15 @@ class TestNonlinearApproximation:
     def test_error_decreases_with_kept_terms(self):
         f, g = self._dec()
         config = CONFIGS["index"]
-        curve = gs.nla_error_curve(f, g, config, fractions=[0.1, 0.3, 0.6, 1.0])
+        curve = gs.nla_error_curve(f, chain_of(g, 1), config, fractions=[0.1, 0.3, 0.6, 1.0])
         errs = [err for _, err in curve]
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 1e-9
 
     def test_deterministic(self):
         f, g = self._dec()
-        a = gs.nla_error_curve(f, g, CONFIGS["spectrum"], fractions=[0.2, 0.5])
-        b = gs.nla_error_curve(f, g, CONFIGS["spectrum"], fractions=[0.2, 0.5])
+        a = gs.nla_error_curve(f, chain_of(g, 1), CONFIGS["spectrum"], fractions=[0.2, 0.5])
+        b = gs.nla_error_curve(f, chain_of(g, 1), CONFIGS["spectrum"], fractions=[0.2, 0.5])
         assert np.array_equal(a, b)
 
     def test_zero_kept_drops_details(self):
@@ -190,3 +199,115 @@ class TestNonlinearApproximation:
         trimmed = gs.nonlinear_approximate(dec, 0)
         for level in trimmed.levels:
             assert np.count_nonzero(level.prediction_error) == 0
+
+
+def reference_nonlinear_approximate(dec, n_kept):
+    """Pool, sort and keep detail coefficients one Python tuple at a time."""
+    entries = [
+        (abs(v), li, idx)
+        for li, lvl in enumerate(dec.levels)
+        for idx, v in enumerate(lvl.prediction_error)
+    ]
+    entries.sort(key=lambda t: (-t[0], t[1], t[2]))
+    kept = {(li, idx) for _, li, idx in entries[:n_kept]}
+    return [
+        np.array([v if (li, i) in kept else 0.0 for i, v in enumerate(lvl.prediction_error)])
+        for li, lvl in enumerate(dec.levels)
+    ]
+
+
+class TestNonlinearApproximateMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ties_across_levels(self, seed):
+        g = gs.build_random_sensor(32, seed=7)
+        dec = gs.analyze(np.zeros(32), g, num_levels=3, config=CONFIGS["vertex"])
+        # few distinct magnitudes of both signs: ties within and across levels
+        rng = np.random.default_rng(seed)
+        levels = tuple(
+            replace(lvl, prediction_error=rng.integers(-3, 4, lvl.prediction_error.size) / 2.0)
+            for lvl in dec.levels
+        )
+        dec = replace(dec, levels=levels)
+        for n_kept in range(sum(dec.detail_sizes()) + 1):
+            got = gs.nonlinear_approximate(dec, n_kept)
+            want = reference_nonlinear_approximate(dec, n_kept)
+            for lvl, y in zip(got.levels, want):
+                assert np.array_equal(lvl.prediction_error, y)
+                assert np.array_equal(np.signbit(lvl.prediction_error), np.signbit(y))
+
+    def test_rejects_out_of_range_count(self):
+        g = gs.build_random_sensor(32, seed=7)
+        dec = gs.analyze(np.ones(32), g, num_levels=1, config=CONFIGS["vertex"])
+        with pytest.raises(InvalidParameterError):
+            gs.nonlinear_approximate(dec, 33)
+
+
+class TestSharedChain:
+    FRACTIONS = [0.0, 0.05, 0.2, 0.4, 1.0]
+
+    @pytest.mark.parametrize("sampling", ["vertex", "index", "spectrum"])
+    def test_shared_chain_curve_equals_per_family_analyze(self, sampling):
+        g = gs.build_random_sensor(64, seed=7)
+        f = smooth_signal(basis_of(g), 10, seed=9)
+        config = gs.PyramidConfig(sampling=sampling)
+        got = gs.nla_error_curve(f, chain_of(g, 3), config, self.FRACTIONS)
+        dec = gs.analyze(f, g, 3, config)
+        want = []
+        for frac in self.FRACTIONS:
+            rec = gs.synthesize(gs.nonlinear_approximate(dec, round(frac * g.n)))
+            want.append((frac, float(np.linalg.norm(f - rec) / np.linalg.norm(f))))
+        assert got == want
+
+    def test_levels_reuse_the_previous_reduced_basis(self):
+        g = gs.build_random_sensor(64, seed=7)
+        chain = chain_of(g, 3)
+        assert [lvl.graph.n for lvl in chain.levels] == [64, 32, 16]
+        for upper, lower in zip(chain.levels, chain.levels[1:]):
+            assert lower.graph is upper.reduced_graph
+            assert lower.basis is upper.reduced_basis
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            gs.PyramidConfig(reduction="every_other"),
+            gs.PyramidConfig(sparsify_ratio=0.1),
+        ],
+    )
+    def test_config_disagreeing_with_chain_rejected(self, config):
+        g = gs.build_random_sensor(64, seed=7)
+        f = np.ones(64)
+        with pytest.raises(InvalidParameterError, match="does not match the chain"):
+            gs.nla_error_curve(f, chain_of(g, 1), config, [0.5])
+
+    def test_zero_levels_rejected(self):
+        g = gs.build_random_sensor(16, seed=7)
+        with pytest.raises(InvalidParameterError):
+            chain_of(g, 0)
+
+    def test_odd_level_rejected_for_spectral_modes(self):
+        g = gs.build_random_sensor(36, seed=7)
+        chain = chain_of(g, 3)  # 36 -> 18 -> 9
+        f = np.ones(36)
+        assert len(gs.nla_error_curve(f, chain, CONFIGS["vertex"], [0.5])) == 1
+        with pytest.raises(
+            InvalidParameterError, match="level 2: spectral sampling needs an even vertex count"
+        ):
+            gs.nla_error_curve(f, chain, CONFIGS["index"], [0.5])
+
+
+def test_pyramid_nla_preset_builds_one_chain(monkeypatch, tmp_path):
+    counts = dict.fromkeys(["eigendecompose", "kron_reduce", "sparsify"], 0)
+    modules = [m for name, m in sys.modules.items() if name.startswith("gssamp")]
+    for name in counts:
+        original = getattr(spectral if name == "eigendecompose" else reduction, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    cli.run_experiment(cli.PRESETS["pyramid-nla"](), tmp_path)
+    # one basis for the signal, one per reduced level; one chain for all families
+    assert counts == {"eigendecompose": 4, "kron_reduce": 3, "sparsify": 3}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gssamp as gs
 from gssamp.errors import InvalidParameterError, NumericError
@@ -92,6 +94,63 @@ class TestSparsify:
             gs.sparsify(g, 1.0)
         with pytest.raises(InvalidParameterError):
             gs.sparsify(g, -0.1)
+
+    def test_disconnected_input_returned_unthresholded(self):
+        # no prefix of the removed edges bridges the two components
+        a = np.zeros((5, 5))
+        a[0, 1] = a[1, 0] = 1.0
+        a[1, 2] = a[2, 1] = 0.01
+        a[3, 4] = a[4, 3] = 1.0
+        g = gs.Graph(a)
+        out = gs.sparsify(g, 0.05)
+        assert np.array_equal(out.adjacency, a)
+        assert np.array_equal(out.adjacency, reference_sparsify(g, 0.05).adjacency)
+
+    def test_reduced_graph_needing_reconnection(self):
+        g = reduced_sensor(16, seed=0)
+        a = g.adjacency.copy()
+        a[a < 0.5 * a.max()] = 0.0
+        assert not gs.Graph(a).is_connected()  # the restore path really runs
+        out = gs.sparsify(g, 0.5)
+        assert out.is_connected()
+        assert np.array_equal(out.adjacency, reference_sparsify(g, 0.5).adjacency)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=8, max_value=48),
+        seed=st.integers(min_value=0, max_value=50),
+        ratio=st.floats(min_value=0.05, max_value=0.5),
+    )
+    def test_matches_one_edge_at_a_time_restore(self, n, seed, ratio):
+        g = reduced_sensor(n, seed)
+        out = gs.sparsify(g, ratio)
+        want = reference_sparsify(g, ratio)
+        assert np.array_equal(out.adjacency, want.adjacency)
+        assert np.array_equal(out.coordinates, want.coordinates)
+
+
+def reduced_sensor(n, seed):
+    """Polarity Kron reduction of a random sensor graph to half its size."""
+    lap = gs.laplacian(gs.build_random_sensor(n, seed=seed))
+    return gs.kron_reduce(lap, gs.select_polarity(gs.eigendecompose(lap), n // 2)).graph
+
+
+def reference_sparsify(graph, threshold_ratio):
+    """Restore removed edges one at a time, heaviest first, until connected."""
+    a = graph.adjacency.copy()
+    weak = (a > 0) & (a < threshold_ratio * a.max())
+    a[weak] = 0.0
+    candidate = gs.Graph(a, coordinates=graph.coordinates)
+    if candidate.is_connected():
+        return candidate
+    removed = [(graph.adjacency[i, j], i, j) for i, j in zip(*np.nonzero(np.triu(weak)))]
+    removed.sort(reverse=True)
+    for w, i, j in removed:
+        a[i, j] = a[j, i] = w
+        candidate = gs.Graph(a, coordinates=graph.coordinates)
+        if candidate.is_connected():
+            return candidate
+    return candidate
 
 
 class TestSelectEveryOther:
