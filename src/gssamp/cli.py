@@ -31,7 +31,8 @@ A config is a JSON object with keys:
               these three kinds need at least one, other kinds take none;
                 any other name is a config error (exit 1)
     seed      int
-    extras    kind-specific options (levels, fractions, bands, ...)
+    extras    kind-specific options; "pyramid-nla" takes {"levels": int >= 1,
+              "fractions": non-empty list of numbers in [0, 1]}
 
 All outputs are CSV series plus manifest.json listing every file with its
 sha256 checksum and the experiment's key scalars.
@@ -227,6 +228,23 @@ def _check_graph_spec(gspec, key: str, errors: list) -> int | None:
     return n
 
 
+def _check_pyramid_extras(extras, errors: list) -> None:
+    """Append the errors of a pyramid-nla ``extras`` object."""
+    if not isinstance(extras, dict):
+        errors.append("extras must be an object")
+        return
+    levels = extras.get("levels", 1)
+    if type(levels) is not int or levels < 1:  # a bool is not a level count
+        errors.append("extras.levels must be an integer >= 1")
+    fractions = extras.get("fractions", [0.0])
+    if not (
+        isinstance(fractions, list)
+        and fractions
+        and all(type(fr) in (int, float) and 0 <= fr <= 1 for fr in fractions)
+    ):
+        errors.append("extras.fractions must be a non-empty list of numbers in [0, 1]")
+
+
 def validate_config(cfg: dict) -> list[str]:
     """Dry-run structural checks (no eigendecomposition). Returns error list."""
     errors = []
@@ -248,7 +266,10 @@ def validate_config(cfg: dict) -> list[str]:
         elif isinstance(n0, int) and kind == "downsample" and n0 % rate != 0:
             errors.append(f"rate {rate} does not divide graph size {n0}")
     sig = cfg.get("signal", {})
-    if sig.get("kind") not in (
+    if not isinstance(sig, dict):
+        errors.append("signal must be an object")
+        sig = {}
+    elif sig.get("kind") not in (
         "bandlimited-random",
         "delta-spectrum",
         "constant",
@@ -268,6 +289,8 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append("signal.index must be a nonnegative integer")
         elif isinstance(n0, int) and index >= n0:
             errors.append(f"signal.index {index} out of range for graph size {n0}")
+    if kind == "pyramid-nla":
+        _check_pyramid_extras(cfg.get("extras", {}), errors)
     operators = cfg.get("operators", [])
     if not isinstance(operators, list):
         errors.append("operators must be a list")
@@ -359,7 +382,7 @@ class _Artifacts:
 
     def write_csv(self, name: str, header: str, rows) -> None:
         path = self.out_dir / name
-        with open(path, "w") as fh:
+        with _open_fresh(path) as fh:
             fh.write(f"# {header}\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -385,6 +408,14 @@ def _fmt(v) -> str:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _open_fresh(path: Path):
+    """Open ``path`` for writing as a new file, removing any old one first."""
+    # Truncating a file written moments ago can wait tens of milliseconds on
+    # its writeback; a new inode does not, and os.replace waits as long.
+    path.unlink(missing_ok=True)
+    return open(path, "w")
 
 
 def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
@@ -496,7 +527,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             )
 
     manifest = art.manifest(cfg)
-    with open(Path(out_dir) / "manifest.json", "w") as fh:
+    with _open_fresh(Path(out_dir) / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
 

@@ -49,7 +49,7 @@ class Graph:
             raise InvalidParameterError("adjacency must be a square matrix")
         if not np.all(np.isfinite(a)):
             raise DataError("edge weights must be finite")
-        if not np.allclose(a, a.T, atol=_SYM_TOL, rtol=0.0):
+        if not np.abs(a - a.T).max(initial=0.0) <= _SYM_TOL:
             raise InvalidParameterError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise DataError("self-loops are not allowed (nonzero diagonal)")

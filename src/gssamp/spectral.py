@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import InvalidParameterError, NumericError, RangeError
+from .errors import DataError, InvalidParameterError, NumericError, RangeError
 from .graphs import Laplacian
 
 _GROUP_TOL_SCALE = 1e-8
@@ -68,27 +68,45 @@ class Spectrum:
 
 
 def _canonicalize_signs(u: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry with magnitude > 1e-10 is positive."""
+    """Flip columns so the first entry with magnitude > 1e-10 is positive.
+
+    Returns a C-ordered copy: the layout decides which BLAS kernel, and so
+    which rounding, later products with the basis get.
+    """
+    lead = u[np.argmax(np.abs(u) > 1e-10, axis=0), np.arange(u.shape[1])]
+    # an all-tiny column has argmax 0 and a lead below 1e-10: never flipped
+    flip = (lead < 0) & (np.abs(lead) > 1e-10)
     u = u.copy()
-    for i in range(u.shape[1]):
-        col = u[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-10)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, i] = -col
+    u[:, flip] = -u[:, flip]
     return u
 
 
-def eigenvalue_groups(eigenvalues: np.ndarray) -> list[np.ndarray]:
-    """Index groups of numerically repeated eigenvalues."""
+def eigenvalue_groups(eigenvalues: np.ndarray) -> np.ndarray:
+    """Start indices of the groups of numerically repeated eigenvalues.
+
+    Index i joins the group started at s when both lam[i] - lam[i-1] and
+    lam[i] - lam[s] are within the tolerance; group g spans
+    ``starts[g]:starts[g + 1]``.
+    """
     lam = np.asarray(eigenvalues, dtype=float)
     tol = _GROUP_TOL_SCALE * max(1.0, float(lam[-1]))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, lam.size):
-        if lam[i] - lam[groups[-1][0]] <= tol and lam[i] - lam[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [np.asarray(g) for g in groups]
+    # a step above tol always starts a group; a run of small steps is one
+    # group unless it drifts more than tol from its first value
+    starts = np.flatnonzero(np.diff(lam) > tol) + 1
+    starts = np.concatenate(([0], starts))
+    drift = np.maximum.reduceat(lam, starts) - lam[starts]
+    long_runs = np.flatnonzero(~(drift <= tol))
+    if long_runs.size == 0:
+        return starts
+    ends = np.append(starts[1:], lam.size)
+    extra = []
+    for r in long_runs:
+        s = starts[r]
+        for i in range(s + 1, ends[r]):
+            if not lam[i] - lam[s] <= tol:
+                extra.append(i)
+                s = i
+    return np.sort(np.concatenate((starts, np.asarray(extra, dtype=starts.dtype))))
 
 
 def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> SpectralBasis:
@@ -100,7 +118,9 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
     eigenvector order for repeated eigenvalues).
     """
     m = np.asarray(lap.matrix, dtype=float)
-    if not np.allclose(m, m.T, atol=1e-10, rtol=0.0):
+    if not np.isfinite(m).all():
+        raise DataError("Laplacian entries must be finite")
+    if not np.abs(m - m.T).max(initial=0.0) <= 1e-10:
         raise InvalidParameterError("Laplacian matrix must be symmetric")
     try:
         lam, u = scipy.linalg.eigh(m)
@@ -110,14 +130,16 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
     lam, u = lam[order], u[:, order]
     u = _canonicalize_signs(u)
     rng = np.random.default_rng(ordering_seed) if ordering_seed is not None else None
-    for g in eigenvalue_groups(lam):
-        if g.size > 1:
-            block = u[:, g]
-            # lexicographic column order: compare entry 0, then 1, ...
-            key = np.lexsort(block[::-1])
-            u[:, g] = block[:, key]
-            if rng is not None:
-                u[:, g] = u[:, g][:, rng.permutation(g.size)]
+    starts = eigenvalue_groups(lam)
+    sizes = np.diff(np.append(starts, lam.size))
+    multi = sizes > 1
+    for s, size in zip(starts[multi], sizes[multi]):
+        block = u[:, s : s + size]
+        # lexicographic column order: compare entry 0, then 1, ...
+        key = np.lexsort(block[::-1])
+        if rng is not None:
+            key = key[rng.permutation(size)]
+        u[:, s : s + size] = block[:, key]
     return SpectralBasis(eigenvalues=lam, eigenvectors=u)
 
 
@@ -147,11 +169,17 @@ def collapse_duplicate_nodes(
     """Average values sharing an abscissa within the grouping tolerance."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    xs, ys = [], []
-    for g in eigenvalue_groups(grid):
-        xs.append(grid[g].mean())
-        ys.append(values[g].mean())
-    return np.asarray(xs), np.asarray(ys)
+    starts = eigenvalue_groups(grid)
+    sizes = np.diff(np.append(starts, grid.size))
+    xs, ys = np.empty(starts.size), np.empty(starts.size)
+    # one row sum per group size: a row adds in the order ndarray.mean does,
+    # which np.add.reduceat does not
+    for k in np.unique(sizes):
+        sel = sizes == k
+        rows = starts[sel, None] + np.arange(k)
+        xs[sel] = grid[rows].sum(axis=1) / k
+        ys[sel] = values[rows].sum(axis=1) / k
+    return xs, ys
 
 
 def _interpolator_arrays(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:

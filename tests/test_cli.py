@@ -100,6 +100,12 @@ def _delta(index):
     return _set("signal", {"kind": "delta-spectrum", "index": index})
 
 
+def _extras(**options):
+    def edit(cfg):
+        cfg["extras"].update(options)
+    return edit
+
+
 class TestIncompleteConfig:
     """Configs that once validated and then crashed ``run`` with a traceback."""
 
@@ -116,6 +122,14 @@ class TestIncompleteConfig:
             ("path-downsample", _delta(100), "signal.index 100 out of range"),
             ("path-downsample", _delta(-1), "signal.index must be"),
             ("path-downsample", _delta("3"), "signal.index must be"),
+            ("path-downsample", _set("signal", "x"), "signal must be an object"),
+            ("pyramid-nla", _extras(levels="3"), "extras.levels must be"),
+            ("pyramid-nla", _extras(levels=True), "extras.levels must be"),
+            ("pyramid-nla", _extras(levels=0), "extras.levels must be"),
+            ("pyramid-nla", _set("extras", []), "extras must be an object"),
+            ("pyramid-nla", _extras(fractions=[1.5]), "extras.fractions must be"),
+            ("pyramid-nla", _extras(fractions=[]), "extras.fractions must be"),
+            ("pyramid-nla", _extras(fractions="0.2"), "extras.fractions must be"),
         ],
     )
     def test_validate_and_run_report_config_error(self, preset, edit, match, tmp_path, capsys):
@@ -206,6 +220,16 @@ class TestRun:
         )
         assert code == 1
         assert "config error" in err
+
+    def test_rerun_into_same_directory(self, tmp_path):
+        # a stale artifact longer than the fresh one must leave no tail
+        first = run_experiment(PRESETS["path-downsample"](), tmp_path)
+        (tmp_path / "vertex_signal.csv").write_text("garbage\n" * 10000)
+        second = run_experiment(PRESETS["path-downsample"](), tmp_path)
+        assert second == first
+        assert json.loads((tmp_path / "manifest.json").read_text()) == first
+        for name, digest in second["files"].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
     def test_csv_headers(self, tmp_path):
         run_experiment(PRESETS["path-downsample"](), tmp_path)

@@ -183,3 +183,15 @@ def test_graph_is_immutable():
     g = gs.build_path(4)
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 5.0
+
+
+@pytest.mark.parametrize("skew, ok", [(0.9e-12, True), (1.1e-12, False)])
+def test_symmetry_tolerance_edge(skew, ok):
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
+    a[1, 2] += skew
+    if ok:
+        assert gs.Graph(a).n == 3
+    else:
+        with pytest.raises(InvalidParameterError, match="adjacency must be symmetric"):
+            gs.Graph(a)

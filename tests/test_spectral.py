@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gssamp as gs
-from gssamp.errors import InvalidParameterError, RangeError
+from gssamp import spectral
+from gssamp.errors import DataError, InvalidParameterError, RangeError
+from gssamp.graphs import Laplacian
 from gssamp.spectral import Spectrum, sample_interpolant
 
 
@@ -65,10 +68,30 @@ class TestEigendecompose:
         lap = gs.laplacian(gs.build_path(3))
         bad = lap.matrix.copy()
         bad[0, 1] = 7.0
-        from gssamp.graphs import Laplacian
 
         with pytest.raises(InvalidParameterError):
             gs.eigendecompose(Laplacian(matrix=bad, graph=lap.graph))
+
+    @pytest.mark.parametrize("skew, ok", [(0.99e-10, True), (1.01e-10, False)])
+    def test_symmetry_tolerance_edge(self, skew, ok):
+        lap = gs.laplacian(gs.build_path(4))
+        m = lap.matrix.copy()
+        m[1, 2] += skew
+        if ok:
+            assert gs.eigendecompose(Laplacian(matrix=m, graph=lap.graph)).n == 4
+        else:
+            with pytest.raises(InvalidParameterError, match="symmetric"):
+                gs.eigendecompose(Laplacian(matrix=m, graph=lap.graph))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_entry(self, value):
+        # a nan once read as asymmetric and an inf crashed inside eigh
+        lap = gs.laplacian(gs.build_path(4))
+        for i, j in ((1, 2), (2, 2)):
+            m = lap.matrix.copy()
+            m[i, j] = value
+            with pytest.raises(DataError, match="Laplacian entries must be finite"):
+                gs.eigendecompose(Laplacian(matrix=m, graph=lap.graph))
 
 
 class TestGft:
@@ -144,3 +167,122 @@ class TestInterpolation:
         vec = sample_interpolant(spec, qs)
         scal = [gs.interpolate_spectrum(spec, q) for q in qs]
         assert np.allclose(vec, scal, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized grouping, collapse and ordering against the loops they replace
+
+
+def reference_groups(lam):
+    """Greedy grouping, one eigenvalue at a time; returns the group starts."""
+    lam = np.asarray(lam, dtype=float)
+    tol = 1e-8 * max(1.0, float(lam[-1]))
+    groups = [[0]]
+    for i in range(1, lam.size):
+        if lam[i] - lam[groups[-1][0]] <= tol and lam[i] - lam[i - 1] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [np.asarray(g) for g in groups]
+
+
+def reference_collapse(grid, values):
+    xs, ys = [], []
+    for g in reference_groups(grid):
+        xs.append(grid[g].mean())
+        ys.append(values[g].mean())
+    return np.asarray(xs), np.asarray(ys)
+
+
+def reference_signs(u):
+    u = u.copy()
+    for i in range(u.shape[1]):
+        col = u[:, i]
+        nz = np.nonzero(np.abs(col) > 1e-10)[0]
+        if nz.size and col[nz[0]] < 0:
+            u[:, i] = -col
+    return u
+
+
+def reference_eigendecompose(lap, ordering_seed=None):
+    lam, u = scipy.linalg.eigh(np.asarray(lap.matrix, dtype=float))
+    order = np.argsort(lam, kind="stable")
+    lam, u = lam[order], u[:, order]
+    u = reference_signs(u)
+    rng = np.random.default_rng(ordering_seed) if ordering_seed is not None else None
+    for g in reference_groups(lam):
+        if g.size > 1:
+            block = u[:, g]
+            u[:, g] = block[:, np.lexsort(block[::-1])]
+            if rng is not None:
+                u[:, g] = u[:, g][:, rng.permutation(g.size)]
+    return lam, u
+
+
+# steps between neighbours in units of about the grouping tolerance: exact
+# repeats, steps within it, chains of sub-tolerance steps spanning more than
+# it, and clear gaps
+_steps = st.lists(st.sampled_from([0.0, 0.0, 0.3, 0.6, 0.9, 1.5, 1e6]), max_size=60)
+
+
+@st.composite
+def grids(draw):
+    scale = draw(st.sampled_from([0.25, 0.9, 1.0, 40.0]))
+    steps = draw(_steps)
+    unit = 1e-8 * max(1.0, scale)
+    return scale + np.cumsum([0.0, *steps]) * unit
+
+
+def bitwise_equal(a, b):
+    # the layout too: it picks the BLAS kernel of every later product
+    return a.shape == b.shape and a.flags.c_contiguous == b.flags.c_contiguous and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestVectorizedMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(lam=grids())
+    @example(lam=np.array([3.0]))
+    @example(lam=np.array([0.5, 0.5 + 6e-9, 0.5 + 1.2e-8, 0.5 + 1.8e-8]))
+    def test_group_starts(self, lam):
+        want = [g[0] for g in reference_groups(lam)]
+        assert spectral.eigenvalue_groups(lam).tolist() == want
+
+    def test_chain_longer_than_tol_splits_greedily(self):
+        # every step is within tol, but the run drifts 3 tol from its start
+        lam = np.array([0.0, 0.6, 1.2, 1.8, 2.4, 3.0]) * 1e-8
+        assert spectral.eigenvalue_groups(lam).tolist() == [0, 2, 4]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lam=grids(), seed=st.integers(0, 2**16))
+    def test_collapse(self, lam, seed):
+        values = np.random.default_rng(seed).standard_normal(lam.size)
+        xs, ys = spectral.collapse_duplicate_nodes(lam, values)
+        want_x, want_y = reference_collapse(lam, values)
+        assert np.array_equal(xs, want_x)
+        np.testing.assert_allclose(ys, want_y, rtol=1e-15, atol=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 8), st.integers(1, 8)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_signs(self, shape, seed):
+        # tiny entries of both signs lead most columns, and some are all tiny
+        entries = np.array([0.0, -0.0, 5e-11, -5e-11, 1e-10, -1e-10, 2e-10, -2e-10, 0.3, -0.7])
+        u = np.random.default_rng(seed).choice(entries, size=shape)
+        assert bitwise_equal(spectral._canonicalize_signs(u), reference_signs(u))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gs.build_ring(12), gs.build_grid(4, 6), gs.build_complete(30)],
+        ids=["ring", "grid", "complete"],
+    )
+    @pytest.mark.parametrize("seed", [None, 0, 7, 123])
+    def test_eigendecompose_bit_for_bit(self, graph, seed):
+        lap = gs.laplacian(graph)
+        b = gs.eigendecompose(lap, ordering_seed=seed)
+        lam, u = reference_eigendecompose(lap, ordering_seed=seed)
+        assert bitwise_equal(b.eigenvalues, lam)
+        assert bitwise_equal(b.eigenvectors, u)
