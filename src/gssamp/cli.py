@@ -16,7 +16,8 @@ A config is a JSON object with keys:
     graph     {"generator": name, "params": {...}} or {"edge_list": path,
               "coordinates": path?}
     graph1    target graph, required for "upsample"/"fractional" (same form)
-    reduction "generator" | "every_other" | "polarity" | {"keep_first": k}
+    reduction "generator" | "every_other" | "polarity" | {"keep_first": k},
+              1 <= k < n; "repeated-eigenvalues" needs the last form
     rate      int sampling rate (down- or upsampling factor)
     signal    {"kind": "bandlimited-random", "cutoff": int} |
               {"kind": "delta-spectrum", "index": int} |
@@ -44,6 +45,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -289,6 +291,19 @@ def validate_config(cfg: dict) -> list[str]:
             errors.append("signal.index must be a nonnegative integer")
         elif isinstance(n0, int) and index >= n0:
             errors.append(f"signal.index {index} out of range for graph size {n0}")
+    if sig.get("kind") == "spectral-decay":
+        alpha = sig.get("alpha")
+        if type(alpha) not in (int, float) or not math.isfinite(alpha):
+            errors.append("signal.alpha must be a finite number")
+    red = cfg.get("reduction")
+    if kind == "repeated-eigenvalues" and not isinstance(red, dict):
+        errors.append("kind 'repeated-eigenvalues' needs reduction {\"keep_first\": k}")
+    elif isinstance(red, dict):
+        keep_first = red.get("keep_first")
+        if type(keep_first) is not int or keep_first < 1:
+            errors.append("reduction.keep_first must be an integer >= 1")
+        elif isinstance(n0, int) and keep_first >= n0:
+            errors.append(f"reduction.keep_first {keep_first} must be below graph size {n0}")
     if kind == "pyramid-nla":
         _check_pyramid_extras(cfg.get("extras", {}), errors)
     operators = cfg.get("operators", [])
@@ -331,6 +346,10 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
         coeffs[sig["index"]] = 1.0
         return igft(basis, coeffs)
     if kind == "bandlimited-random":
+        if sig["cutoff"] > basis.n:
+            raise InvalidParameterError(
+                f"signal.cutoff {sig['cutoff']} exceeds graph size {basis.n}"
+            )
         rng = np.random.default_rng(seed)
         coeffs = np.zeros(basis.n)
         coeffs[: sig["cutoff"]] = rng.standard_normal(sig["cutoff"])

@@ -5,9 +5,11 @@ edge weights. Randomized generators are deterministic given their seed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -82,14 +84,35 @@ class Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian D - A together with its source graph."""
+    """Combinatorial Laplacian D - A together with its source graph.
+
+    ``matrix`` is read-only; a writable array from the caller is copied
+    first, so the caller's array stays writable.
+    """
 
     matrix: np.ndarray
     graph: Graph = field(repr=False)
 
+    def __post_init__(self):
+        m = np.asarray(self.matrix)
+        if m.flags.writeable:
+            m = m.copy()  # frozen below, so ``sparse`` cannot go stale
+            m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def sparse(self) -> csr_array:
+        """CSR form of ``matrix``, built on first use and kept."""
+        m = self.matrix
+        flat = np.flatnonzero(m != 0)  # nonzero is far faster on a boolean mask
+        rows, cols = np.divmod(flat, self.n)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
+        return csr_array((m.ravel()[flat], cols, indptr), shape=m.shape)
 
 
 def laplacian(graph: Graph) -> Laplacian:

@@ -3,8 +3,10 @@
 Analysis per level: coarse = DOWN(H f), prediction error y = f - G UP(coarse).
 Synthesis mirrors analysis, so reconstruction from unmodified coefficients is
 exact for any operator/filter choice. Filters are applied either exactly
-through the eigenbasis or with a Chebyshev polynomial expansion that only
-touches the Laplacian.
+through the eigenbasis or with a Chebyshev polynomial expansion (Hammond,
+Vandergheynst & Gribonval 2011) that only touches the Laplacian: its
+three-term recurrence runs on the Laplacian's cached CSR form, O(order nnz).
+Without a Laplacian the same polynomial is evaluated on the eigenvalues.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .errors import GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
@@ -46,22 +49,33 @@ def chebyshev_coefficients(
     """Chebyshev expansion coefficients of ``response`` on [0, lam_max].
 
     Uses Chebyshev-Gauss quadrature on the shifted interval; c[0] carries the
-    conventional 1/2 factor already applied.
+    conventional 1/2 factor already applied. The quadrature sums
+    sum_j h_j cos(k theta_j) are one DCT-II of the node samples h_j.
     """
     theta = np.pi * (np.arange(grid_size) + 0.5) / grid_size
     x = np.cos(theta)  # nodes in [-1, 1]
     lam = 0.5 * lam_max * (x + 1.0)
     h = np.asarray(response(lam), dtype=float)
     k = np.arange(order + 1)
-    c = (2.0 / grid_size) * (np.cos(np.outer(k, theta)) @ h)
+    # DCT-II through the FFT of the even extension [h, h reversed] (period
+    # 2N): sum_j h_j cos(k theta_j) = Re(exp(-i pi k / 2N) Y_k) / 2 for every
+    # integer k, and Y_k = conj(Y_{2N - k}) past the rfft's last bin N
+    y = np.fft.rfft(np.concatenate([h, h[::-1]]))
+    m = k % (2 * grid_size)
+    y_k = y[np.minimum(m, 2 * grid_size - m)]
+    y_k = np.where(m > grid_size, y_k.conj(), y_k)
+    c = (1.0 / grid_size) * np.real(np.exp(-0.5j * np.pi * k / grid_size) * y_k)
     c[0] *= 0.5
     return c
 
 
 def chebyshev_apply(
-    lap_matrix: np.ndarray, f: np.ndarray, coeffs: np.ndarray, lam_max: float
+    lap_matrix, f: np.ndarray, coeffs: np.ndarray, lam_max: float
 ) -> np.ndarray:
-    """Evaluate the Chebyshev filter via the three-term recurrence on L."""
+    """Evaluate the Chebyshev filter via the three-term recurrence on L.
+
+    ``lap_matrix`` is anything with ``@``: a dense array or a sparse matrix.
+    """
     alpha = lam_max / 2.0
     # shifted operator (L - alpha I) / alpha has spectrum in [-1, 1]
     t_prev = f
@@ -79,22 +93,21 @@ def filter_signal(
 ) -> np.ndarray:
     """Apply a spectral filter to a vertex signal.
 
-    Exact mode multiplies in the eigenbasis; Chebyshev mode runs the
-    recurrence on the Laplacian (supplied or rebuilt from the basis).
+    Exact mode multiplies in the eigenbasis. Chebyshev mode runs the
+    recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
+    it evaluates the same polynomial on the eigenvalues, in O(n^2).
     """
     f = np.asarray(f)
     if f.shape != (basis.n,):
         raise InvalidParameterError("signal length does not match basis")
+    u = basis.eigenvectors
     if spec.mode == "exact":
-        u = basis.eigenvectors
         return u @ (spec.response(basis.eigenvalues) * (u.T @ f))
-    if lap is not None:
-        m = lap.matrix
-    else:
-        u = basis.eigenvectors
-        m = (u * basis.eigenvalues) @ u.T
     coeffs = chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
-    return chebyshev_apply(m, f, coeffs, basis.lambda_max)
+    if lap is not None:
+        return chebyshev_apply(lap.sparse, f, coeffs, basis.lambda_max)
+    x = basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0
+    return u @ (chebval(x, coeffs) * (u.T @ f))
 
 
 @dataclass(frozen=True)

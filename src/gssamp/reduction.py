@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidParameterError, NumericError
+from .errors import DataError, InvalidParameterError, NumericError
 from .graphs import Graph, Laplacian
 from .sampling import VertexCorrespondence
 from .spectral import SpectralBasis
@@ -50,6 +50,11 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     try:
         solved = scipy.linalg.solve(l_ee, m[np.ix_(elim, keep)], assume_a="sym")
     except scipy.linalg.LinAlgError as exc:
+        # a block of a connected graph's Laplacian is nonsingular, so look
+        # for the usual cause only on this failure path
+        ncomp = connected_components(m, directed=False)[0]
+        if ncomp > 1:
+            raise DataError(f"graph is disconnected ({ncomp} components)") from exc
         raise NumericError(f"eliminated block is singular: {exc}") from exc
     l1 = l_ss - l_se @ solved
     l1 = 0.5 * (l1 + l1.T)

@@ -130,6 +130,17 @@ class TestIncompleteConfig:
             ("pyramid-nla", _extras(fractions=[1.5]), "extras.fractions must be"),
             ("pyramid-nla", _extras(fractions=[]), "extras.fractions must be"),
             ("pyramid-nla", _extras(fractions="0.2"), "extras.fractions must be"),
+            ("repeated-eigenvalues", _drop("reduction"), "needs reduction"),
+            ("repeated-eigenvalues", _set("reduction", {"keep_first": "x"}),
+             "reduction.keep_first must be"),
+            ("repeated-eigenvalues", _set("reduction", {"keep_first": 100}),
+             "reduction.keep_first 100 must be below graph size 100"),
+            ("path-downsample", _set("reduction", {"keep_first": 2.5}),
+             "reduction.keep_first must be"),
+            ("aliasing-path", _set("signal", {"kind": "spectral-decay"}),
+             "signal.alpha must be a finite number"),
+            ("aliasing-path", _set("signal", {"kind": "spectral-decay", "alpha": "2"}),
+             "signal.alpha must be a finite number"),
         ],
     )
     def test_validate_and_run_report_config_error(self, preset, edit, match, tmp_path, capsys):
@@ -143,17 +154,27 @@ class TestIncompleteConfig:
             assert code == 1 and out == ""
             assert "config error" in err and match in err
 
-    def test_delta_index_beyond_edge_list_graph(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "signal, fitting, match",
+        [
+            ({"kind": "delta-spectrum", "index": 10}, {"index": 9},
+             "signal.index 10 out of range for graph size 10"),
+            ({"kind": "bandlimited-random", "cutoff": 20}, {"cutoff": 10},
+             "signal.cutoff 20 exceeds graph size 10"),
+        ],
+        ids=["delta-index", "cutoff"],
+    )
+    def test_signal_beyond_edge_list_graph(self, signal, fitting, match, tmp_path, capsys):
         # the vertex count is unknown until the edge list is read
         edges = tmp_path / "edges.csv"
         save_edge_list(build_path(10), edges)
         cfg = {
-            "name": "delta-edge-list",
+            "name": "signal-edge-list",
             "kind": "downsample",
             "graph": {"edge_list": str(edges)},
             "reduction": "polarity",
             "rate": 2,
-            "signal": {"kind": "delta-spectrum", "index": 10},
+            "signal": signal,
             "operators": ["vertex"],
             "seed": 0,
         }
@@ -162,8 +183,8 @@ class TestIncompleteConfig:
         p.write_text(json.dumps(cfg))
         code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
         assert code == 1
-        assert "signal.index 10 out of range for graph size 10" in err
-        cfg["signal"]["index"] = 9
+        assert match in err
+        cfg["signal"].update(fitting)
         p.write_text(json.dumps(cfg))
         code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
@@ -180,6 +201,23 @@ def test_non_finite_edge_weight_is_data_error(weight, tmp_path, capsys):
     assert code == 1 and out == ""
     assert "non-finite weight on line 3" in err
     assert "Traceback" not in err
+
+
+def test_disconnected_graph_is_data_error(tmp_path, capsys):
+    # a polarity keep set leaves a whole component in the eliminated block
+    edges = tmp_path / "edges.csv"
+    edges.write_text("0,1,1.0\n1,2,1.0\n2,3,1.0\n4,5,1.0\n5,6,1.0\n6,7,1.0\n")
+    cfg = dict(
+        PRESETS["random-regular-downsample"](),
+        graph={"edge_list": str(edges)},
+        signal={"kind": "bandlimited-random", "cutoff": 3},
+    )
+    assert validate_config(cfg) == []
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and out == ""
+    assert "config error: graph is disconnected (2 components)" in err
 
 
 class TestRun:

@@ -195,3 +195,32 @@ def test_symmetry_tolerance_edge(skew, ok):
     else:
         with pytest.raises(InvalidParameterError, match="adjacency must be symmetric"):
             gs.Graph(a)
+
+
+class TestLaplacianStorage:
+    @pytest.mark.parametrize(
+        "graph",
+        [gs.build_path(7), gs.build_grid(4, 5), gs.build_complete(9),
+         gs.build_random_sensor(60, seed=2)],
+        ids=["path", "grid", "complete", "sensor"],
+    )
+    def test_sparse_equals_matrix_and_is_cached(self, graph):
+        lap = gs.laplacian(graph)
+        s = lap.sparse
+        assert s.format == "csr" and s.shape == lap.matrix.shape
+        assert s.nnz == np.count_nonzero(lap.matrix)  # no stored zeros
+        assert np.array_equal(s.toarray(), lap.matrix)
+        assert lap.sparse is s
+
+    def test_writable_input_is_copied_and_frozen(self):
+        m = gs.laplacian(gs.build_path(4)).matrix.copy()
+        lap = gs.Laplacian(matrix=m, graph=gs.build_path(4))
+        assert lap.matrix is not m and np.array_equal(lap.matrix, m)
+        with pytest.raises(ValueError):
+            lap.matrix[0, 1] = 5.0
+        m[0, 1] = 5.0  # the caller's array stays writable and separate
+        assert lap.matrix[0, 1] == -1.0
+
+    def test_read_only_input_is_kept(self):
+        lap = gs.laplacian(gs.build_ring(5))
+        assert gs.Laplacian(matrix=lap.matrix, graph=lap.graph).matrix is lap.matrix

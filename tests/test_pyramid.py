@@ -1,11 +1,13 @@
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gssamp as gs
-from gssamp import cli, reduction, spectral
+from gssamp import cli, pyramid, reduction, spectral
 from gssamp.errors import GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
 
@@ -93,6 +95,110 @@ class TestFilters:
     def test_invalid_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
             gs.FilterSpec(mode="butterworth")
+
+
+def cosine_sum_coefficients(response, lam_max, order, grid_size=2048, reduce_angle=False):
+    """The cosine sum ``chebyshev_coefficients`` evaluated before it used the FFT.
+
+    k theta_j carries k rounding errors of theta_j, about 1e-14 at k = 50
+    on a small grid; ``reduce_angle`` forms it exactly as
+    pi (k (2j + 1) mod 4N) / 2N instead.
+    """
+    j = np.arange(grid_size)
+    theta = np.pi * (j + 0.5) / grid_size
+    h = np.asarray(response(0.5 * lam_max * (np.cos(theta) + 1.0)), dtype=float)
+    k = np.arange(order + 1)
+    if reduce_angle:
+        angle = np.pi * (np.outer(k, 2 * j + 1) % (4 * grid_size)) / (2 * grid_size)
+    else:
+        angle = np.outer(k, theta)
+    c = (2.0 / grid_size) * (np.cos(angle) @ h)
+    c[0] *= 0.5
+    return c
+
+
+RESPONSES = {"halving": gs.halving_lowpass, "cosine": np.cos}
+
+
+class TestChebyshevCoefficients:
+    @pytest.mark.parametrize("response", list(RESPONSES))
+    @pytest.mark.parametrize("lam_max", [0.5, 12.0])
+    @pytest.mark.parametrize("order", [1, 8, 30, 50])
+    @pytest.mark.parametrize("grid_size", [1, 7, 16, 2048])
+    def test_dct_matches_cosine_sum(self, response, lam_max, order, grid_size):
+        # grid sizes on both sides of order + 1: past bin N the DCT reads
+        # the conjugate bin 2N - k, and past 2N it wraps
+        got = chebyshev_coefficients(RESPONSES[response], lam_max, order, grid_size)
+        want = cosine_sum_coefficients(
+            RESPONSES[response], lam_max, order, grid_size, reduce_angle=True
+        )
+        assert got.shape == (order + 1,)
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("order", [1, 8, 30, 50])
+    def test_default_grid_matches_unreduced_cosine_sum(self, order):
+        for lam_max in (0.5, 3.7, 12.0):
+            got = chebyshev_coefficients(gs.halving_lowpass, lam_max, order)
+            want = cosine_sum_coefficients(gs.halving_lowpass, lam_max, order)
+            assert np.abs(got - want).max() <= 1e-15
+
+
+SPARSE_GRAPHS = {
+    "sensor": lambda: gs.build_random_sensor(96, seed=3),
+    "grid": lambda: gs.build_grid(8, 12),
+    "complete": lambda: gs.build_complete(40),
+}
+
+
+class TestSparseChebyshev:
+    @pytest.mark.parametrize("name", list(SPARSE_GRAPHS))
+    def test_csr_recurrence_matches_dense(self, name):
+        lap = gs.laplacian(SPARSE_GRAPHS[name]())
+        b = gs.eigendecompose(lap)
+        f = np.random.default_rng(5).standard_normal(lap.n)
+        coeffs = chebyshev_coefficients(gs.halving_lowpass, b.lambda_max, 30)
+        dense = chebyshev_apply(lap.matrix, f, coeffs, b.lambda_max)
+        sparse = chebyshev_apply(lap.sparse, f, coeffs, b.lambda_max)
+        assert isinstance(sparse, np.ndarray) and sparse.shape == f.shape
+        assert np.linalg.norm(sparse - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    def test_filter_signal_runs_on_the_cached_csr(self, monkeypatch):
+        lap = gs.laplacian(gs.build_random_sensor(64, seed=5))
+        b = gs.eigendecompose(lap)
+        seen = []
+        original = pyramid.chebyshev_apply
+
+        def spy(matrix, *args):
+            seen.append(matrix)
+            return original(matrix, *args)
+
+        monkeypatch.setattr(pyramid, "chebyshev_apply", spy)
+        gs.filter_signal(b, np.ones(64), gs.FilterSpec(mode="chebyshev"), lap)
+        assert len(seen) == 1 and seen[0] is lap.sparse
+
+    @pytest.mark.parametrize("order", [1, 10, 30])
+    def test_without_laplacian_matches_recurrence(self, order):
+        # lap=None evaluates the polynomial on the eigenvalues instead
+        lap = gs.laplacian(gs.build_random_sensor(128, seed=9))
+        b = gs.eigendecompose(lap)
+        f = np.random.default_rng(6).standard_normal(128)
+        spec = gs.FilterSpec(mode="chebyshev", order=order)
+        with_lap = gs.filter_signal(b, f, spec, lap=lap)
+        without = gs.filter_signal(b, f, spec)
+        assert np.linalg.norm(without - with_lap) <= 1e-12 * np.linalg.norm(with_lap)
+
+
+def test_import_does_not_load_scipy_fft():
+    # scipy.fft costs about 10 ms of import; numpy.fft is already loaded
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gssamp; "
+        "print('scipy.fft' in sys.modules, 'numpy.fft' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["False", "True"]
 
 
 CONFIGS = {
