@@ -8,35 +8,36 @@ Commands::
 
 Exit codes: 0 ok, 1 config error, 2 numeric error, 3 I/O error.
 
-A config is a JSON object with keys:
+A config is a JSON object with the keys below, where n and n1 are the vertex
+counts of graph and graph1 and an int is never a bool:
 
     name      str, experiment label
     kind      "downsample" | "upsample" | "fractional" |
               "repeated-eigenvalues" | "cluster-energy" | "pyramid-nla"
     graph     {"generator": name, "params": {...}} or {"edge_list": path,
-              "coordinates": path?}
-    graph1    target graph, required for "upsample"/"fractional" (same form)
-    reduction "generator" | "every_other" | "polarity" | {"keep_first": k},
-              1 <= k < n; "repeated-eigenvalues" needs the last form
-    rate      int sampling rate (down- or upsampling factor)
-    signal    {"kind": "bandlimited-random", "cutoff": int} |
-              {"kind": "delta-spectrum", "index": int} |
+              "coordinates": path?}; params bind to the generator's
+              arguments: finite numbers, ints >= 0 where it takes an int
+    graph1    the target graph of "upsample" (n1 = rate * n) and
+              "fractional" (n1 <= n), same form
+    reduction "generator" | "every_other" | "polarity" (the default) |
+              {"keep_first": k}, 1 <= k < n, which "repeated-eigenvalues" needs
+    rate      int >= 2 for "downsample" (dividing n) and "upsample"
+    signal    {"kind": "bandlimited-random", "cutoff": int in [1, n]} |
+              {"kind": "delta-spectrum", "index": int in [0, n)} |
               {"kind": "constant"} |
-              {"kind": "spectral-decay", "alpha": float} |
-              {"kind": "cluster-band", "bands": [[lo,hi],[lo,hi]]}
-    operators list of operator names, from ``sampling.OPERATORS``:
-              downsample, upsample: vertex, index, index-folded, spectrum,
-                spectrum-folded
-              fractional: frac-index, frac-index-folded, frac-spectrum,
-                frac-spectrum-folded
-              these three kinds need at least one, other kinds take none;
-                any other name is a config error (exit 1)
-    seed      int
-    extras    kind-specific options; "pyramid-nla" takes {"levels": int >= 1,
+              {"kind": "spectral-decay", "alpha": finite number} |
+              {"kind": "cluster-band", "bands": [[lo,hi],[lo,hi]]};
+              "repeated-eigenvalues" takes only "bandlimited-random", and
+              only "cluster-energy" takes "cluster-band"
+    operators names from ``sampling.OPERATORS`` for the kind's direction,
+              at least one for the three resampling kinds, none otherwise
+    seed      int >= 0, required; ``run --seed`` replaces it
+    extras    "pyramid-nla" takes {"levels": int >= 1 (default 3),
               "fractions": non-empty list of numbers in [0, 1]}
 
-All outputs are CSV series plus manifest.json listing every file with its
-sha256 checksum and the experiment's key scalars.
+``validate_config`` holds every rule. Outputs are CSV series plus
+manifest.json listing every file with its sha256 checksum and the
+experiment's key scalars.
 """
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ import argparse
 import copy
 import functools
 import hashlib
+import inspect
 import json
 import math
 import sys
@@ -82,7 +84,21 @@ _GENERATORS = {
 }
 
 _DIRECTIONS = {"downsample": "down", "upsample": "up", "fractional": "frac"}
-_KINDS = (*_DIRECTIONS, "repeated-eigenvalues", "cluster-energy", "pyramid-nla")
+_BASIS_SIGNALS = ("bandlimited-random", "delta-spectrum", "constant", "spectral-decay")
+_SIGNAL_KINDS = (*_BASIS_SIGNALS, "cluster-band")
+# Signal kinds per experiment kind, which also names every experiment kind.
+# "repeated-eigenvalues" reads only a cutoff from its signal, and only
+# "cluster-energy" finds the clusters that "cluster-band" needs.
+_SIGNALS = {
+    **dict.fromkeys(_DIRECTIONS, _BASIS_SIGNALS),
+    "repeated-eigenvalues": ("bandlimited-random",),
+    "cluster-energy": _SIGNAL_KINDS,
+    "pyramid-nla": _BASIS_SIGNALS,
+}
+_REDUCTIONS = ("generator", "every_other", "polarity")
+# Values of the optional keys left out of a config.
+_DEFAULT_REDUCTION = "polarity"
+_PYRAMID_EXTRAS = {"levels": 3, "fractions": [0.0, 0.1, 0.2, 0.4, 0.8, 1.0]}
 
 
 # ---------------------------------------------------------------------------
@@ -204,108 +220,154 @@ def load_config(source: str) -> dict:
             f"unknown preset or missing file {source!r}; presets: {', '.join(list_presets())}"
         )
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise InvalidParameterError(f"{source} is not a JSON config: {exc}") from exc
+
+
+def _int(errors: list, key: str, value, lo: int) -> int | None:
+    """The integer rule of every config key: an int, never a bool, >= ``lo``.
+
+    Returns ``value``, or None once the broken rule is added to ``errors``.
+    """
+    if type(value) is int and value >= lo:
+        return value
+    errors.append(f"{key} must be an integer >= {lo}")
+    return None
+
+
+def _is_number(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
 
 
 def _check_graph_spec(gspec, key: str, errors: list) -> int | None:
-    """Append the errors of one graph spec; return its vertex count if known."""
+    """Append the errors of one graph spec; return the vertex count its params give."""
     if not isinstance(gspec, dict):
         errors.append(f"{key} must be an object")
-        return None
-    n = None
-    if "generator" in gspec:
-        gen = gspec["generator"]
-        if gen not in _GENERATORS:
-            errors.append(f"unknown generator {gen!r}")
-        else:
-            params = gspec.get("params", {})
-            n = params.get("n")
-            if gen == "grid" and "rows" in params and "cols" in params:
-                n = params["rows"] * params["cols"]
+    elif ("generator" in gspec) == ("edge_list" in gspec):
+        errors.append(f"{key} needs exactly one of 'generator' and 'edge_list'")
     elif "edge_list" in gspec:
-        if not gspec["edge_list"]:
+        if not (isinstance(gspec["edge_list"], str) and gspec["edge_list"]):
             errors.append(f"{key}.edge_list path is required for this config")
+        if not isinstance(gspec.get("coordinates", ""), str):
+            errors.append(f"{key}.coordinates must be a path")
+    elif not (isinstance(gspec["generator"], str) and gspec["generator"] in _GENERATORS):
+        errors.append(f"unknown generator {gspec['generator']!r}")
+    elif not isinstance(gspec.get("params", {}), dict):
+        errors.append(f"{key}.params must be an object")
     else:
-        errors.append(f"{key} needs 'generator' or 'edge_list'")
-    return n
+        return _check_params(gspec["generator"], gspec.get("params", {}), f"{key}.params", errors)
+    return None
 
 
-def _check_pyramid_extras(extras, errors: list) -> None:
-    """Append the errors of a pyramid-nla ``extras`` object."""
-    if not isinstance(extras, dict):
-        errors.append("extras must be an object")
-        return
-    levels = extras.get("levels", 1)
-    if type(levels) is not int or levels < 1:  # a bool is not a level count
-        errors.append("extras.levels must be an integer >= 1")
-    fractions = extras.get("fractions", [0.0])
-    if not (
-        isinstance(fractions, list)
-        and fractions
-        and all(type(fr) in (int, float) and 0 <= fr <= 1 for fr in fractions)
-    ):
-        errors.append("extras.fractions must be a non-empty list of numbers in [0, 1]")
+def _check_params(gen: str, params: dict, key: str, errors: list) -> int | None:
+    """Append the errors of a generator's params; return the vertex count they give."""
+    signature = inspect.signature(_GENERATORS[gen], eval_str=True)
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        errors.append(f"{key} do not fit generator {gen!r}: {exc}")
+        return None
+    before = len(errors)
+    for name, value in params.items():
+        if signature.parameters[name].annotation is int:
+            _int(errors, f"{key}.{name}", value, 0)
+        elif not _is_number(value):
+            errors.append(f"{key}.{name} must be a finite number")
+    if len(errors) > before:
+        return None
+    return params["rows"] * params["cols"] if gen == "grid" else params["n"]
 
 
-def validate_config(cfg: dict) -> list[str]:
-    """Dry-run structural checks (no eigendecomposition). Returns error list."""
-    errors = []
-    if not isinstance(cfg, dict):
-        return ["config must be a JSON object"]
-    kind = cfg.get("kind")
-    if kind not in _KINDS:
-        errors.append(f"kind must be one of {_KINDS}, got {kind!r}")
-    n0 = _check_graph_spec(cfg.get("graph"), "graph", errors)
-    if kind in ("upsample", "fractional"):
-        if "graph1" in cfg:
-            _check_graph_spec(cfg["graph1"], "graph1", errors)
-        else:
-            errors.append(f"kind {kind!r} needs a target graph in graph1")
-    rate = cfg.get("rate")
-    if kind in ("downsample", "upsample"):
-        if not isinstance(rate, int) or rate < 2:
-            errors.append("rate must be an integer >= 2")
-        elif isinstance(n0, int) and kind == "downsample" and n0 % rate != 0:
-            errors.append(f"rate {rate} does not divide graph size {n0}")
-    sig = cfg.get("signal", {})
+def _check_signal_spec(sig, kind: str | None, n0: int | None, errors: list) -> None:
+    """Append the errors of a ``signal`` object for experiment ``kind``."""
     if not isinstance(sig, dict):
         errors.append("signal must be an object")
-        sig = {}
-    elif sig.get("kind") not in (
-        "bandlimited-random",
-        "delta-spectrum",
-        "constant",
-        "spectral-decay",
-        "cluster-band",
-    ):
-        errors.append(f"unknown signal kind {sig.get('kind')!r}")
-    if sig.get("kind") == "bandlimited-random":
-        cutoff = sig.get("cutoff")
-        if not isinstance(cutoff, int) or cutoff < 1:
-            errors.append("signal.cutoff must be a positive integer")
-        elif isinstance(n0, int) and cutoff > n0:
+        return
+    skind, allowed = sig.get("kind"), _SIGNALS.get(kind, _SIGNAL_KINDS)
+    if skind not in allowed:
+        errors.append(
+            f"signal kind {skind!r} does not apply to kind {kind!r}; "
+            f"allowed: {', '.join(allowed)}"
+        )
+    if skind == "bandlimited-random":
+        cutoff = _int(errors, "signal.cutoff", sig.get("cutoff"), 1)
+        if None not in (cutoff, n0) and cutoff > n0:
             errors.append(f"signal.cutoff {cutoff} exceeds graph size {n0}")
-    if sig.get("kind") == "delta-spectrum":
-        index = sig.get("index")
-        if not isinstance(index, int) or index < 0:
-            errors.append("signal.index must be a nonnegative integer")
-        elif isinstance(n0, int) and index >= n0:
+    elif skind == "delta-spectrum":
+        index = _int(errors, "signal.index", sig.get("index"), 0)
+        if None not in (index, n0) and index >= n0:
             errors.append(f"signal.index {index} out of range for graph size {n0}")
-    if sig.get("kind") == "spectral-decay":
-        alpha = sig.get("alpha")
-        if type(alpha) not in (int, float) or not math.isfinite(alpha):
-            errors.append("signal.alpha must be a finite number")
-    red = cfg.get("reduction")
+    elif skind == "spectral-decay" and not _is_number(sig.get("alpha")):
+        errors.append("signal.alpha must be a finite number")
+    elif skind == "cluster-band":
+        bands = sig.get("bands")
+        if not (
+            isinstance(bands, list)
+            and len(bands) == 2
+            and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in bands)
+        ):
+            errors.append("signal.bands must be two [lo, hi] pairs of finite numbers")
+
+
+def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> list[str]:
+    """Check a config against every rule; return the errors, empty if it can run.
+
+    ``n0`` and ``n1`` are the vertex counts of ``graph`` and ``graph1``. Left
+    None, each is read from its generator params where they give it; a rule
+    on a size still unknown is skipped. ``run_experiment`` checks again with
+    the sizes of the graphs it built.
+    """
+    if not isinstance(cfg, dict):
+        return ["config must be a JSON object"]
+    errors = []
+    kind = cfg.get("kind")
+    if not (isinstance(kind, str) and kind in _SIGNALS):
+        errors.append(f"kind must be one of {tuple(_SIGNALS)}, got {kind!r}")
+        kind = None
+    size0 = _check_graph_spec(cfg.get("graph"), "graph", errors)
+    n0 = size0 if n0 is None else n0
+    if kind in ("upsample", "fractional"):
+        if "graph1" in cfg:
+            size1 = _check_graph_spec(cfg["graph1"], "graph1", errors)
+            n1 = size1 if n1 is None else n1
+        else:
+            errors.append(f"kind {kind!r} needs a target graph in graph1")
+    _int(errors, "seed", cfg.get("seed"), 0)
+    if kind in ("downsample", "upsample"):
+        rate = _int(errors, "rate", cfg.get("rate"), 2)
+        if kind == "downsample" and None not in (rate, n0) and n0 % rate != 0:
+            errors.append(f"rate {rate} does not divide graph size {n0}")
+        if kind == "upsample" and None not in (rate, n0, n1) and n1 != rate * n0:
+            errors.append(f"graph1 size {n1} is not rate {rate} times graph size {n0}")
+    if kind == "fractional" and None not in (n0, n1) and n1 > n0:
+        errors.append(f"graph1 size {n1} exceeds graph size {n0}")
+    _check_signal_spec(cfg.get("signal"), kind, n0, errors)
+    red = cfg.get("reduction", _DEFAULT_REDUCTION)
     if kind == "repeated-eigenvalues" and not isinstance(red, dict):
         errors.append("kind 'repeated-eigenvalues' needs reduction {\"keep_first\": k}")
     elif isinstance(red, dict):
-        keep_first = red.get("keep_first")
-        if type(keep_first) is not int or keep_first < 1:
-            errors.append("reduction.keep_first must be an integer >= 1")
-        elif isinstance(n0, int) and keep_first >= n0:
+        keep_first = _int(errors, "reduction.keep_first", red.get("keep_first"), 1)
+        if None not in (keep_first, n0) and keep_first >= n0:
             errors.append(f"reduction.keep_first {keep_first} must be below graph size {n0}")
-    if kind == "pyramid-nla":
-        _check_pyramid_extras(cfg.get("extras", {}), errors)
+    elif red not in _REDUCTIONS:
+        errors.append(
+            f"reduction must be one of {_REDUCTIONS} or {{\"keep_first\": k}}, got {red!r}"
+        )
+    extras = cfg.get("extras", {})
+    if kind == "pyramid-nla" and not isinstance(extras, dict):
+        errors.append("extras must be an object")
+    elif kind == "pyramid-nla":
+        extras = {**_PYRAMID_EXTRAS, **extras}
+        _int(errors, "extras.levels", extras["levels"], 1)
+        fractions = extras["fractions"]
+        if not (
+            isinstance(fractions, list)
+            and fractions
+            and all(_is_number(fr) and 0 <= fr <= 1 for fr in fractions)
+        ):
+            errors.append("extras.fractions must be a non-empty list of numbers in [0, 1]")
     operators = cfg.get("operators", [])
     if not isinstance(operators, list):
         errors.append("operators must be a list")
@@ -329,44 +391,28 @@ def validate_config(cfg: dict) -> list[str]:
 def _build_graph(gspec: dict) -> G.Graph:
     if "edge_list" in gspec:
         return G.load_edge_list(gspec["edge_list"], gspec.get("coordinates"))
-    params = dict(gspec.get("params", {}))
-    return _GENERATORS[gspec["generator"]](**params)
+    return _GENERATORS[gspec["generator"]](**gspec.get("params", {}))
 
 
 def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
     kind = sig["kind"]
     if kind == "constant":
         return np.ones(basis.n)
-    if kind == "delta-spectrum":
-        if not 0 <= sig["index"] < basis.n:
-            raise InvalidParameterError(
-                f"signal.index {sig['index']} out of range for graph size {basis.n}"
-            )
-        coeffs = np.zeros(basis.n)
-        coeffs[sig["index"]] = 1.0
-        return igft(basis, coeffs)
-    if kind == "bandlimited-random":
-        if sig["cutoff"] > basis.n:
-            raise InvalidParameterError(
-                f"signal.cutoff {sig['cutoff']} exceeds graph size {basis.n}"
-            )
-        rng = np.random.default_rng(seed)
-        coeffs = np.zeros(basis.n)
-        coeffs[: sig["cutoff"]] = rng.standard_normal(sig["cutoff"])
-        return igft(basis, coeffs)
-    if kind == "spectral-decay":
-        coeffs = np.exp(-sig["alpha"] * basis.eigenvalues)
-        return igft(basis, coeffs)
     if kind == "cluster-band":
-        if clusters is None:
-            raise InvalidParameterError("cluster-band signal needs clusters")
         return make_cluster_band_signal(basis, clusters, sig["bands"])
-    raise InvalidParameterError(f"unknown signal kind {kind!r}")
+    if kind == "spectral-decay":
+        return igft(basis, np.exp(-sig["alpha"] * basis.eigenvalues))
+    coeffs = np.zeros(basis.n)
+    if kind == "delta-spectrum":
+        coeffs[sig["index"]] = 1.0
+    else:
+        coeffs[: sig["cutoff"]] = np.random.default_rng(seed).standard_normal(sig["cutoff"])
+    return igft(basis, coeffs)
 
 
 def _reduce(cfg, graph, lap, basis, rate):
     """Produce (reduced graph, correspondence or None) per the reduction spec."""
-    red = cfg.get("reduction", "polarity")
+    red = cfg.get("reduction", _DEFAULT_REDUCTION)
     if red == "generator":
         gspec = copy.deepcopy(cfg["graph"])
         params = gspec.get("params", {})
@@ -382,10 +428,8 @@ def _reduce(cfg, graph, lap, basis, rate):
         keep = select_every_other(graph, rate)
     elif red == "polarity":
         keep = select_polarity(basis, graph.n // rate)
-    elif isinstance(red, dict) and "keep_first" in red:
-        keep = np.arange(red["keep_first"])
     else:
-        raise InvalidParameterError(f"unknown reduction {red!r}")
+        keep = np.arange(red["keep_first"])
     result = kron_reduce(lap, keep)
     return result.graph, result.correspondence
 
@@ -405,7 +449,7 @@ class _Artifacts:
             fh.write(f"# {header}\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-        self.files[name] = _sha256(path)
+        self.files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def spectrum_csv(self, name: str, basis, signal: np.ndarray) -> None:
         coeffs = gft(basis, np.real(signal)).coefficients
@@ -415,18 +459,11 @@ class _Artifacts:
     def signal_csv(self, name: str, signal: np.ndarray) -> None:
         self.write_csv(name, "vertex,value", enumerate(np.real(signal)))
 
-    def manifest(self, cfg: dict) -> dict:
-        return {"config": cfg, "files": self.files, "scalars": self.scalars}
-
 
 def _fmt(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return f"{float(v):.12e}"
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _open_fresh(path: Path):
@@ -437,17 +474,28 @@ def _open_fresh(path: Path):
     return open(path, "w")
 
 
-def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
-    """Run one experiment config; writes artifacts and returns the manifest."""
-    errors = validate_config(cfg)
+def _require_valid(cfg, n0: int | None = None, n1: int | None = None) -> None:
+    errors = validate_config(cfg, n0, n1)
     if errors:
         raise InvalidParameterError("; ".join(errors))
+
+
+def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
+    """Run one experiment config; writes artifacts and returns the manifest.
+
+    ``seed`` replaces the config's seed. The config is checked before any
+    graph is built and again with the built graphs' sizes; a broken rule
+    raises InvalidParameterError.
+    """
+    if seed is not None and isinstance(cfg, dict):
+        cfg = {**cfg, "seed": seed}
+    _require_valid(cfg)
     cfg = copy.deepcopy(cfg)
-    if seed is not None:
-        cfg["seed"] = seed
-    art = _Artifacts(Path(out_dir))
     kind = cfg["kind"]
     graph = _build_graph(cfg["graph"])
+    target = _build_graph(cfg["graph1"]) if kind in ("upsample", "fractional") else None
+    _require_valid(cfg, graph.n, None if target is None else target.n)
+    art = _Artifacts(Path(out_dir))
     lap = G.laplacian(graph)
     basis = eigendecompose(lap)
 
@@ -455,10 +503,8 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         direction, rate, corr = _DIRECTIONS[kind], cfg.get("rate"), None
         if kind == "downsample":
             target, corr = _reduce(cfg, graph, lap, basis, rate)
-        else:
-            target = _build_graph(cfg["graph1"])
-            if kind == "upsample":
-                corr = VertexCorrespondence(np.arange(0, target.n, rate))
+        elif kind == "upsample":
+            corr = VertexCorrespondence(np.arange(0, target.n, rate))
         basis1 = eigendecompose(G.laplacian(target))
         ctx = SamplingContext(basis, basis1)
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
@@ -476,12 +522,10 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     elif kind == "repeated-eigenvalues":
         # On a graph with a repeated top eigenvalue the eigenvector order is
         # free; an adversarial order scatters the spectrum into the fold band.
-        keep_first = cfg["reduction"]["keep_first"]
-        result = kron_reduce(lap, np.arange(keep_first))
-        basis1 = eigendecompose(G.laplacian(result.graph))
-        cutoff = cfg["signal"].get("cutoff", graph.n // 2)
+        target, _ = _reduce(cfg, graph, lap, basis, None)
+        basis1 = eigendecompose(G.laplacian(target))
         coeffs0 = np.zeros(graph.n)
-        coeffs0[:cutoff] = 1.0
+        coeffs0[: cfg["signal"]["cutoff"]] = 1.0
         f0 = igft(basis, coeffs0)
         permuted = eigendecompose(lap, ordering_seed=cfg["seed"])
         for tag, b in (("ordered", basis), ("permuted", permuted)):
@@ -490,7 +534,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
             out_coeffs = gft(basis1, np.real(out)).coefficients
             src = b.eigenvectors.T @ f0
-            fold = out_coeffs - src[:keep_first]
+            fold = out_coeffs - src[: target.n]
             art.scalars[f"{tag}_fold_energy"] = float(np.linalg.norm(fold) ** 2)
             art.scalars[f"{tag}_total_energy"] = float(np.linalg.norm(out_coeffs) ** 2)
 
@@ -518,34 +562,28 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         alias_coeffs[: graph.n - n1] = orig[n1:]
         f_main = igft(basis1, orig[:n1])
         f_alias = igft(basis1, alias_coeffs)
-        labels_d = labels[keep]
         for ci in (0, 1):
-            idx = np.nonzero(labels_d == ci)[0]
-            art.scalars[f"main_cluster{ci + 1}_energy"] = float(
-                np.linalg.norm(f_main[idx]) ** 2
-            )
-            art.scalars[f"alias_cluster{ci + 1}_energy"] = float(
-                np.linalg.norm(f_alias[idx]) ** 2
-            )
+            idx = np.nonzero(labels[keep] == ci)[0]
+            for band, part in (("main", f_main), ("alias", f_alias)):
+                energy = float(np.linalg.norm(part[idx]) ** 2)
+                art.scalars[f"{band}_cluster{ci + 1}_energy"] = energy
         art.scalars["fold_lambda"] = float(basis.eigenvalues[n1])
 
     elif kind == "pyramid-nla":
-        extras = cfg.get("extras", {})
-        levels = extras.get("levels", 3)
-        fractions = extras.get("fractions", [0.0, 0.1, 0.2, 0.4, 0.8, 1.0])
+        extras = {**_PYRAMID_EXTRAS, **cfg.get("extras", {})}
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
         art.signal_csv("original_signal.csv", f)
         # the level chain depends only on the graph: one for all families
-        chain = build_chain(lap, basis, levels, PyramidConfig())
+        chain = build_chain(lap, basis, extras["levels"], PyramidConfig())
         for sampling in ("vertex", "index", "spectrum"):
             pcfg = PyramidConfig(sampling=sampling, analysis_filter=FilterSpec())
-            curve = nla_error_curve(f, chain, pcfg, fractions)
+            curve = nla_error_curve(f, chain, pcfg, extras["fractions"])
             art.write_csv(f"nla_{sampling}.csv", "fraction,error", curve)
             art.scalars[f"{sampling}_error_at_0.2"] = next(
                 (e for fr, e in curve if abs(fr - 0.2) < 1e-12), float("nan")
             )
 
-    manifest = art.manifest(cfg)
+    manifest = {"config": cfg, "files": art.files, "scalars": art.scalars}
     with _open_fresh(Path(out_dir) / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest
@@ -574,27 +612,15 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (InvalidParameterError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
-
-    errors = validate_config(cfg)
-    for e in errors:
-        print(f"config error: {e}", file=sys.stderr)
-    if errors:
-        return 1
-    if args.command == "validate":
-        print("ok")
-        return 0
-    try:
+        if args.command == "validate":
+            _require_valid(cfg)
+            print("ok")
+            return 0
         manifest = run_experiment(cfg, args.out, seed=args.seed)
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidParameterError, GssampError) as exc:
+    except GssampError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

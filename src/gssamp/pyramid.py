@@ -20,7 +20,7 @@ from .errors import GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
 from .reduction import kron_reduce, select_every_other, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
-from .spectral import SpectralBasis, eigendecompose
+from .spectral import SpectralBasis, check_signal, eigendecompose
 
 
 def halving_lowpass(lam):
@@ -97,9 +97,7 @@ def filter_signal(
     recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
     it evaluates the same polynomial on the eigenvalues, in O(n^2).
     """
-    f = np.asarray(f)
-    if f.shape != (basis.n,):
-        raise InvalidParameterError("signal length does not match basis")
+    f = check_signal(f, basis.n)
     u = basis.eigenvectors
     if spec.mode == "exact":
         return u @ (spec.response(basis.eigenvalues) * (u.T @ f))
@@ -243,9 +241,7 @@ def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> Pyr
             f"config reduction {config.reduction!r} / sparsify_ratio {config.sparsify_ratio} "
             f"does not match the chain's {chain.reduction!r} / {chain.sparsify_ratio}"
         )
-    f = np.asarray(f, dtype=float)
-    if f.shape != (chain.levels[0].graph.n,):
-        raise InvalidParameterError("signal length does not match graph size")
+    f = check_signal(np.asarray(f, dtype=float), chain.levels[0].graph.n)
     levels = []
     current = f
     for level, lvl in enumerate(chain.levels):
@@ -284,8 +280,6 @@ def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     config = dec.config
     current = dec.coarse
     for lvl in reversed(dec.levels):
-        if current.shape != (lvl.reduced_graph.n,):
-            raise InvalidParameterError("coarse band size does not match level chain")
         ctx_up = SamplingContext(lvl.reduced_basis, lvl.basis)
         corr = VertexCorrespondence(lvl.keep)
         upsampled = apply_operator(config.operator, "up", ctx_up, current, 2, corr)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import SpectralBasis, Spectrum, sample_interpolant
+from .spectral import SpectralBasis, Spectrum, check_signal, sample_interpolant
 
 
 @dataclass(frozen=True)
@@ -98,20 +98,13 @@ def _analysis(u: np.ndarray, f: np.ndarray) -> np.ndarray:
     return u.conj().T @ f
 
 
-def _check_signal(f, n, what="signal"):
-    f = np.asarray(f)
-    if f.shape != (n,):
-        raise InvalidParameterError(f"{what} must have length {n}, got {f.shape}")
-    return f
-
-
 # ---------------------------------------------------------------------------
 # vertex domain
 
 
 def vertex_downsample(f: np.ndarray, corr: VertexCorrespondence) -> np.ndarray:
     """Retain the samples sitting on the kept vertices."""
-    f = np.asarray(f)
+    f = check_signal(f, np.size(f))  # any length; the targets bound it below
     if corr.targets.size and corr.targets.max() >= f.shape[0]:
         raise InvalidParameterError("correspondence targets exceed signal length")
     return f[corr.targets].copy()
@@ -119,7 +112,7 @@ def vertex_downsample(f: np.ndarray, corr: VertexCorrespondence) -> np.ndarray:
 
 def vertex_upsample(f: np.ndarray, corr: VertexCorrespondence, n0: int) -> np.ndarray:
     """Place samples on their corresponding vertices, zeros elsewhere."""
-    f = _check_signal(f, corr.n_reduced)
+    f = check_signal(f, corr.n_reduced)
     if corr.targets.size and corr.targets.max() >= n0:
         raise InvalidParameterError("correspondence targets exceed target size")
     out = np.zeros(n0, dtype=f.dtype)
@@ -162,7 +155,7 @@ def spectral_upsample_index(
     basis1 is the larger graph. Folded alternates the original and flipped
     spectrum so consecutive copies mirror each other.
     """
-    f = _check_signal(f, ctx.n0)
+    f = check_signal(f, ctx.n0)
     _check_rate(ctx, l, up=True)
     coeffs = _analysis(ctx.u0, f)
     copies = [coeffs if p % 2 == 0 or not folded else coeffs[::-1] for p in range(l)]
@@ -216,7 +209,7 @@ def spectral_upsample_spectrum(
     lambda_{0,k} + p * lambda_{0,max}, then sampled at rho * L * lambda_{1,k}
     for every output index k on the larger graph.
     """
-    f = _check_signal(f, ctx.n0)
+    f = check_signal(f, ctx.n0)
     _check_rate(ctx, l, up=True)
     base = _analysis(ctx.u0, f).real
     lam0 = ctx.lambdas0
@@ -266,7 +259,7 @@ def fractional_downsample(
     when folded), dropping indices >= N0. At an integer ratio these are the
     integer-rate downsampling operators.
     """
-    f = _check_signal(f, ctx.n0)
+    f = check_signal(f, ctx.n0)
     if ctx.n1 > ctx.n0:
         raise InvalidParameterError("fractional downsampling needs n1 <= n0")
     ratio = ctx.n0 / ctx.n1

@@ -143,24 +143,29 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
     return SpectralBasis(eigenvalues=lam, eigenvectors=u)
 
 
+def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
+    """Return ``f`` as an array of shape (n,), which must hold no NaN or inf.
+
+    A wrong shape raises InvalidParameterError, a non-finite entry DataError.
+    """
+    f = np.asarray(f)
+    if f.shape != (n,):
+        raise InvalidParameterError(f"{what} length {f.shape} does not match basis size {n}")
+    if not np.isfinite(f).all():
+        raise DataError(f"{what} entries must be finite")
+    return f
+
+
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:
     """Forward graph Fourier transform U^T f."""
-    f = np.asarray(signal)
-    if f.shape != (basis.n,):
-        raise InvalidParameterError(
-            f"signal length {f.shape} does not match basis size {basis.n}"
-        )
+    f = check_signal(signal, basis.n)
     return Spectrum(basis.eigenvectors.T @ f, basis.eigenvalues)
 
 
 def igft(basis: SpectralBasis, spectrum: Spectrum | np.ndarray) -> np.ndarray:
     """Inverse graph Fourier transform U @ coefficients."""
-    c = spectrum.coefficients if isinstance(spectrum, Spectrum) else np.asarray(spectrum)
-    if c.shape != (basis.n,):
-        raise InvalidParameterError(
-            f"coefficient length {c.shape} does not match basis size {basis.n}"
-        )
-    return basis.eigenvectors @ c
+    c = spectrum.coefficients if isinstance(spectrum, Spectrum) else spectrum
+    return basis.eigenvectors @ check_signal(c, basis.n, "coefficient")
 
 
 def collapse_duplicate_nodes(

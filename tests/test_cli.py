@@ -1,9 +1,15 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gssamp import build_path, save_edge_list
+from gssamp import build_complete, build_path, save_edge_list
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
 from gssamp.errors import InvalidParameterError
 
@@ -106,6 +112,12 @@ def _extras(**options):
     return edit
 
 
+def _params(key="graph", **params):
+    def edit(cfg):
+        cfg[key]["params"].update(params)
+    return edit
+
+
 class TestIncompleteConfig:
     """Configs that once validated and then crashed ``run`` with a traceback."""
 
@@ -141,6 +153,42 @@ class TestIncompleteConfig:
              "signal.alpha must be a finite number"),
             ("aliasing-path", _set("signal", {"kind": "spectral-decay", "alpha": "2"}),
              "signal.alpha must be a finite number"),
+            # a bool is not an integer
+            ("path-downsample", _delta(True), "signal.index must be"),
+            ("path-downsample", _delta(False), "signal.index must be"),
+            ("path-downsample", _set("signal", {"kind": "bandlimited-random", "cutoff": True}),
+             "signal.cutoff must be"),
+            # graph specs and seed
+            ("path-downsample", _set("graph", {"generator": "path", "params": [1]}),
+             "graph.params must be an object"),
+            ("path-downsample", _set("kind", ["x"]), "kind must be one of"),
+            ("path-downsample", _set("graph", {"generator": ["x"]}), "unknown generator"),
+            ("path-downsample", _params(n="100"), "graph.params.n must be an integer"),
+            ("path-downsample", _params(n=100.0), "graph.params.n must be an integer"),
+            ("path-downsample", _params(n=True), "graph.params.n must be an integer"),
+            ("path-downsample", _params(size=100), "graph.params do not fit generator 'path'"),
+            ("grid-downsample", _set("graph", {"generator": "grid", "params": {"rows": 16}}),
+             "graph.params do not fit generator 'grid'"),
+            ("community-fractional", _params(p_in=float("nan")),
+             "graph.params.p_in must be a finite number"),
+            ("pyramid-nla", _params(seed=-1), "graph.params.seed must be an integer"),
+            ("path-downsample", _set("graph", {"generator": "path", "edge_list": "x.csv"}),
+             "graph needs exactly one of"),
+            ("path-downsample", _set("seed", "x"), "seed must be an integer"),
+            ("path-downsample", _drop("seed"), "seed must be an integer"),
+            ("path-downsample", _set("seed", None), "seed must be an integer"),
+            ("path-downsample", _set("seed", -1), "seed must be an integer"),
+            # the sizes of the two graphs
+            ("path-upsample", _set("rate", 3), "graph1 size 100 is not rate 3 times graph size 50"),
+            ("community-fractional", _params("graph1", n=300),
+             "graph1 size 300 exceeds graph size 256"),
+            # signal kinds per experiment kind, and reduction names
+            ("repeated-eigenvalues", _set("signal", {"kind": "constant"}),
+             "signal kind 'constant' does not apply to kind 'repeated-eigenvalues'"),
+            ("path-downsample", _set("signal", {"kind": "cluster-band", "bands": [[0, 1], [2, 3]]}),
+             "signal kind 'cluster-band' does not apply to kind 'downsample'"),
+            ("path-downsample", _set("reduction", "foo"), "reduction must be one of"),
+            ("path-downsample", _set("reduction", ["generator"]), "reduction must be one of"),
         ],
     )
     def test_validate_and_run_report_config_error(self, preset, edit, match, tmp_path, capsys):
@@ -188,6 +236,61 @@ class TestIncompleteConfig:
         p.write_text(json.dumps(cfg))
         code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
         assert code == 0
+
+
+@pytest.mark.parametrize(
+    "kind, edges, extra, bad, fitting, match",
+    [
+        # a complete graph with cutoff 500 once ran as if the cutoff were 12
+        ("repeated-eigenvalues", 12, {"reduction": {"keep_first": 7}},
+         {"signal": {"kind": "bandlimited-random", "cutoff": 500}},
+         {"signal": {"kind": "bandlimited-random", "cutoff": 12}},
+         "signal.cutoff 500 exceeds graph size 12"),
+        ("repeated-eigenvalues", 12, {"signal": {"kind": "bandlimited-random", "cutoff": 6}},
+         {"reduction": {"keep_first": 20}}, {"reduction": {"keep_first": 11}},
+         "reduction.keep_first 20 must be below graph size 12"),
+        ("upsample", 5, {"operators": ["index"], "signal": {"kind": "constant"}},
+         {"rate": 3, "graph1": {"generator": "path", "params": {"n": 10}}},
+         {"rate": 2, "graph1": {"generator": "path", "params": {"n": 10}}},
+         "graph1 size 10 is not rate 3 times graph size 5"),
+        ("fractional", 10, {"operators": ["frac-index"], "signal": {"kind": "constant"}},
+         {"graph1": {"generator": "path", "params": {"n": 12}}},
+         {"graph1": {"generator": "path", "params": {"n": 8}}},
+         "graph1 size 12 exceeds graph size 10"),
+    ],
+    ids=["cutoff", "keep-first", "upsample", "fractional"],
+)
+def test_size_rules_checked_on_built_graphs(
+    kind, edges, extra, bad, fitting, match, tmp_path, capsys
+):
+    # the vertex count is unknown until the edge list is read
+    path = tmp_path / "edges.csv"
+    build = build_complete if kind == "repeated-eigenvalues" else build_path
+    save_edge_list(build(edges), path)
+    cfg = {"name": "edge-list", "kind": kind, "graph": {"edge_list": str(path)}, "seed": 0}
+    cfg.update(extra, **bad)
+    assert validate_config(cfg) == []
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and out == ""
+    assert match in err and "Traceback" not in err
+    p.write_text(json.dumps(dict(cfg, **fitting)))
+    code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+
+
+def test_seed_option(tmp_path, capsys):
+    cfg = PRESETS["path-downsample"]()
+    del cfg["seed"]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out_dir = str(tmp_path / "out")
+    code, _, _ = run_cli(["run", str(p), "--out", out_dir, "--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["seed"] == 3
+    code, _, err = run_cli(["run", "path-downsample", "--out", out_dir, "--seed", "-1"], capsys)
+    assert code == 1 and "seed must be an integer >= 0" in err
 
 
 @pytest.mark.parametrize("weight", ["inf", "nan", "-inf"])
@@ -404,3 +507,122 @@ def test_preset_artifact_names_and_scalar_keys(preset, tmp_path):
     assert sorted(manifest["files"]) == files
     assert sorted(manifest["scalars"]) == scalars
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["manifest.json"])
+
+
+# ---------------------------------------------------------------------------
+# fuzzed configs
+
+# Edits that shrink each preset to graphs of at most 16 vertices, so one
+# fuzzed config validates and runs in milliseconds.
+_SMALL = {
+    "path-downsample": {"graph": {"params": {"n": 16}}, "signal": {"cutoff": 4}},
+    "path-upsample": {
+        "graph": {"params": {"n": 8}}, "graph1": {"params": {"n": 16}}, "signal": {"cutoff": 4},
+    },
+    "grid-downsample": {"graph": {"params": {"rows": 4, "cols": 4}}, "signal": {"cutoff": 4}},
+    "random-regular-downsample": {
+        "graph": {"params": {"n": 16, "degree": 4}}, "signal": {"cutoff": 4},
+    },
+    "aliasing-path": {"graph": {"params": {"n": 16}}},
+    "repeated-eigenvalues": {
+        "graph": {"params": {"n": 16}}, "reduction": {"keep_first": 9}, "signal": {"cutoff": 8},
+    },
+    "community-fractional": {
+        "graph": {"params": {"n": 16, "k_communities": 2}},
+        "graph1": {"params": {"n": 12, "k_communities": 2}},
+        "signal": {"cutoff": 4},
+    },
+    "comet-fractional": {
+        "graph": {"params": {"n": 16, "center_degree": 6}},
+        "graph1": {"params": {"n": 12, "center_degree": 4}},
+        "signal": {"cutoff": 4},
+    },
+    "minnesota-energy": {"signal": {"bands": [[0.0, 0.5], [2.0, 3.5]]}},
+    "pyramid-nla": {
+        "graph": {"params": {"n": 16, "k_nearest": 4}},
+        "signal": {"cutoff": 4},
+        "extras": {"levels": 2},
+    },
+}
+
+_SIZE_PARAMS = ("n", "rows", "cols")
+
+_VALUES = st.sampled_from([
+    None, True, False, float("nan"), float("inf"), -float("inf"), "x", "", [], {}, [1],
+    {"x": 1}, 0, 1, 2, 3, -1, 15, 17, 64, 65, 2**31, 10**30, 0.5, -2.5, 1e300,
+    "downsample", "upsample", "fractional", "repeated-eigenvalues", "cluster-energy",
+    "pyramid-nla", "generator", "every_other", "polarity", "vertex", "index-folded",
+    "frac-spectrum", "bandlimited-random", "delta-spectrum", "constant", "spectral-decay",
+    "cluster-band", "path", "grid", "complete", "random_sensor",
+])
+
+
+def _merge(cfg, edits):
+    for key, value in edits.items():
+        if isinstance(value, dict):
+            _merge(cfg[key], value)
+        else:
+            cfg[key] = value
+
+
+def _slots(node):
+    """Every (container, key) pair in a config tree, the root's keys included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@st.composite
+def _fuzzed_config(draw, edge_list):
+    name = draw(st.sampled_from(sorted(_SMALL)))
+    cfg = PRESETS[name]()
+    _merge(cfg, copy.deepcopy(_SMALL[name]))
+    if name == "minnesota-energy":
+        cfg["graph"]["edge_list"] = edge_list
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(cfg))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["drop", "set", "set", "wrap"]))
+        if action == "drop":
+            del node[key]
+            continue
+        # a copy: a later mutation must not edit the shared sample values
+        value = copy.deepcopy(draw(_VALUES)) if action == "set" else [node[key]]
+        if key in _SIZE_PARAMS and type(value) is int and value > 64:
+            value = 64  # a graph-size param never asks for a huge matrix
+        node[key] = value
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def edge_list(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edges") / "edges.csv"
+    save_edge_list(build_path(12), path)
+    return str(path)
+
+
+def _main_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_config_runs_or_is_refused(edge_list, data):
+    cfg = data.draw(_fuzzed_config(edge_list))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        validated = _main_quietly(["validate", path])
+        ran = _main_quietly(["run", path, "--out", f"{tmp}/out"])
+    for code, _, err in (validated, ran):
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+    assert ran[0] != 0 or validated[1] == "ok\n", (validated, ran)

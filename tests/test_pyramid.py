@@ -8,7 +8,7 @@ import pytest
 
 import gssamp as gs
 from gssamp import cli, pyramid, reduction, spectral
-from gssamp.errors import GssampError, InvalidParameterError
+from gssamp.errors import DataError, GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
 
 
@@ -44,6 +44,14 @@ class TestFilters:
             response=lambda lam: np.ones_like(lam), mode="chebyshev", order=30
         )
         assert np.abs(gs.filter_signal(b, f, spec, lap=lap) - f).max() < 1e-6
+
+    @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+    def test_non_finite_signal_rejected(self, mode):
+        lap = gs.laplacian(gs.build_path(8))
+        f = np.ones(8)
+        f[5] = np.nan
+        with pytest.raises(DataError, match="signal entries must be finite"):
+            gs.filter_signal(gs.eigendecompose(lap), f, gs.FilterSpec(mode=mode), lap=lap)
 
     def test_eigenvector_scaled_by_response(self):
         g = gs.build_path(16)
@@ -264,6 +272,8 @@ class TestPerfectReconstruction:
         dec = gs.analyze(f, g, num_levels=3, config=CONFIGS["vertex"])
         assert dec.detail_sizes() == [64, 32, 16]
         assert dec.coarse.shape == (8,)
+        with pytest.raises(InvalidParameterError, match="signal length"):
+            gs.synthesize(replace(dec, coarse=dec.coarse[:-1]))
 
     def test_odd_size_rejected_for_spectral_modes(self):
         g = gs.build_random_sensor(63, seed=8)

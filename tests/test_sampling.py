@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gssamp as gs
-from gssamp.errors import InvalidParameterError
+from gssamp.errors import DataError, InvalidParameterError
 
 
 def operator_matrix(op, n_in: int) -> np.ndarray:
@@ -50,6 +50,11 @@ class TestVertexOps:
     def test_injectivity_enforced(self):
         with pytest.raises(InvalidParameterError):
             gs.VertexCorrespondence(np.array([0, 0, 1]))
+
+    def test_downsample_needs_a_vector(self):
+        corr = gs.VertexCorrespondence(np.array([0, 2]))
+        with pytest.raises(InvalidParameterError, match="signal length"):
+            gs.vertex_downsample(np.ones((4, 1)), corr)
 
 
 class TestSpectralDownsampleIndex:
@@ -383,6 +388,16 @@ class TestApplyOperator:
         f = np.random.default_rng(5).standard_normal(n0)
         got = gs.apply_operator(name, direction, ctx, f, 2, corr)
         assert np.array_equal(got, DIRECT_CALLS[direction, name](ctx, f, corr))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("direction, name", sorted(DIRECT_CALLS))
+    def test_non_finite_signal_rejected(self, direction, name, value):
+        n0, n1 = {"down": (16, 8), "up": (8, 16), "frac": (16, 12)}[direction]
+        corr = gs.VertexCorrespondence(np.arange(0, 16, 2))
+        f = np.ones(n0)
+        f[3] = value
+        with pytest.raises(DataError, match="signal entries must be finite"):
+            gs.apply_operator(name, direction, path_context(n0, n1), f, 2, corr)
 
     @pytest.mark.parametrize(
         "direction, name",

@@ -118,6 +118,18 @@ class TestGft:
         b = basis_of(gs.build_path(5))
         with pytest.raises(InvalidParameterError):
             gs.gft(b, np.ones(6))
+        with pytest.raises(InvalidParameterError, match="coefficient length"):
+            gs.igft(b, np.ones((5, 1)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, value):
+        b = basis_of(gs.build_path(5))
+        f = np.ones(5)
+        f[2] = value
+        with pytest.raises(DataError, match="signal entries must be finite"):
+            gs.gft(b, f)
+        with pytest.raises(DataError, match="coefficient entries must be finite"):
+            gs.igft(b, f)
 
     @settings(max_examples=100, deadline=None)
     @given(
