@@ -20,7 +20,10 @@ counts of graph and graph1 and an int is never a bool:
     graph1    the target graph of "upsample" (n1 = rate * n) and
               "fractional" (n1 <= n), same form
     reduction "generator" | "every_other" | "polarity" (the default) |
-              {"keep_first": k}, 1 <= k < n, which "repeated-eigenvalues" needs
+              {"keep_first": k}, 1 <= k < n, which "repeated-eigenvalues" needs;
+              a "downsample" by "generator" or "every_other" needs a path,
+              ring or grid generator, and on a grid a square rate whose root
+              divides rows and cols
     rate      int >= 2 for "downsample" (dividing n) and "upsample"
     signal    {"kind": "bandlimited-random", "cutoff": int in [1, n]} |
               {"kind": "delta-spectrum", "index": int in [0, n)} |
@@ -335,6 +338,7 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         else:
             errors.append(f"kind {kind!r} needs a target graph in graph1")
     _int(errors, "seed", cfg.get("seed"), 0)
+    rate = None
     if kind in ("downsample", "upsample"):
         rate = _int(errors, "rate", cfg.get("rate"), 2)
         if kind == "downsample" and None not in (rate, n0) and n0 % rate != 0:
@@ -355,6 +359,19 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         errors.append(
             f"reduction must be one of {_REDUCTIONS} or {{\"keep_first\": k}}, got {red!r}"
         )
+    elif red in ("generator", "every_other") and kind == "downsample":
+        # reduction.select_every_other strides only these index structures
+        gspec = cfg.get("graph")
+        gen = gspec.get("generator") if isinstance(gspec, dict) else None
+        if gen not in ("path", "ring", "grid"):
+            errors.append(f"reduction {red!r} needs a path, ring or grid generator graph")
+        elif gen == "grid" and None not in (rate, size0):
+            rows, cols, root = gspec["params"]["rows"], gspec["params"]["cols"], math.isqrt(rate)
+            if root * root != rate or rows % root or cols % root:
+                errors.append(
+                    f"reduction {red!r} on a {rows} x {cols} grid needs a square rate "
+                    f"whose root divides rows and cols, got {rate}"
+                )
     extras = cfg.get("extras", {})
     if kind == "pyramid-nla" and not isinstance(extras, dict):
         errors.append("extras must be an object")
@@ -388,10 +405,14 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
 # experiment machinery
 
 
-def _build_graph(gspec: dict) -> G.Graph:
+def _build_graph(gspec: dict, key: str) -> G.Graph:
+    """Build the graph of config key ``key``; one too large to allocate is a config error."""
     if "edge_list" in gspec:
         return G.load_edge_list(gspec["edge_list"], gspec.get("coordinates"))
-    return _GENERATORS[gspec["generator"]](**gspec.get("params", {}))
+    try:
+        return _GENERATORS[gspec["generator"]](**gspec.get("params", {}))
+    except MemoryError as exc:
+        raise InvalidParameterError(f"{key} is too large to allocate: {exc}") from exc
 
 
 def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
@@ -421,7 +442,7 @@ def _reduce(cfg, graph, lap, basis, rate):
         elif "rows" in params:
             s = round(rate**0.5)
             params["rows"], params["cols"] = params["rows"] // s, params["cols"] // s
-        reduced = _build_graph(gspec)
+        reduced = _build_graph(gspec, "graph")
         keep = select_every_other(graph, rate)
         return reduced, VertexCorrespondence(keep)
     if red == "every_other":
@@ -492,8 +513,8 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     _require_valid(cfg)
     cfg = copy.deepcopy(cfg)
     kind = cfg["kind"]
-    graph = _build_graph(cfg["graph"])
-    target = _build_graph(cfg["graph1"]) if kind in ("upsample", "fractional") else None
+    graph = _build_graph(cfg["graph"], "graph")
+    target = _build_graph(cfg["graph1"], "graph1") if kind in ("upsample", "fractional") else None
     _require_valid(cfg, graph.n, None if target is None else target.n)
     art = _Artifacts(Path(out_dir))
     lap = G.laplacian(graph)

@@ -145,7 +145,11 @@ class PyramidConfig:
 
 @dataclass(frozen=True)
 class ChainLevel:
-    """Signal-independent part of one pyramid level."""
+    """Signal-independent part of one pyramid level.
+
+    ``ctx_down`` and ``ctx_up`` run from ``basis`` to ``reduced_basis`` and
+    back; every signal through the level reuses their coefficient maps.
+    """
 
     graph: Graph
     lap: Laplacian
@@ -153,6 +157,8 @@ class ChainLevel:
     keep: np.ndarray
     reduced_graph: Graph
     reduced_basis: SpectralBasis
+    ctx_down: SamplingContext
+    ctx_up: SamplingContext
 
 
 @dataclass(frozen=True)
@@ -229,7 +235,10 @@ def build_chain(
             raise type(exc)(f"level {level}: {exc}") from exc
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
-        levels.append(ChainLevel(lap.graph, lap, basis, keep, reduced, reduced_basis))
+        levels.append(ChainLevel(
+            lap.graph, lap, basis, keep, reduced, reduced_basis,
+            SamplingContext(basis, reduced_basis), SamplingContext(reduced_basis, basis),
+        ))
         lap, basis = reduced_lap, reduced_basis
     return PyramidChain(tuple(levels), config.reduction, config.sparsify_ratio)
 
@@ -249,12 +258,10 @@ def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> Pyr
             raise InvalidParameterError(
                 f"level {level}: spectral sampling needs an even vertex count"
             )
-        ctx_down = SamplingContext(lvl.basis, lvl.reduced_basis)
-        ctx_up = SamplingContext(lvl.reduced_basis, lvl.basis)
         corr = VertexCorrespondence(lvl.keep)
         filtered = filter_signal(lvl.basis, current, config.analysis_filter, lvl.lap)
-        coarse = apply_operator(config.operator, "down", ctx_down, filtered, 2, corr)
-        upsampled = apply_operator(config.operator, "up", ctx_up, coarse, 2, corr)
+        coarse = apply_operator(config.operator, "down", lvl.ctx_down, filtered, 2, corr)
+        upsampled = apply_operator(config.operator, "up", lvl.ctx_up, coarse, 2, corr)
         predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
         levels.append(PyramidLevel(**vars(lvl), prediction_error=current - predicted))
         current = coarse
@@ -280,9 +287,8 @@ def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     config = dec.config
     current = dec.coarse
     for lvl in reversed(dec.levels):
-        ctx_up = SamplingContext(lvl.reduced_basis, lvl.basis)
         corr = VertexCorrespondence(lvl.keep)
-        upsampled = apply_operator(config.operator, "up", ctx_up, current, 2, corr)
+        upsampled = apply_operator(config.operator, "up", lvl.ctx_up, current, 2, corr)
         predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
         current = predicted + lvl.prediction_error
     return current

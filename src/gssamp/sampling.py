@@ -9,15 +9,15 @@ Three families, mirroring classical sampling:
   piecewise-linear interpolant of the spectrum and resample it on the target
   eigenvalue grid.
 
-The primed (folded) variants flip every other spectrum segment with the
-counter-identity so that mild aliasing stays near the band edge instead of
-contaminating low frequencies; they are the recommended defaults.
-
-Fractional resampling generalizes the spectrum stretch to non-integer
-ratios r = N0/N1 and needs no vertex correspondence at all.
-
-``OPERATORS`` names every operator per direction and ``apply_operator``
-runs one by name.
+Every spectral operator is u1 S u0^H, with S a sparse map on the GFT
+coefficients that the ``SamplingContext`` builds on first use and keeps. In
+the index family S is the segment sum S_d = [I I ...], or S'_d = [I J I J ...]
+for the primed (folded) variants, transposed to upsample; the spectrum family
+adds linear-interpolation weights. Folding keeps mild aliasing near the band
+edge instead of at low frequencies; the folded variants are the defaults.
+Fractional downsampling runs either family at a non-integer ratio N0/N1 and
+needs no vertex correspondence. ``OPERATORS`` names every operator per
+direction and ``apply_operator`` runs one by name.
 """
 from __future__ import annotations
 
@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .spectral import SpectralBasis, Spectrum, check_signal, sample_interpolant
+from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_signal
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ class SamplingContext:
     """Pair of spectral bases (original graph first) shared by spectral operators.
 
     Accepts SpectralBasis objects or raw eigenvector matrices (possibly
-    complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids.
+    complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids,
+    one finite value per eigenvector. Each operator's coefficient map S is
+    built on its first call and kept for the context's later calls.
     """
 
     def __init__(self, basis0, basis1, lambdas0=None, lambdas1=None):
@@ -72,6 +75,7 @@ class SamplingContext:
         self.u1, self.lambdas1 = _unpack_basis(basis1, lambdas1)
         self.n0 = self.u0.shape[0]
         self.n1 = self.u1.shape[0]
+        self._maps = {}
 
     @property
     def rho(self) -> float:
@@ -82,6 +86,14 @@ class SamplingContext:
             raise InvalidParameterError("reduced graph has zero maximum eigenvalue")
         return float(self.lambdas0[-1] / self.lambdas1[-1])
 
+    def _apply(self, f, family: str, folded: bool, up: bool) -> np.ndarray:
+        """u1 @ (S @ u0^H f) with the map S of (family, folded, up), built on first use."""
+        coeffs = self.u0.conj().T @ check_signal(f, self.n0)  # u0^H: complex bases too
+        key = (family, folded, up)
+        if key not in self._maps:
+            self._maps[key] = _coefficient_map(self, *key)
+        return self.u1 @ (self._maps[key] @ (coeffs.real if family == "spectrum" else coeffs))
+
 
 def _unpack_basis(basis, lambdas):
     if isinstance(basis, SpectralBasis):
@@ -89,13 +101,9 @@ def _unpack_basis(basis, lambdas):
     u = np.asarray(basis)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidParameterError("eigenvector matrix must be square")
-    lam = None if lambdas is None else np.sort(np.asarray(lambdas, dtype=float))
-    return u, lam
-
-
-def _analysis(u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """GFT with the conjugate transpose, valid for complex bases too."""
-    return u.conj().T @ f
+    if lambdas is not None:
+        lambdas = np.sort(check_signal(np.asarray(lambdas, dtype=float), u.shape[0], "eigenvalue"))
+    return u, lambdas
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +129,40 @@ def vertex_upsample(f: np.ndarray, corr: VertexCorrespondence, n0: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# spectral index domain
+# spectral domain: u1 S u0^H with S built once per context
+
+
+def _fold_map(n_small: int, n_big: int, folded: bool) -> csr_array:
+    """Segment sum S_d = [I I ...], or S'_d = [I J I J ...] when folded, as (n_small, n_big).
+
+    Column c lies in segment c // n_small; a non-integer ratio cuts the last
+    segment short. The transpose repeats a spectrum into n_big coefficients.
+    """
+    segment, k = np.divmod(np.arange(n_big), n_small)
+    rows = np.where(folded & (segment % 2 == 1), n_small - 1 - k, k)
+    return csr_array((np.ones(n_big), (rows, np.arange(n_big))), shape=(n_small, n_big))
+
+
+def _coefficient_map(ctx: SamplingContext, family: str, folded: bool, up: bool):
+    """The sparse (n1, n0) map S of one spectral operator on GFT coefficients."""
+    if family == "index":
+        return _fold_map(ctx.n0, ctx.n1, folded).T if up else _fold_map(ctx.n1, ctx.n0, folded)
+    rho, lam0, lam1 = ctx.rho, ctx.lambdas0, ctx.lambdas1
+    if up:  # copy p sits on lambda_0 + p * lambda_{0,max}, in the index-up fold's order
+        copy, k = np.divmod(np.arange(ctx.n1), ctx.n0)
+        copies = _interpolation_map(lam0[k] + copy * lam0[-1], rho * (ctx.n1 // ctx.n0) * lam1)
+        return copies @ _fold_map(ctx.n0, ctx.n1, folded).T
+    # output segment p covers [p, p + 1] * lambda_{1,max}: unfolded segments
+    # shift, folded odd ones reflect in lambda (a triangle wave, not an index
+    # reversal); rho / ratio rescales into the lambda_0 axis
+    ratio = ctx.n0 / ctx.n1
+    segment, k = np.divmod(np.arange(math.ceil(ratio) * ctx.n1), ctx.n1)
+    reflect = folded & (segment % 2 == 1)
+    q = np.where(reflect, (segment + 1) * lam1[-1] - lam1[k], segment * lam1[-1] + lam1[k])
+    queries = rho / ratio * q
+    kept = queries <= lam0[-1] * (1.0 + 1e-12) + 1e-12
+    segment_sum = _fold_map(ctx.n1, queries.size, folded=False)[:, kept]
+    return segment_sum @ _interpolation_map(lam0, queries[kept])
 
 
 def _check_rate(ctx: SamplingContext, rate: int, up: bool) -> None:
@@ -144,7 +185,7 @@ def spectral_downsample_index(
     ``fractional_downsample`` at the integer ratio M.
     """
     _check_rate(ctx, m, up=False)
-    return fractional_downsample(ctx, f, mode="index", folded=folded)
+    return ctx._apply(f, "index", folded, up=False)
 
 
 def spectral_upsample_index(
@@ -155,34 +196,8 @@ def spectral_upsample_index(
     basis1 is the larger graph. Folded alternates the original and flipped
     spectrum so consecutive copies mirror each other.
     """
-    f = check_signal(f, ctx.n0)
     _check_rate(ctx, l, up=True)
-    coeffs = _analysis(ctx.u0, f)
-    copies = [coeffs if p % 2 == 0 or not folded else coeffs[::-1] for p in range(l)]
-    return ctx.u1 @ np.concatenate(copies)
-
-
-# ---------------------------------------------------------------------------
-# spectral spectrum domain
-
-
-def _stretch_queries(lam1: np.ndarray, ratio: float, folded: bool) -> list[np.ndarray]:
-    """Per-segment query abscissae (in lambda_1 units) for spectrum stretching.
-
-    Segment p of the stretched output band covers [p, p+1] * lambda_{1,max};
-    unfolded segments shift additively, folded ones reflect (triangle wave).
-    Queries are later rescaled by rho/ratio into the lambda_0 axis; entries
-    beyond ratio * lambda_{1,max} fall outside the source spectrum and are
-    dropped by the caller.
-    """
-    lam_max = float(lam1[-1])
-    out = []
-    for p in range(math.ceil(ratio)):
-        if not folded or p % 2 == 0:
-            out.append(p * lam_max + lam1)
-        else:
-            out.append((p + 1) * lam_max - lam1)
-    return out
+    return ctx._apply(f, "index", folded, up=True)
 
 
 def spectral_downsample_spectrum(
@@ -196,7 +211,7 @@ def spectral_downsample_spectrum(
     This is spectrum-mode ``fractional_downsample`` at the integer ratio M.
     """
     _check_rate(ctx, m, up=False)
-    return fractional_downsample(ctx, f, mode="spectrum", folded=folded)
+    return ctx._apply(f, "spectrum", folded, up=False)
 
 
 def spectral_upsample_spectrum(
@@ -209,19 +224,8 @@ def spectral_upsample_spectrum(
     lambda_{0,k} + p * lambda_{0,max}, then sampled at rho * L * lambda_{1,k}
     for every output index k on the larger graph.
     """
-    f = check_signal(f, ctx.n0)
     _check_rate(ctx, l, up=True)
-    base = _analysis(ctx.u0, f).real
-    lam0 = ctx.lambdas0
-    lam0_max = float(lam0[-1])
-    xs = np.concatenate([lam0 + p * lam0_max for p in range(l)])
-    ys = np.concatenate(
-        [base if p % 2 == 0 or not folded else base[::-1] for p in range(l)]
-    )
-    repeated = Spectrum(ys, xs)  # duplicate copy-boundary nodes are averaged
-    queries = ctx.rho * l * ctx.lambdas1
-    coeffs = sample_interpolant(repeated, queries)
-    return ctx.u1 @ coeffs
+    return ctx._apply(f, "spectrum", folded, up=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +263,11 @@ def fractional_downsample(
     when folded), dropping indices >= N0. At an integer ratio these are the
     integer-rate downsampling operators.
     """
-    f = check_signal(f, ctx.n0)
     if ctx.n1 > ctx.n0:
         raise InvalidParameterError("fractional downsampling needs n1 <= n0")
-    ratio = ctx.n0 / ctx.n1
-    if mode == "spectrum":
-        spec = Spectrum(_analysis(ctx.u0, f).real, ctx.lambdas0)
-        lam0_max = float(spec.grid[-1])
-        scale = ctx.rho / ratio
-        total = np.zeros(ctx.n1)
-        for q in _stretch_queries(ctx.lambdas1, ratio, folded):
-            queries = scale * q
-            in_range = queries <= lam0_max * (1.0 + 1e-12) + 1e-12
-            if np.any(in_range):
-                total[in_range] += sample_interpolant(spec, queries[in_range])
-        return ctx.u1 @ total
-    if mode == "index":
-        base = _analysis(ctx.u0, f)
-        total = np.zeros(ctx.n1, dtype=base.dtype)
-        k = np.arange(ctx.n1)
-        for p in range(math.ceil(ratio)):
-            if not folded or p % 2 == 0:
-                idx = p * ctx.n1 + k
-            else:
-                idx = (p + 1) * ctx.n1 - k - 1
-            valid = idx < ctx.n0
-            total[valid] += base[idx[valid]]
-        return ctx.u1 @ total
-    raise InvalidParameterError(f"unknown mode {mode!r}, expected 'index' or 'spectrum'")
+    if mode not in ("index", "spectrum"):
+        raise InvalidParameterError(f"unknown mode {mode!r}, expected 'index' or 'spectrum'")
+    return ctx._apply(f, mode, folded, up=False)
 
 
 # ---------------------------------------------------------------------------

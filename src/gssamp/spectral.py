@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_array
 
 from .errors import DataError, InvalidParameterError, NumericError, RangeError
 from .graphs import Laplacian
@@ -187,15 +188,31 @@ def collapse_duplicate_nodes(
     return xs, ys
 
 
-def _interpolator_arrays(spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    return collapse_duplicate_nodes(spectrum.grid, spectrum.coefficients)
+def _interpolation_map(grid: np.ndarray, queries) -> csr_array:
+    """Sparse (queries, n) map from values on ``grid`` to their interpolant at ``queries``.
+
+    Duplicate averaging as in ``collapse_duplicate_nodes`` (1/k on each node of
+    a group of k), then linear weights on the two group means around each
+    query, which is clamped to the grid range.
+    """
+    grid = np.asarray(grid, dtype=float)
+    bounds = np.append(eigenvalue_groups(grid), grid.size)  # group g: bounds[g]:bounds[g + 1]
+    sizes = np.diff(bounds)
+    average = csr_array((np.repeat(1.0 / sizes, sizes), np.arange(grid.size), bounds))
+    xs, _ = collapse_duplicate_nodes(grid, grid)
+    q = np.clip(np.asarray(queries, dtype=float), xs[0], xs[-1])
+    right = np.minimum(np.searchsorted(xs, q, side="right"), xs.size - 1)
+    left = np.maximum(right - 1, 0)
+    width = xs[right] - xs[left]
+    t = np.divide(q - xs[left], width, out=np.zeros_like(q), where=width > 0)
+    rows, cols = np.tile(np.arange(q.size), 2), np.concatenate([left, right])
+    linear = csr_array((np.concatenate([1.0 - t, t]), (rows, cols)), shape=(q.size, xs.size))
+    return linear @ average
 
 
 def sample_interpolant(spectrum: Spectrum, queries: np.ndarray) -> np.ndarray:
     """Vectorized piecewise-linear evaluation; queries are clamped to the grid range."""
-    xs, ys = _interpolator_arrays(spectrum)
-    q = np.clip(np.asarray(queries, dtype=float), xs[0], xs[-1])
-    return np.interp(q, xs, ys)
+    return _interpolation_map(spectrum.grid, queries) @ spectrum.coefficients
 
 
 def interpolate_spectrum(spectrum: Spectrum, lambda_query: float) -> float:
@@ -204,11 +221,8 @@ def interpolate_spectrum(spectrum: Spectrum, lambda_query: float) -> float:
     Duplicate abscissae (repeated eigenvalues) are collapsed by averaging
     before interpolation. Queries outside [0, lambda_max] raise RangeError.
     """
-    xs, ys = _interpolator_arrays(spectrum)
     lam_max = float(spectrum.grid[-1])
     tol = 1e-9 * max(1.0, lam_max)
     if lambda_query < -tol or lambda_query > lam_max + tol:
-        raise RangeError(
-            f"query {lambda_query} outside spectrum range [0, {lam_max}]"
-        )
-    return float(np.interp(np.clip(lambda_query, xs[0], xs[-1]), xs, ys))
+        raise RangeError(f"query {lambda_query} outside spectrum range [0, {lam_max}]")
+    return float(sample_interpolant(spectrum, [lambda_query])[0])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssamp import build_complete, build_path, save_edge_list
+from gssamp import build_complete, build_path, cli, save_edge_list
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
 from gssamp.errors import InvalidParameterError
 
@@ -189,9 +189,25 @@ class TestIncompleteConfig:
              "signal kind 'cluster-band' does not apply to kind 'downsample'"),
             ("path-downsample", _set("reduction", "foo"), "reduction must be one of"),
             ("path-downsample", _set("reduction", ["generator"]), "reduction must be one of"),
+            # index-structured reductions stride only path, ring and grid generators
+            ("grid-downsample", _set("rate", 2),
+             "reduction 'generator' on a 16 x 16 grid needs a square rate"),
+            ("grid-downsample", _params(rows=12, cols=15),
+             "reduction 'generator' on a 12 x 15 grid needs a square rate"),
+            ("path-downsample",
+             _set("graph", {"generator": "random_sensor", "params": {"n": 100, "seed": 1}}),
+             "reduction 'generator' needs a path, ring or grid generator graph"),
+            ("random-regular-downsample", _set("reduction", "every_other"),
+             "reduction 'every_other' needs a path, ring or grid generator graph"),
         ],
     )
-    def test_validate_and_run_report_config_error(self, preset, edit, match, tmp_path, capsys):
+    def test_validate_and_run_report_config_error(
+        self, preset, edit, match, tmp_path, capsys, monkeypatch
+    ):
+        def eigendecompose(*args, **kwargs):
+            raise AssertionError("a refused config reached eigendecompose")
+
+        monkeypatch.setattr(cli, "eigendecompose", eigendecompose)
         cfg = PRESETS[preset]()
         edit(cfg)
         assert any(match in e for e in validate_config(cfg)), validate_config(cfg)
@@ -278,6 +294,17 @@ def test_size_rules_checked_on_built_graphs(
     p.write_text(json.dumps(dict(cfg, **fitting)))
     code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
     assert code == 0
+
+
+def test_graph_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    # numpy refuses an n x n request this large before it touches memory
+    cfg = PRESETS["path-downsample"]()
+    cfg["graph"]["params"]["n"] = 10**8
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and out == ""
+    assert "config error: graph is too large to allocate" in err and "Traceback" not in err
 
 
 def test_seed_option(tmp_path, capsys):

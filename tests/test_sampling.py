@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gssamp as gs
+from gssamp import sampling, spectral
 from gssamp.errors import DataError, InvalidParameterError
 
 
@@ -116,17 +121,22 @@ class TestSpectralDownsampleIndex:
 
 class TestSpectralDownsampleSpectrum:
     def test_affine_closed_form(self):
-        # linear interpolation is exact on affine spectra
+        # linear interpolation is exact on affine spectra; folded, the second
+        # segment reflects in lambda and cancels the slope of c(lambda) = lambda
         ctx = path_context(40, 20)
         b0, b1 = basis_of(gs.build_path(40)), basis_of(gs.build_path(20))
         f = gs.igft(b0, b0.eigenvalues.copy())
         rho = ctx.rho
-        out_coeffs = b1.eigenvectors.T @ gs.spectral_downsample_spectrum(
-            ctx, f, 2, folded=False
-        )
         lam1 = b1.eigenvalues
-        expected = rho / 2 * lam1 + rho / 2 * (lam1 + lam1[-1])
-        assert np.abs(out_coeffs - expected).max() < 1e-10
+        expected = {
+            False: rho / 2 * lam1 + rho / 2 * (lam1 + lam1[-1]),
+            True: np.full(20, rho * lam1[-1]),
+        }
+        for folded in (False, True):
+            out_coeffs = b1.eigenvectors.T @ gs.spectral_downsample_spectrum(
+                ctx, f, 2, folded=folded
+            )
+            assert np.abs(out_coeffs - expected[folded]).max() < 1e-10
 
     def test_bandlimited_folded_equals_unfolded(self):
         # interpolant is exactly zero beyond the first stretched segment
@@ -413,6 +423,184 @@ class TestApplyOperator:
     def test_name_outside_direction_rejected(self, direction, name):
         with pytest.raises(InvalidParameterError, match="operator"):
             gs.apply_operator(name, direction, path_context(16, 8), np.ones(16), 2)
+
+
+class TestContextGrids:
+    @pytest.fixture
+    def bases(self):
+        return basis_of(gs.build_path(40)), basis_of(gs.build_path(20))
+
+    def test_short_grid_rejected(self, bases):
+        b0, b1 = bases
+        with pytest.raises(InvalidParameterError, match="eigenvalue length"):
+            gs.SamplingContext(
+                b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, b1.eigenvalues[:10]
+            )
+
+    def test_non_finite_grid_rejected(self, bases):
+        b0, b1 = bases
+        for lam1 in (np.full(20, np.nan), np.append(b1.eigenvalues[:-1], np.inf)):
+            with pytest.raises(DataError, match="eigenvalue entries must be finite"):
+                gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, lam1)
+
+    def test_grid_sorted(self, bases):
+        b0, b1 = bases
+        ctx = gs.SamplingContext(
+            b0.eigenvectors, b1.eigenvectors, b0.eigenvalues[::-1], list(b1.eigenvalues)
+        )
+        assert np.array_equal(ctx.lambdas0, b0.eigenvalues)
+        assert np.array_equal(ctx.lambdas1, b1.eigenvalues)
+
+
+def coefficient_map(ctx, family, folded, up):
+    """The operator's map S as a dense array, built the way the context builds it."""
+    return sampling._coefficient_map(ctx, family, folded, up).toarray()
+
+
+class TestCoefficientMaps:
+    @pytest.mark.parametrize("rate", [2, 3])
+    def test_index_maps_are_the_paper_folds(self, rate):
+        i, j = np.eye(6), np.eye(6)[:, ::-1]
+        blocks = {False: [i] * rate, True: [i, j, i][:rate]}
+        for folded in (False, True):
+            s_d = np.hstack(blocks[folded])
+            down = coefficient_map(path_context(6 * rate, 6), "index", folded, False)
+            up = coefficient_map(path_context(6, 6 * rate), "index", folded, True)
+            assert np.array_equal(down, s_d)
+            assert np.array_equal(up, s_d.T)
+
+    def test_fractional_index_map_drops_columns_past_n0(self):
+        # ratio 14 / 6: segments [0, 6), [6, 12) reflected, [12, 14) cut short
+        s = coefficient_map(path_context(14, 6), "index", True, False)
+        want = np.hstack([np.eye(6), np.eye(6)[:, ::-1], np.eye(6)[:, :2]])
+        assert np.array_equal(s, want)
+
+    @pytest.mark.parametrize("n0, n1", [(10, 20), (12, 36), (7, 14)])
+    def test_spectrum_up_rows_sum_to_one(self, n0, n1):
+        for folded in (False, True):
+            s = coefficient_map(path_context(n0, n1), "spectrum", folded, True)
+            assert np.abs(s.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n0, n1", [(20, 10), (36, 12), (30, 16), (17, 7)])
+    def test_spectrum_down_rows_count_in_range_segments(self, n0, n1):
+        ctx = path_context(n0, n1)
+        ratio, lam1 = n0 / n1, ctx.lambdas1
+        for folded in (False, True):
+            count = np.zeros(n1)
+            for p in range(math.ceil(ratio)):
+                q = (p + 1) * lam1[-1] - lam1 if folded and p % 2 else p * lam1[-1] + lam1
+                count += ctx.rho / ratio * q <= ctx.lambdas0[-1] * (1 + 1e-12) + 1e-12
+            s = coefficient_map(ctx, "spectrum", folded, False)
+            assert np.abs(s.sum(axis=1) - count).max() < 1e-12
+
+    def test_map_built_once_per_context(self, monkeypatch):
+        built = []
+        build = sampling._coefficient_map
+
+        def counting(ctx, *key):
+            built.append(key)
+            return build(ctx, *key)
+
+        monkeypatch.setattr(sampling, "_coefficient_map", counting)
+        ctx = path_context(16, 8)
+        f = np.random.default_rng(0).standard_normal(16)
+        for _ in range(3):
+            gs.spectral_downsample_index(ctx, f, 2)
+            gs.fractional_downsample(ctx, f, mode="index")
+            gs.spectral_downsample_spectrum(ctx, f, 2, folded=False)
+        assert built == [("index", True, False), ("spectrum", False, False)]
+
+
+# ---------------------------------------------------------------------------
+# the sparse maps against the segment loops and concatenations they replace
+
+
+def reference_interpolant(grid, values, queries):
+    xs, ys = spectral.collapse_duplicate_nodes(grid, values)
+    return np.interp(np.clip(queries, xs[0], xs[-1]), xs, ys)
+
+
+def reference_operator(ctx, f, family, folded, up):
+    coeffs = ctx.u0.conj().T @ f
+    copies = ctx.n1 // ctx.n0
+    if family == "index" and up:
+        return ctx.u1 @ np.concatenate(
+            [coeffs if p % 2 == 0 or not folded else coeffs[::-1] for p in range(copies)]
+        )
+    ratio = ctx.n0 / ctx.n1
+    if family == "index":
+        total = np.zeros(ctx.n1, dtype=coeffs.dtype)
+        k = np.arange(ctx.n1)
+        for p in range(math.ceil(ratio)):
+            idx = (p + 1) * ctx.n1 - k - 1 if folded and p % 2 else p * ctx.n1 + k
+            valid = idx < ctx.n0
+            total[valid] += coeffs[idx[valid]]
+        return ctx.u1 @ total
+    base, lam0, lam1 = coeffs.real, ctx.lambdas0, ctx.lambdas1
+    if up:
+        xs = np.concatenate([lam0 + p * float(lam0[-1]) for p in range(copies)])
+        ys = np.concatenate(
+            [base if p % 2 == 0 or not folded else base[::-1] for p in range(copies)]
+        )
+        return ctx.u1 @ reference_interpolant(xs, ys, ctx.rho * copies * lam1)
+    lam_max = float(lam1[-1])
+    total = np.zeros(ctx.n1)
+    for p in range(math.ceil(ratio)):
+        q = (p + 1) * lam_max - lam1 if folded and p % 2 else p * lam_max + lam1
+        queries = ctx.rho / ratio * q
+        in_range = queries <= float(lam0[-1]) * (1.0 + 1e-12) + 1e-12
+        total[in_range] += reference_interpolant(lam0, base, queries[in_range])
+    return ctx.u1 @ total
+
+
+def graph_basis(kind, rows, cols):
+    """(eigenvectors, eigenvalues) of a rows x cols grid, or of an n = rows * cols
+    path, ring (complex DFT basis) or complete graph."""
+    n = rows * cols
+    if kind == "ring":
+        return gs.dft_matrix(n), 2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n)
+    graph = {
+        "path": lambda: gs.build_path(n),
+        "grid": lambda: gs.build_grid(rows, cols),
+        "complete": lambda: gs.build_complete(n),
+    }[kind]()
+    b = basis_of(graph)
+    return b.eigenvectors, b.eigenvalues
+
+
+class TestMapsMatchReferenceLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["path", "ring", "grid", "complete"]),
+        direction=st.sampled_from(["down", "up", "frac"]),
+        rows=st.integers(1, 3),
+        cols=st.integers(2, 7),
+        rate=st.integers(2, 3),
+        extra=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_operators(self, kind, direction, rows, cols, rate, extra, seed):
+        rows = rows if kind == "grid" else 1
+        small = graph_basis(kind, rows, cols)
+        # integer ratios: rate * cols columns; fractional: cols + extra columns
+        big = graph_basis(kind, rows, cols + extra if direction == "frac" else rate * cols)
+        (u0, lam0), (u1, lam1) = (small, big) if direction == "up" else (big, small)
+        ctx = gs.SamplingContext(u0, u1, lam0, lam1)
+        f = np.random.default_rng(seed).standard_normal(ctx.n0)
+        for family in ("index", "spectrum"):
+            for folded in (False, True):
+                if direction == "frac":
+                    got = gs.fractional_downsample(ctx, f, mode=family, folded=folded)
+                else:
+                    name = f"{family}-folded" if folded else family
+                    got = gs.apply_operator(name, direction, ctx, f, rate)
+                want = reference_operator(ctx, f, family, folded, direction == "up")
+                if family == "index":
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                else:
+                    # a small output is a sum of coefficients of the signal's size
+                    scale = max(np.abs(want).max(), np.linalg.norm(f))
+                    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 def ctx_basis0(ctx):
