@@ -23,7 +23,8 @@ counts of graph and graph1 and an int is never a bool:
               {"keep_first": k}, 1 <= k < n, which "repeated-eigenvalues" needs;
               a "downsample" by "generator" or "every_other" needs a path,
               ring or grid generator, and on a grid a square rate whose root
-              divides rows and cols
+              divides rows and cols; by "generator", n / rate >= 2 on a path,
+              >= 3 on a ring and >= 2 on a grid
     rate      int >= 2 for "downsample" (dividing n) and "upsample"
     signal    {"kind": "bandlimited-random", "cutoff": int in [1, n]} |
               {"kind": "delta-spectrum", "index": int in [0, n)} |
@@ -101,6 +102,8 @@ _SIGNALS = {
 _REDUCTIONS = ("generator", "every_other", "polarity")
 # Values of the optional keys left out of a config.
 _DEFAULT_REDUCTION = "polarity"
+# the fewest vertices each index-structured generator builds
+_MIN_SIZE = {"path": 2, "ring": 3, "grid": 2}
 _PYRAMID_EXTRAS = {"levels": 3, "fractions": [0.0, 0.1, 0.2, 0.4, 0.8, 1.0]}
 
 
@@ -365,12 +368,19 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         gen = gspec.get("generator") if isinstance(gspec, dict) else None
         if gen not in ("path", "ring", "grid"):
             errors.append(f"reduction {red!r} needs a path, ring or grid generator graph")
-        elif gen == "grid" and None not in (rate, size0):
-            rows, cols, root = gspec["params"]["rows"], gspec["params"]["cols"], math.isqrt(rate)
-            if root * root != rate or rows % root or cols % root:
+        elif None not in (rate, size0):
+            params, root = gspec["params"], math.isqrt(rate)
+            if gen == "grid" and (root * root != rate or params["rows"] % root
+                                  or params["cols"] % root):
                 errors.append(
-                    f"reduction {red!r} on a {rows} x {cols} grid needs a square rate "
-                    f"whose root divides rows and cols, got {rate}"
+                    f"reduction {red!r} on a {params['rows']} x {params['cols']} grid needs "
+                    f"a square rate whose root divides rows and cols, got {rate}"
+                )
+            elif red == "generator" and size0 // rate < _MIN_SIZE[gen]:
+                # cli._reduce builds the reduced graph with the same generator
+                errors.append(
+                    f"reduction 'generator' at rate {rate} leaves n = {size0 // rate}; "
+                    f"a {gen} graph needs n >= {_MIN_SIZE[gen]}"
                 )
     extras = cfg.get("extras", {})
     if kind == "pyramid-nla" and not isinstance(extras, dict):

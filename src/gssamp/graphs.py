@@ -75,8 +75,7 @@ class Graph:
         return int(np.count_nonzero(np.triu(self.adjacency)))
 
     def is_connected(self) -> bool:
-        ncomp, _ = connected_components(self.adjacency, directed=False)
-        return ncomp == 1
+        return components(self.adjacency) == 1
 
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
@@ -107,12 +106,22 @@ class Laplacian:
     @functools.cached_property
     def sparse(self) -> csr_array:
         """CSR form of ``matrix``, built on first use and kept."""
-        m = self.matrix
-        flat = np.flatnonzero(m != 0)  # nonzero is far faster on a boolean mask
-        rows, cols = np.divmod(flat, self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return csr_array((m.ravel()[flat], cols, indptr), shape=m.shape)
+        return _csr(self.matrix)
+
+
+def _csr(m: np.ndarray) -> csr_array:
+    """CSR form of a dense square array, storing no zeros."""
+    n = m.shape[0]
+    flat = np.flatnonzero(m != 0)  # nonzero is far faster on a boolean mask
+    rows, cols = np.divmod(flat, n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return csr_array((m.ravel()[flat], cols, indptr), shape=m.shape)
+
+
+def components(a: np.ndarray) -> int:
+    """Number of connected components of the graph whose edges are the nonzeros of ``a``."""
+    return connected_components(_csr(a), directed=False)[0]
 
 
 def laplacian(graph: Graph) -> Laplacian:
@@ -130,30 +139,34 @@ def laplacian(graph: Graph) -> Laplacian:
 # deterministic generators
 
 
+def _from_edges(n: int, i, j, w=1.0, **attrs) -> Graph:
+    """Graph on n vertices with edge weights ``w`` at (i, j), mirrored to (j, i).
+
+    An edge given in both orientations keeps the larger weight on both sides.
+    """
+    a = np.zeros((n, n))
+    a[i, j] = w
+    a = np.maximum(a, a.T)  # rebound, so the unmirrored array is freed before Graph copies
+    return Graph(a, **attrs)
+
+
 def build_path(n: int) -> Graph:
     """Unit-weight chain 0-1-...-(n-1). Requires n >= 2."""
     if n < 2:
         raise InvalidParameterError("path graph needs n >= 2")
-    a = np.zeros((n, n))
     idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
     coords = np.column_stack([np.linspace(0.0, 1.0, n), np.zeros(n)])
-    return Graph(a, coordinates=coords, structure="path")
+    return _from_edges(n, idx, idx + 1, coordinates=coords, structure="path")
 
 
 def build_ring(n: int) -> Graph:
     """Unit-weight cycle on n >= 3 vertices."""
     if n < 3:
         raise InvalidParameterError("ring graph needs n >= 3")
-    a = np.zeros((n, n))
     idx = np.arange(n)
-    nxt = (idx + 1) % n
-    a[idx, nxt] = 1.0
-    a[nxt, idx] = 1.0
     theta = 2.0 * np.pi * idx / n
     coords = np.column_stack([np.cos(theta), np.sin(theta)])
-    return Graph(a, coordinates=coords, structure="ring")
+    return _from_edges(n, idx, (idx + 1) % n, coordinates=coords, structure="ring")
 
 
 def build_grid(rows: int, cols: int) -> Graph:
@@ -161,17 +174,12 @@ def build_grid(rows: int, cols: int) -> Graph:
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InvalidParameterError("grid needs at least two vertices")
     n = rows * cols
-    a = np.zeros((n, n))
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                a[v, v + 1] = a[v + 1, v] = 1.0
-            if r + 1 < rows:
-                a[v, v + cols] = a[v + cols, v] = 1.0
     rr, cc = np.divmod(np.arange(n), cols)
+    right = np.flatnonzero(cc + 1 < cols)
+    down = np.arange(n - cols)
     coords = np.column_stack([cc / cols, rr / rows])
-    return Graph(a, coordinates=coords, structure="grid", grid_shape=(rows, cols))
+    return _from_edges(n, np.r_[right, down], np.r_[right + 1, down + cols],
+                       coordinates=coords, structure="grid", grid_shape=(rows, cols))
 
 
 def build_complete(n: int) -> Graph:
@@ -191,14 +199,19 @@ def build_comet(n: int, center_degree: int) -> Graph:
     """
     if center_degree < 1 or n < center_degree + 1:
         raise InvalidParameterError("comet needs n >= center_degree + 1")
-    a = np.zeros((n, n))
-    for leaf in range(1, center_degree + 1):
-        a[0, leaf] = a[leaf, 0] = 1.0
-    prev = center_degree  # tail grows from the last leaf
-    for v in range(center_degree + 1, n):
-        a[prev, v] = a[v, prev] = 1.0
-        prev = v
-    return Graph(a, structure="comet")
+    # vertex v > 0 hangs from the center if it is a leaf, else from v - 1
+    tail = np.arange(center_degree, n - 1)
+    return _from_edges(n, np.r_[np.zeros(center_degree, dtype=int), tail], np.arange(1, n),
+                       structure="comet")
+
+
+def _first_connected(sample, seed: int, name: str) -> Graph:
+    """The first connected ``sample(rng)`` over the seeds seed, seed + 1, ... (100 tries)."""
+    for attempt in range(100):
+        g = sample(np.random.default_rng(seed + attempt))
+        if g.is_connected():
+            return g
+    raise GenerationFailureError(f"{name} graph stayed disconnected after 100 seeds")
 
 
 def build_community(
@@ -219,18 +232,17 @@ def build_community(
     if not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0):
         raise InvalidParameterError("probabilities must lie in [0, 1]")
     labels = np.arange(n) * k_communities // n  # equal-size blocks
-    for attempt in range(100):
-        rng = np.random.default_rng(seed + attempt)
+
+    def sample(rng):
         u = rng.random((n, n))
         u = np.triu(u, k=1)
         same = labels[:, None] == labels[None, :]
         p = np.where(same, p_in, p_out)
         a = ((u < p) & (np.triu(np.ones((n, n), dtype=bool), k=1))).astype(float)
         a = a + a.T
-        g = Graph(a, structure="community")
-        if g.is_connected():
-            return g
-    raise GenerationFailureError("community graph stayed disconnected after 100 seeds")
+        return Graph(a, structure="community")
+
+    return _first_connected(sample, seed, "community")
 
 
 def build_random_regular(n: int, degree: int, seed: int = 0) -> Graph:
@@ -261,22 +273,17 @@ def build_random_sensor(n: int, k_nearest: int = 6, seed: int = 0) -> Graph:
     """
     if n < 2 or k_nearest < 1 or k_nearest >= n:
         raise InvalidParameterError("need 1 <= k_nearest < n")
-    for attempt in range(100):
-        rng = np.random.default_rng(seed + attempt)
+
+    def sample(rng):
         pts = rng.random((n, 2))
         tree = cKDTree(pts)
         dist, nbr = tree.query(pts, k=k_nearest + 1)  # first hit is the point itself
         dist, nbr = dist[:, 1:], nbr[:, 1:]
-        sigma = dist.mean()
-        a = np.zeros((n, n))
-        for i in range(n):
-            w = np.exp(-dist[i] ** 2 / (2.0 * sigma**2))
-            a[i, nbr[i]] = np.maximum(a[i, nbr[i]], w)
-        a = np.maximum(a, a.T)
-        g = Graph(a, coordinates=pts, structure="sensor")
-        if g.is_connected():
-            return g
-    raise GenerationFailureError("sensor graph stayed disconnected after 100 seeds")
+        w = np.exp(-dist**2 / (2.0 * dist.mean() ** 2))
+        return _from_edges(n, np.repeat(np.arange(n), k_nearest), nbr.ravel(), w.ravel(),
+                           coordinates=pts, structure="sensor")
+
+    return _first_connected(sample, seed, "sensor")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +309,23 @@ def save_edge_list(graph: Graph, path, coordinates_path=None) -> None:
                 fh.write(f"{v},{float(x)!r},{float(y)!r}\n")
 
 
+def _rows(path, fields: str, types):
+    """Yield (line number, converted fields) per line of a 3-column CSV, skipping comments."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ParseError(f"expected '{fields}', got {line!r}", lineno)
+            try:
+                values = [convert(part) for convert, part in zip(types, parts)]
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
+            yield lineno, values
+
+
 def load_edge_list(path, coordinates_path=None) -> Graph:
     """Load a graph from an edge-list CSV; weights are symmetrized.
 
@@ -311,55 +335,33 @@ def load_edge_list(path, coordinates_path=None) -> Graph:
     """
     edges: dict[tuple[int, int], float] = {}
     nmax = -1
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected 'src,dst,weight', got {line!r}", lineno)
-            try:
-                i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            if i < 0 or j < 0:
-                raise ParseError("vertex indices must be nonnegative", lineno)
-            if i == j:
-                raise DataError(f"self-loop on vertex {i} (line {lineno})")
-            if not np.isfinite(w):
-                raise DataError(f"non-finite weight on line {lineno}")
-            if w < 0:
-                raise DataError(f"negative weight on line {lineno}")
-            key = (min(i, j), max(i, j))
-            if key in edges and abs(edges[key] - w) > 1e-12:
-                raise DataError(
-                    f"conflicting weights for edge {key}: {edges[key]} vs {w}"
-                )
-            edges[key] = w
-            nmax = max(nmax, i, j)
+    for lineno, (i, j, w) in _rows(path, "src,dst,weight", (int, int, float)):
+        if i < 0 or j < 0:
+            raise ParseError("vertex indices must be nonnegative", lineno)
+        if i == j:
+            raise DataError(f"self-loop on vertex {i} (line {lineno})")
+        if not np.isfinite(w):
+            raise DataError(f"non-finite weight on line {lineno}")
+        if w < 0:
+            raise DataError(f"negative weight on line {lineno}")
+        key = (min(i, j), max(i, j))
+        if key in edges and abs(edges[key] - w) > 1e-12:
+            raise DataError(
+                f"conflicting weights for edge {key}: {edges[key]} vs {w}"
+            )
+        edges[key] = w
+        nmax = max(nmax, i, j)
     if nmax < 1:
         raise DataError("edge list defines fewer than two vertices")
     n = nmax + 1
-    a = np.zeros((n, n))
-    for (i, j), w in edges.items():
-        a[i, j] = a[j, i] = w
     coords = None
     if coordinates_path is not None:
         coords = np.zeros((n, 2))
-        with open(coordinates_path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ParseError(f"expected 'vertex,x,y', got {line!r}", lineno)
-                try:
-                    v, x, y = int(parts[0]), float(parts[1]), float(parts[2])
-                except ValueError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-                if not 0 <= v < n:
-                    raise ParseError(f"vertex {v} out of range", lineno)
-                coords[v] = (x, y)
-    return Graph(a, coordinates=coords)
+        for lineno, (v, x, y) in _rows(coordinates_path, "vertex,x,y", (int, float, float)):
+            if not 0 <= v < n:
+                raise ParseError(f"vertex {v} out of range", lineno)
+            coords[v] = (x, y)
+    lo, hi = np.array(list(edges), dtype=int).T
+    w = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    # both orientations, so a -0.0 weight keeps its sign on both sides
+    return _from_edges(n, np.r_[lo, hi], np.r_[hi, lo], np.r_[w, w], coordinates=coords)

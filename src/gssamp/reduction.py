@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Graph, Laplacian
+from .graphs import Graph, Laplacian, components
 from .sampling import VertexCorrespondence
 from .spectral import SpectralBasis
 
@@ -34,10 +35,13 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     graph the result is again a Laplacian; tiny negative off-diagonal
     round-off is clamped to zero.
     """
-    keep = np.sort(np.asarray(sorted(set(keep)), dtype=int))
+    keep = np.asarray(sorted(set(keep)))
     n = lap.n
     if keep.size == 0 or keep.size >= n:
         raise InvalidParameterError("keep set must be a nonempty proper subset")
+    if not np.issubdtype(keep.dtype, np.integer):
+        raise InvalidParameterError(f"keep set indices must be integers, got {keep.dtype}")
+    keep = keep.astype(int)
     if keep.min() < 0 or keep.max() >= n:
         raise InvalidParameterError("keep set indices out of range")
     mask = np.zeros(n, dtype=bool)
@@ -52,7 +56,7 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     except scipy.linalg.LinAlgError as exc:
         # a block of a connected graph's Laplacian is nonsingular, so look
         # for the usual cause only on this failure path
-        ncomp = connected_components(m, directed=False)[0]
+        ncomp = components(m)
         if ncomp > 1:
             raise DataError(f"graph is disconnected ({ncomp} components)") from exc
         raise NumericError(f"eliminated block is singular: {exc}") from exc
@@ -75,10 +79,6 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     )
 
 
-def _connected(adjacency: np.ndarray) -> bool:
-    return connected_components(adjacency, directed=False)[0] == 1
-
-
 def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     """Drop edges lighter than threshold_ratio * max weight, keeping connectivity.
 
@@ -94,27 +94,22 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     cutoff = threshold_ratio * a.max()
     weak = (a > 0) & (a < cutoff)
     a[weak] = 0.0
-    if not _connected(a):
+    if components(a) > 1:
         rows, cols = np.nonzero(np.triu(weak))
         weights = graph.adjacency[rows, cols]
         order = np.lexsort((-cols, -rows, -weights))
         rows, cols, weights = rows[order], cols[order], weights[order]
-
-        def restored(k):  # upper triangle only: enough for connectivity
-            b = a.copy()
-            b[rows[:k], cols[:k]] = weights[:k]
-            return b
-
-        # connectivity is monotone in the prefix length: prefix lo is
-        # disconnected, and prefix hi connects unless it is every edge
-        lo, hi = 0, weights.size
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _connected(restored(mid)):
-                hi = mid
-            else:
-                lo = mid
-        a[rows[:hi], cols[:hi]] = a[cols[:hi], rows[:hi]] = weights[:hi]
+        # Rank kept edges 1 and the removed edge at position p rank p + 2.
+        # Every minimum spanning tree minimises its heaviest edge, so its
+        # heaviest rank r is the least for which the edges ranked <= r
+        # connect the graph: the shortest reconnecting prefix has r - 1
+        # edges. A spanning forest means no prefix reconnects.
+        kept_rows, kept_cols = np.nonzero(a)
+        ranks = np.r_[np.ones(kept_rows.size), np.arange(2.0, weights.size + 2)]
+        edges = (np.r_[kept_rows, rows], np.r_[kept_cols, cols])
+        tree = minimum_spanning_tree(coo_array((ranks, edges), shape=a.shape))
+        k = int(tree.max()) - 1 if tree.nnz == graph.n - 1 else weights.size
+        a[rows[:k], cols[:k]] = a[cols[:k], rows[:k]] = weights[:k]
     return Graph(a, coordinates=graph.coordinates,
                  structure=graph.structure, grid_shape=graph.grid_shape)
 

@@ -42,9 +42,12 @@ class VertexCorrespondence:
     targets: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.targets, dtype=int)  # a copy: the caller's array stays writable
+        t = np.array(self.targets)  # a copy: the caller's array stays writable
         if t.ndim != 1:
             raise InvalidParameterError("targets must be a 1-D index array")
+        if t.size and not np.issubdtype(t.dtype, np.integer):
+            raise InvalidParameterError(f"targets must be integers, got {t.dtype}")
+        t = t.astype(int, copy=False)
         if np.unique(t).size != t.size:
             raise InvalidParameterError("correspondence must be injective")
         if t.size and t.min() < 0:
@@ -54,7 +57,7 @@ class VertexCorrespondence:
 
     @classmethod
     def from_keep_set(cls, keep) -> "VertexCorrespondence":
-        return cls(np.sort(np.asarray(sorted(keep), dtype=int)))
+        return cls(np.asarray(sorted(keep)))
 
     @property
     def n_reduced(self) -> int:

@@ -127,9 +127,7 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
         lam, u = scipy.linalg.eigh(m)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(lam, kind="stable")
-    lam, u = lam[order], u[:, order]
-    u = _canonicalize_signs(u)
+    u = _canonicalize_signs(u)  # eigh returns the eigenvalues ascending
     rng = np.random.default_rng(ordering_seed) if ordering_seed is not None else None
     starts = eigenvalue_groups(lam)
     sizes = np.diff(np.append(starts, lam.size))

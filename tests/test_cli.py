@@ -118,6 +118,14 @@ def _params(key="graph", **params):
     return edit
 
 
+def _reduced(generator, rate, **params):
+    """A ``generator`` graph downsampled at ``rate``, with a signal any size can hold."""
+    def edit(cfg):
+        cfg.update(graph={"generator": generator, "params": params}, rate=rate)
+        cfg["signal"] = {"kind": "delta-spectrum", "index": 0}
+    return edit
+
+
 class TestIncompleteConfig:
     """Configs that once validated and then crashed ``run`` with a traceback."""
 
@@ -199,6 +207,15 @@ class TestIncompleteConfig:
              "reduction 'generator' needs a path, ring or grid generator graph"),
             ("random-regular-downsample", _set("reduction", "every_other"),
              "reduction 'every_other' needs a path, ring or grid generator graph"),
+            # the generator must be able to build the reduced graph
+            ("path-downsample", _reduced("ring", 2, n=4),
+             "at rate 2 leaves n = 2; a ring graph needs n >= 3"),
+            ("path-downsample", _reduced("ring", 3, n=6),
+             "at rate 3 leaves n = 2; a ring graph needs n >= 3"),
+            ("path-downsample", _reduced("path", 2, n=2),
+             "at rate 2 leaves n = 1; a path graph needs n >= 2"),
+            ("path-downsample", _reduced("grid", 4, rows=2, cols=2),
+             "at rate 4 leaves n = 1; a grid graph needs n >= 2"),
         ],
     )
     def test_validate_and_run_report_config_error(
@@ -217,6 +234,7 @@ class TestIncompleteConfig:
             code, out, err = run_cli(argv, capsys)
             assert code == 1 and out == ""
             assert "config error" in err and match in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "signal, fitting, match",

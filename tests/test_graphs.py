@@ -1,8 +1,16 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 import gssamp as gs
-from gssamp.errors import DataError, InvalidParameterError, ParseError
+from gssamp import graphs
+from gssamp.errors import DataError, GenerationFailureError, InvalidParameterError, ParseError
 
 
 def laplacian_eigenvalues(graph):
@@ -224,3 +232,192 @@ class TestLaplacianStorage:
     def test_read_only_input_is_kept(self):
         lap = gs.laplacian(gs.build_ring(5))
         assert gs.Laplacian(matrix=lap.matrix, graph=lap.graph).matrix is lap.matrix
+
+
+# The adjacency fills each builder had before they shared ``graphs._from_edges``,
+# kept as references: the shared constructor must give the same bytes.
+
+
+def loop_path(n):
+    a = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = 1.0
+    a[idx + 1, idx] = 1.0
+    coords = np.column_stack([np.linspace(0.0, 1.0, n), np.zeros(n)])
+    return gs.Graph(a, coordinates=coords, structure="path")
+
+
+def loop_ring(n):
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    a[idx, nxt] = 1.0
+    a[nxt, idx] = 1.0
+    theta = 2.0 * np.pi * idx / n
+    coords = np.column_stack([np.cos(theta), np.sin(theta)])
+    return gs.Graph(a, coordinates=coords, structure="ring")
+
+
+def loop_grid(rows, cols):
+    n = rows * cols
+    a = np.zeros((n, n))
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                a[v, v + 1] = a[v + 1, v] = 1.0
+            if r + 1 < rows:
+                a[v, v + cols] = a[v + cols, v] = 1.0
+    rr, cc = np.divmod(np.arange(n), cols)
+    coords = np.column_stack([cc / cols, rr / rows])
+    return gs.Graph(a, coordinates=coords, structure="grid", grid_shape=(rows, cols))
+
+
+def loop_comet(n, center_degree):
+    a = np.zeros((n, n))
+    for leaf in range(1, center_degree + 1):
+        a[0, leaf] = a[leaf, 0] = 1.0
+    prev = center_degree
+    for v in range(center_degree + 1, n):
+        a[prev, v] = a[v, prev] = 1.0
+        prev = v
+    return gs.Graph(a, structure="comet")
+
+
+def loop_sensor(n, k_nearest, seed):
+    for attempt in range(100):
+        rng = np.random.default_rng(seed + attempt)
+        pts = rng.random((n, 2))
+        dist, nbr = cKDTree(pts).query(pts, k=k_nearest + 1)
+        dist, nbr = dist[:, 1:], nbr[:, 1:]
+        sigma = dist.mean()
+        a = np.zeros((n, n))
+        for i in range(n):
+            w = np.exp(-dist[i] ** 2 / (2.0 * sigma**2))
+            a[i, nbr[i]] = np.maximum(a[i, nbr[i]], w)
+        g = gs.Graph(np.maximum(a, a.T), coordinates=pts, structure="sensor")
+        if g.is_connected():
+            return g
+    raise GenerationFailureError("sensor graph stayed disconnected after 100 seeds")
+
+
+def loop_edge_list(n, edges):
+    a = np.zeros((n, n))
+    for (i, j), w in edges.items():
+        a[i, j] = a[j, i] = w
+    return gs.Graph(a)
+
+
+def assert_same_bytes(got, want):
+    assert got.adjacency.shape == want.adjacency.shape
+    assert got.adjacency.tobytes() == want.adjacency.tobytes()  # sign bits too
+    assert (got.structure, got.grid_shape) == (want.structure, want.grid_shape)
+    if want.coordinates is None:
+        assert got.coordinates is None
+    else:
+        assert got.coordinates.tobytes() == want.coordinates.tobytes()
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except GenerationFailureError as exc:
+        return str(exc)
+
+
+_edge_weights = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e-300]),
+    st.floats(min_value=0.0, max_value=1e6, allow_subnormal=True),
+)
+
+
+class TestSharedEdgeConstructor:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 40), m=st.integers(1, 8))
+    def test_path_ring_grid_comet(self, n, m):
+        assert_same_bytes(gs.build_path(n), loop_path(n))
+        if n >= 3:
+            assert_same_bytes(gs.build_ring(n), loop_ring(n))
+        assert_same_bytes(gs.build_grid(m, n), loop_grid(m, n))
+        assert_same_bytes(gs.build_grid(n, m), loop_grid(n, m))
+        for center_degree in {1, min(m, n - 1), n - 1}:
+            assert_same_bytes(gs.build_comet(n, center_degree), loop_comet(n, center_degree))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(3, 120), k=st.integers(1, 8), seed=st.integers(0, 10**6))
+    def test_random_sensor(self, n, k, seed):
+        k = min(k, n - 1)
+        got, want = outcome(gs.build_random_sensor, n, k, seed), outcome(loop_sensor, n, k, seed)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_bytes(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edges=st.dictionaries(
+            st.tuples(st.integers(0, 12), st.integers(0, 12))
+            .filter(lambda e: e[0] < e[1]),
+            _edge_weights,
+            min_size=1,
+            max_size=30,
+        ),
+        flips=st.lists(st.booleans(), min_size=30, max_size=30),
+    )
+    def test_edge_list_loader(self, edges, flips):
+        lines = ["# src,dst,weight", ""]
+        for ((i, j), w), flip in zip(edges.items(), flips):
+            lines.append(f"{j},{i},{w!r}" if flip else f"{i},{j},{w!r}")
+        n = 1 + max(max(e) for e in edges)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "edges.csv")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            assert_same_bytes(gs.load_edge_list(path), loop_edge_list(n, edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 25), data=st.data())
+def test_components_counts_every_nonzero_weight(n, data):
+    weight = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1e-300, 1e-9, 0.5, 2.0])
+    drawn = data.draw(st.lists(weight, min_size=n * n, max_size=n * n))
+    upper = np.triu(np.reshape(drawn, (n, n)), 1)
+    a = upper + upper.T
+    # scipy's dense input path reads a weight <= 1e-8 as no edge, so the
+    # reference counts on the 0/1 pattern of the edges
+    want = connected_components((a != 0).astype(float), directed=False)[0]
+    assert graphs.components(a) == want
+    assert graphs.components(gs.laplacian(gs.Graph(a)).matrix) == want
+    assert gs.Graph(a).is_connected() == (want == 1)
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0,1,1.0\n\n# note\n1,2\n", "line 4: expected 'src,dst,weight'"),
+            ("0,1,1.0\n1,x,1.0\n", "line 2: invalid literal for int"),
+            ("0,1,heavy\n", "line 1: could not convert string to float"),
+        ],
+    )
+    def test_edge_file(self, text, match, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            gs.load_edge_list(p)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("# vertex,x,y\n0,0.5\n", "line 2: expected 'vertex,x,y'"),
+            ("0,0.5,0.5\n1.5,0.5,0.5\n", "line 2: invalid literal for int"),
+            ("0,0.5,y\n", "line 1: could not convert string to float"),
+            ("\n3,0.5,0.5\n", "line 2: vertex 3 out of range"),
+        ],
+    )
+    def test_coordinate_file(self, text, match, tmp_path):
+        p, c = tmp_path / "g.csv", tmp_path / "c.csv"
+        p.write_text("0,1,1.0\n1,2,1.0\n")
+        c.write_text(text)
+        with pytest.raises(ParseError, match=match):
+            gs.load_edge_list(p, coordinates_path=c)

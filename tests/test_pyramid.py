@@ -5,9 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import gssamp as gs
-from gssamp import cli, pyramid, reduction, spectral
+from gssamp import cli, graphs, pyramid, reduction, spectral
 from gssamp.errors import DataError, GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
 
@@ -427,3 +428,37 @@ def test_pyramid_nla_preset_builds_one_chain(monkeypatch, tmp_path):
     cli.run_experiment(cli.PRESETS["pyramid-nla"](), tmp_path)
     # one basis for the signal, one per reduced level; one chain for all families
     assert counts == {"eigendecompose": 4, "kron_reduce": 3, "sparsify": 3}
+
+
+def test_pyramid_nla_preset_tests_connectivity_on_sparse_arrays(monkeypatch, tmp_path):
+    """Every connectivity check gets CSR, and a sparsify reconnect is one spanning-tree query."""
+    counts, trees, reconnects = [], [], []
+    real_components = graphs.connected_components
+    real_tree = reduction.minimum_spanning_tree
+    real_sparsify = pyramid.sparsify
+
+    def connected_components(a, *args, **kwargs):
+        assert scipy.sparse.issparse(a), type(a)  # a dense array costs a masked-array copy
+        ncomp, labels = real_components(a, *args, **kwargs)
+        counts.append(ncomp)
+        return ncomp, labels
+
+    def minimum_spanning_tree(*args, **kwargs):
+        trees.append(1)
+        return real_tree(*args, **kwargs)
+
+    def sparsify(graph, threshold_ratio):
+        before = len(counts), len(trees)
+        out = real_sparsify(graph, threshold_ratio)
+        # the first check is on the thresholded graph: split means a reconnect
+        split = len(counts) > before[0] and counts[before[0]] > 1
+        reconnects.append((split, len(trees) - before[1]))
+        return out
+
+    monkeypatch.setattr(graphs, "connected_components", connected_components)
+    monkeypatch.setattr(reduction, "minimum_spanning_tree", minimum_spanning_tree)
+    monkeypatch.setattr(pyramid, "sparsify", sparsify)
+    cli.run_experiment(cli.PRESETS["pyramid-nla"](), tmp_path)
+    assert counts and len(reconnects) == 3
+    assert any(split for split, _ in reconnects)  # the preset really reconnects a level
+    assert all(n_trees == int(split) for split, n_trees in reconnects)

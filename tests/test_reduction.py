@@ -49,6 +49,16 @@ class TestKronReduce:
         with pytest.raises(InvalidParameterError):
             gs.kron_reduce(lap, [0, 7])
 
+    @pytest.mark.parametrize(
+        "keep", [[True, False, True, False, True, False], [0.5, 2.7, 4.2], np.array([0.0, 2.0])]
+    )
+    def test_keep_set_must_be_integers(self, keep):
+        lap = gs.laplacian(gs.build_path(6))
+        with pytest.raises(InvalidParameterError, match="keep set indices must be integers"):
+            gs.kron_reduce(lap, keep)
+        with pytest.raises(InvalidParameterError, match="nonempty proper subset"):
+            gs.kron_reduce(lap, np.array([], dtype=float))
+
     def test_singular_eliminated_block_rejected(self):
         # eliminating a whole disconnected component leaves a singular block,
         # reported by its cause
@@ -116,14 +126,15 @@ class TestSparsify:
         assert out.is_connected()
         assert np.array_equal(out.adjacency, reference_sparsify(g, 0.5).adjacency)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
+        build=st.sampled_from(["reduced_sensor", "tied_weights", "split_tied_weights"]),
         n=st.integers(min_value=8, max_value=48),
         seed=st.integers(min_value=0, max_value=50),
         ratio=st.floats(min_value=0.05, max_value=0.5),
     )
-    def test_matches_one_edge_at_a_time_restore(self, n, seed, ratio):
-        g = reduced_sensor(n, seed)
+    def test_matches_one_edge_at_a_time_restore(self, build, n, seed, ratio):
+        g = globals()[build](n, seed)
         out = gs.sparsify(g, ratio)
         want = reference_sparsify(g, ratio)
         assert np.array_equal(out.adjacency, want.adjacency)
@@ -134,6 +145,24 @@ def reduced_sensor(n, seed):
     """Polarity Kron reduction of a random sensor graph to half its size."""
     lap = gs.laplacian(gs.build_random_sensor(n, seed=seed))
     return gs.kron_reduce(lap, gs.select_polarity(gs.eigendecompose(lap), n // 2)).graph
+
+
+def tied_weights(n, seed):
+    """Random spanning tree plus random edges, integer weights 1..8: ties everywhere."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((n, n))
+    a[rng.integers(0, np.arange(1, n)), np.arange(1, n)] = rng.integers(1, 9, n - 1)
+    extra = np.triu(rng.random((n, n)) < 3.0 / n, 1)
+    a[extra] = rng.integers(1, 9, extra.sum())
+    return gs.Graph(np.maximum(a, a.T))
+
+
+def split_tied_weights(n, seed):
+    """``tied_weights`` with every edge between its two halves cut: a forest case."""
+    a = tied_weights(n, seed).adjacency.copy()
+    half = np.arange(n) < n // 2
+    a[np.ix_(half, ~half)] = a[np.ix_(~half, half)] = 0.0
+    return gs.Graph(a)
 
 
 def reference_sparsify(graph, threshold_ratio):

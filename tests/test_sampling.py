@@ -56,6 +56,12 @@ class TestVertexOps:
         with pytest.raises(InvalidParameterError):
             gs.VertexCorrespondence(np.array([0, 0, 1]))
 
+    @pytest.mark.parametrize("targets", [[0.9, 2.2], np.array([True, False, True])])
+    def test_targets_must_be_integers(self, targets):
+        with pytest.raises(InvalidParameterError, match="targets must be integers"):
+            gs.VertexCorrespondence(targets)
+        assert gs.VertexCorrespondence([]).n_reduced == 0
+
     def test_downsample_needs_a_vector(self):
         corr = gs.VertexCorrespondence(np.array([0, 2]))
         with pytest.raises(InvalidParameterError, match="signal length"):
