@@ -25,8 +25,9 @@ def main():
     header = "  {:<9}{:>10}".format("sampling", "roundtrip")
     header += "".join(f"{frac:>9.2f}" for frac in fractions)
     print(header)
-    # reduced graphs and their bases depend only on the graph: build the
-    # level chain once and run every sampling family over it
+    # reduced graphs and their bases depend only on the graph: the NLA curves
+    # of every sampling family share one level chain. The roundtrip check runs
+    # the analyze/synthesize pair, and analyze builds a chain of its own.
     chain = gs.build_chain(lap, basis, 3)
     for sampling in ("vertex", "index", "spectrum"):
         config = gs.PyramidConfig(sampling=sampling, reduction="polarity")

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import graphs as G
 from .errors import GssampError, InvalidParameterError, NumericError
-from .pyramid import FilterSpec, PyramidConfig, build_chain, nla_error_curve
+from .pyramid import PyramidConfig, build_chain, nla_error_curve
 from .reduction import (
     kron_reduce,
     make_cluster_band_signal,
@@ -416,12 +416,19 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
 
 
 def _build_graph(gspec: dict, key: str) -> G.Graph:
-    """Build the graph of config key ``key``; one too large to allocate is a config error."""
-    if "edge_list" in gspec:
-        return G.load_edge_list(gspec["edge_list"], gspec.get("coordinates"))
+    """Build the graph of config key ``key``; one too large to allocate is a config error.
+
+    numpy refuses an n x n request beyond memory with MemoryError, beyond its
+    size limit with ValueError and beyond int64 with OverflowError. A GssampError
+    is also a ValueError and keeps its own type.
+    """
     try:
+        if "edge_list" in gspec:
+            return G.load_edge_list(gspec["edge_list"], gspec.get("coordinates"))
         return _GENERATORS[gspec["generator"]](**gspec.get("params", {}))
-    except MemoryError as exc:
+    except GssampError:
+        raise
+    except (MemoryError, OverflowError, ValueError) as exc:
         raise InvalidParameterError(f"{key} is too large to allocate: {exc}") from exc
 
 
@@ -605,9 +612,9 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
         art.signal_csv("original_signal.csv", f)
         # the level chain depends only on the graph: one for all families
-        chain = build_chain(lap, basis, extras["levels"], PyramidConfig())
+        chain = build_chain(lap, basis, extras["levels"])
         for sampling in ("vertex", "index", "spectrum"):
-            pcfg = PyramidConfig(sampling=sampling, analysis_filter=FilterSpec())
+            pcfg = PyramidConfig(sampling=sampling)
             curve = nla_error_curve(f, chain, pcfg, extras["fractions"])
             art.write_csv(f"nla_{sampling}.csv", "fraction,error", curve)
             art.scalars[f"{sampling}_error_at_0.2"] = next(

@@ -232,15 +232,11 @@ def build_community(
     if not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0):
         raise InvalidParameterError("probabilities must lie in [0, 1]")
     labels = np.arange(n) * k_communities // n  # equal-size blocks
+    p = np.where(labels[:, None] == labels[None, :], p_in, p_out)
 
     def sample(rng):
-        u = rng.random((n, n))
-        u = np.triu(u, k=1)
-        same = labels[:, None] == labels[None, :]
-        p = np.where(same, p_in, p_out)
-        a = ((u < p) & (np.triu(np.ones((n, n), dtype=bool), k=1))).astype(float)
-        a = a + a.T
-        return Graph(a, structure="community")
+        a = np.triu(rng.random((n, n)) < p, k=1).astype(float)
+        return Graph(a + a.T, structure="community")
 
     return _first_connected(sample, seed, "community")
 

@@ -1,12 +1,13 @@
 """Graph Laplacian pyramid with pluggable sampling operators.
 
-Analysis per level: coarse = DOWN(H f), prediction error y = f - G UP(coarse).
-Synthesis mirrors analysis, so reconstruction from unmodified coefficients is
-exact for any operator/filter choice. Filters are applied either exactly
-through the eigenbasis or with a Chebyshev polynomial expansion (Hammond,
-Vandergheynst & Gribonval 2011) that only touches the Laplacian: its
-three-term recurrence runs on the Laplacian's cached CSR form, O(order nnz).
-Without a Laplacian the same polynomial is evaluated on the eigenvalues.
+Analysis per level: coarse = DOWN(H f), prediction error y = f - G UP(coarse),
+where G is the analysis filter H. Synthesis adds y back to the same prediction,
+so reconstruction from unmodified coefficients is exact for any operator/filter
+choice. Filters are applied either exactly through the eigenbasis or with a
+Chebyshev polynomial expansion (Hammond, Vandergheynst & Gribonval 2011) that
+only touches the Laplacian: its three-term recurrence runs on the Laplacian's
+cached CSR form, O(order nnz). Without a Laplacian the same polynomial is
+evaluated on the eigenvalues.
 """
 from __future__ import annotations
 
@@ -121,7 +122,6 @@ class PyramidConfig:
     sampling: str = "index"
     folded: bool = True
     analysis_filter: FilterSpec = field(default_factory=FilterSpec)
-    synthesis_filter: FilterSpec | None = None  # defaults to analysis filter
     reduction: str = "polarity"
     sparsify_ratio: float = 0.05
 
@@ -130,10 +130,6 @@ class PyramidConfig:
             raise InvalidParameterError(f"unknown sampling {self.sampling!r}")
         if self.reduction not in ("polarity", "every_other"):
             raise InvalidParameterError(f"unknown reduction {self.reduction!r}")
-
-    @property
-    def g_filter(self) -> FilterSpec:
-        return self.synthesis_filter or self.analysis_filter
 
     @property
     def operator(self) -> str:
@@ -147,14 +143,14 @@ class PyramidConfig:
 class ChainLevel:
     """Signal-independent part of one pyramid level.
 
-    ``ctx_down`` and ``ctx_up`` run from ``basis`` to ``reduced_basis`` and
-    back; every signal through the level reuses their coefficient maps.
+    ``correspondence`` maps ``reduced_graph`` into ``graph``. Every signal reuses
+    the maps of ``ctx_down`` (``basis`` to ``reduced_basis``) and ``ctx_up`` (back).
     """
 
     graph: Graph
     lap: Laplacian
     basis: SpectralBasis
-    keep: np.ndarray
+    correspondence: VertexCorrespondence
     reduced_graph: Graph
     reduced_basis: SpectralBasis
     ctx_down: SamplingContext
@@ -175,22 +171,20 @@ class PyramidChain:
 
 
 @dataclass(frozen=True)
-class PyramidLevel(ChainLevel):
-    prediction_error: np.ndarray
-
-
-@dataclass(frozen=True)
 class PyramidDecomposition:
-    levels: tuple[PyramidLevel, ...]
+    """A signal's pyramid over ``chain``: one prediction error per level, then the coarse band."""
+
+    chain: PyramidChain
+    details: tuple[np.ndarray, ...]
     coarse: np.ndarray
     config: PyramidConfig
 
-    @property
-    def num_levels(self) -> int:
-        return len(self.levels)
+    def __post_init__(self):
+        if len(self.details) != len(self.chain.levels):
+            raise InvalidParameterError("need one detail per chain level")
 
     def detail_sizes(self) -> list[int]:
-        return [lvl.prediction_error.size for lvl in self.levels]
+        return [y.size for y in self.details]
 
 
 def _reduce_level(graph: Graph, basis: SpectralBasis, lap: Laplacian, config):
@@ -206,18 +200,14 @@ def _reduce_level(graph: Graph, basis: SpectralBasis, lap: Laplacian, config):
     if config.reduction == "every_other" and graph.structure in ("path", "ring"):
         # striding a path/ring yields the same structure, so keep the tag
         # to allow further index-structured selection at deeper levels
-        reduced = Graph(
-            reduced.adjacency,
-            coordinates=reduced.coordinates,
-            structure=graph.structure,
-        )
-    return keep, reduced
+        reduced = replace(reduced, structure=graph.structure)
+    return result.correspondence, reduced
 
 
 def build_chain(
     lap: Laplacian, basis: SpectralBasis, num_levels: int, config: PyramidConfig | None = None
 ) -> PyramidChain:
-    """Graphs, bases and keep sets of a ``num_levels`` pyramid over ``lap``.
+    """Graphs, bases and correspondences of a ``num_levels`` pyramid over ``lap``.
 
     Only ``config.reduction`` and ``config.sparsify_ratio`` matter; the chain
     serves any signal and sampling family. Each level reuses the previous
@@ -230,17 +220,23 @@ def build_chain(
     levels = []
     for level in range(num_levels):
         try:
-            keep, reduced = _reduce_level(lap.graph, basis, lap, config)
+            corr, reduced = _reduce_level(lap.graph, basis, lap, config)
         except GssampError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
         levels.append(ChainLevel(
-            lap.graph, lap, basis, keep, reduced, reduced_basis,
+            lap.graph, lap, basis, corr, reduced, reduced_basis,
             SamplingContext(basis, reduced_basis), SamplingContext(reduced_basis, basis),
         ))
         lap, basis = reduced_lap, reduced_basis
     return PyramidChain(tuple(levels), config.reduction, config.sparsify_ratio)
+
+
+def _predict(lvl: ChainLevel, coarse: np.ndarray, config: PyramidConfig) -> np.ndarray:
+    """G UP(coarse) on ``lvl``'s graph: analysis subtracts it, synthesis adds it back."""
+    upsampled = apply_operator(config.operator, "up", lvl.ctx_up, coarse, 2, lvl.correspondence)
+    return filter_signal(lvl.basis, upsampled, config.analysis_filter, lvl.lap)
 
 
 def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> PyramidDecomposition:
@@ -250,22 +246,20 @@ def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> Pyr
             f"config reduction {config.reduction!r} / sparsify_ratio {config.sparsify_ratio} "
             f"does not match the chain's {chain.reduction!r} / {chain.sparsify_ratio}"
         )
-    f = check_signal(np.asarray(f, dtype=float), chain.levels[0].graph.n)
-    levels = []
-    current = f
+    current = check_signal(np.asarray(f, dtype=float), chain.levels[0].graph.n)
+    details = []
     for level, lvl in enumerate(chain.levels):
         if config.sampling != "vertex" and lvl.graph.n % 2 != 0:
             raise InvalidParameterError(
                 f"level {level}: spectral sampling needs an even vertex count"
             )
-        corr = VertexCorrespondence(lvl.keep)
         filtered = filter_signal(lvl.basis, current, config.analysis_filter, lvl.lap)
-        coarse = apply_operator(config.operator, "down", lvl.ctx_down, filtered, 2, corr)
-        upsampled = apply_operator(config.operator, "up", lvl.ctx_up, coarse, 2, corr)
-        predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
-        levels.append(PyramidLevel(**vars(lvl), prediction_error=current - predicted))
+        coarse = apply_operator(
+            config.operator, "down", lvl.ctx_down, filtered, 2, lvl.correspondence
+        )
+        details.append(current - _predict(lvl, coarse, config))
         current = coarse
-    return PyramidDecomposition(levels=tuple(levels), coarse=current, config=config)
+    return PyramidDecomposition(chain, tuple(details), current, config)
 
 
 def analyze(
@@ -284,13 +278,9 @@ def analyze(
 
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     """Invert ``analyze``; exact when coefficients are unmodified."""
-    config = dec.config
     current = dec.coarse
-    for lvl in reversed(dec.levels):
-        corr = VertexCorrespondence(lvl.keep)
-        upsampled = apply_operator(config.operator, "up", lvl.ctx_up, current, 2, corr)
-        predicted = filter_signal(lvl.basis, upsampled, config.g_filter, lvl.lap)
-        current = predicted + lvl.prediction_error
+    for lvl, detail in zip(dec.chain.levels[::-1], dec.details[::-1]):
+        current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.graph.n, "detail")
     return current
 
 
@@ -304,16 +294,13 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
     total = sum(sizes)
     if not 0 <= n_kept <= total:
         raise InvalidParameterError(f"n_kept must be in [0, {total}]")
-    values = np.concatenate([lvl.prediction_error for lvl in dec.levels])
+    values = np.concatenate(dec.details)
     # pooled positions run in (level, index) order, so a stable sort on
     # magnitude alone breaks its ties the documented way
     kept = np.zeros(total, dtype=bool)
     kept[np.argsort(-np.abs(values), kind="stable")[:n_kept]] = True
     trimmed = np.split(np.where(kept, values, 0.0), np.cumsum(sizes)[:-1])
-    new_levels = tuple(
-        replace(lvl, prediction_error=y) for lvl, y in zip(dec.levels, trimmed)
-    )
-    return PyramidDecomposition(levels=new_levels, coarse=dec.coarse, config=dec.config)
+    return replace(dec, details=tuple(trimmed))
 
 
 def nla_error_curve(

@@ -145,19 +145,10 @@ def select_polarity(basis: SpectralBasis, target_size: int) -> np.ndarray:
         raise InvalidParameterError("target_size must be in (0, n)")
     u = basis.eigenvectors[:, -1]
     mag_order = np.lexsort((np.arange(basis.n), -np.abs(u)))
-    selected = set(np.nonzero(u > 0)[0].tolist())
-    if len(selected) > target_size:
-        # drop the smallest-magnitude positives
-        for v in mag_order[::-1]:
-            if len(selected) == target_size:
-                break
-            selected.discard(int(v))
-    else:
-        for v in mag_order:
-            if len(selected) == target_size:
-                break
-            selected.add(int(v))
-    return np.sort(np.fromiter(selected, dtype=int))
+    # positives first, each side by rank: shrinking drops the smallest
+    # positives, growing adds the largest non-positives
+    ranked = mag_order[np.argsort(~(u[mag_order] > 0), kind="stable")]
+    return np.sort(ranked[:target_size])
 
 
 def spectral_bisection(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -55,10 +55,6 @@ class VertexCorrespondence:
         t.flags.writeable = False
         object.__setattr__(self, "targets", t)
 
-    @classmethod
-    def from_keep_set(cls, keep) -> "VertexCorrespondence":
-        return cls(np.asarray(sorted(keep)))
-
     @property
     def n_reduced(self) -> int:
         return self.targets.size

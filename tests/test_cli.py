@@ -314,15 +314,35 @@ def test_size_rules_checked_on_built_graphs(
     assert code == 0
 
 
-def test_graph_too_large_to_allocate_is_config_error(tmp_path, capsys):
-    # numpy refuses an n x n request this large before it touches memory
-    cfg = PRESETS["path-downsample"]()
-    cfg["graph"]["params"]["n"] = 10**8
+# numpy refuses each of these n x n requests before it touches memory:
+# MemoryError past the address space (7.1 PiB of path indices, 71 PiB of
+# edge-list adjacency), ValueError past its array size or dimension limit,
+# OverflowError for an index past int64
+@pytest.mark.parametrize(
+    "graph, size",
+    [
+        ("path", 10**15),
+        ("edge_list", 10**8),
+        ("edge_list", 5 * 10**9),
+        ("edge_list", 10**20),
+        ("complete", 10**10),
+        ("complete", 10**20),
+    ],
+)
+def test_graph_too_large_to_allocate_is_config_error(graph, size, tmp_path, capsys):
+    if graph == "edge_list":
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"0,1,1.0\n1,{size},1.0\n")
+        cfg = dict(PRESETS["minnesota-energy"](), graph={"edge_list": str(edges)})
+    else:
+        cfg = PRESETS["path-downsample" if graph == "path" else "repeated-eigenvalues"]()
+        cfg["graph"]["params"]["n"] = size
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
     assert code == 1 and out == ""
-    assert "config error: graph is too large to allocate" in err and "Traceback" not in err
+    assert err.startswith("config error: graph is too large to allocate")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_seed_option(tmp_path, capsys):
@@ -347,7 +367,8 @@ def test_non_finite_edge_weight_is_data_error(weight, tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
     assert code == 1 and out == ""
-    assert "non-finite weight on line 3" in err
+    # the loader's own error, not relabelled by the too-large-to-allocate guard
+    assert err == "config error: non-finite weight on line 3\n"
     assert "Traceback" not in err
 
 

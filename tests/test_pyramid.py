@@ -276,6 +276,18 @@ class TestPerfectReconstruction:
         with pytest.raises(InvalidParameterError, match="signal length"):
             gs.synthesize(replace(dec, coarse=dec.coarse[:-1]))
 
+    def test_details_must_fit_the_chain(self):
+        g = gs.build_random_sensor(64, seed=7)
+        dec = gs.analyze(np.ones(64), g, num_levels=3, config=CONFIGS["vertex"])
+        with pytest.raises(InvalidParameterError, match="one detail per chain level"):
+            replace(dec, details=dec.details[:-1])
+        short = (dec.details[0][:-1], *dec.details[1:])
+        with pytest.raises(InvalidParameterError, match="detail length"):
+            gs.synthesize(replace(dec, details=short))
+        nan = (np.full(64, np.nan), *dec.details[1:])
+        with pytest.raises(DataError, match="detail entries must be finite"):
+            gs.synthesize(replace(dec, details=nan))
+
     def test_odd_size_rejected_for_spectral_modes(self):
         g = gs.build_random_sensor(63, seed=8)
         f = np.zeros(63)
@@ -314,22 +326,22 @@ class TestNonlinearApproximation:
         f, g = self._dec()
         dec = gs.analyze(f, g, num_levels=1, config=CONFIGS["index"])
         trimmed = gs.nonlinear_approximate(dec, 0)
-        for level in trimmed.levels:
-            assert np.count_nonzero(level.prediction_error) == 0
+        for detail in trimmed.details:
+            assert np.count_nonzero(detail) == 0
 
 
 def reference_nonlinear_approximate(dec, n_kept):
     """Pool, sort and keep detail coefficients one Python tuple at a time."""
     entries = [
         (abs(v), li, idx)
-        for li, lvl in enumerate(dec.levels)
-        for idx, v in enumerate(lvl.prediction_error)
+        for li, detail in enumerate(dec.details)
+        for idx, v in enumerate(detail)
     ]
     entries.sort(key=lambda t: (-t[0], t[1], t[2]))
     kept = {(li, idx) for _, li, idx in entries[:n_kept]}
     return [
-        np.array([v if (li, i) in kept else 0.0 for i, v in enumerate(lvl.prediction_error)])
-        for li, lvl in enumerate(dec.levels)
+        np.array([v if (li, i) in kept else 0.0 for i, v in enumerate(detail)])
+        for li, detail in enumerate(dec.details)
     ]
 
 
@@ -340,17 +352,14 @@ class TestNonlinearApproximateMatchesReference:
         dec = gs.analyze(np.zeros(32), g, num_levels=3, config=CONFIGS["vertex"])
         # few distinct magnitudes of both signs: ties within and across levels
         rng = np.random.default_rng(seed)
-        levels = tuple(
-            replace(lvl, prediction_error=rng.integers(-3, 4, lvl.prediction_error.size) / 2.0)
-            for lvl in dec.levels
-        )
-        dec = replace(dec, levels=levels)
+        details = tuple(rng.integers(-3, 4, y.size) / 2.0 for y in dec.details)
+        dec = replace(dec, details=details)
         for n_kept in range(sum(dec.detail_sizes()) + 1):
             got = gs.nonlinear_approximate(dec, n_kept)
             want = reference_nonlinear_approximate(dec, n_kept)
-            for lvl, y in zip(got.levels, want):
-                assert np.array_equal(lvl.prediction_error, y)
-                assert np.array_equal(np.signbit(lvl.prediction_error), np.signbit(y))
+            for detail, y in zip(got.details, want, strict=True):
+                assert np.array_equal(detail, y)
+                assert np.array_equal(np.signbit(detail), np.signbit(y))
 
     def test_rejects_out_of_range_count(self):
         g = gs.build_random_sensor(32, seed=7)
@@ -382,6 +391,17 @@ class TestSharedChain:
         for upper, lower in zip(chain.levels, chain.levels[1:]):
             assert lower.graph is upper.reduced_graph
             assert lower.basis is upper.reduced_basis
+
+    def test_signal_passes_reuse_the_chain_correspondences(self, monkeypatch):
+        chain = chain_of(gs.build_random_sensor(64, seed=7), 3)
+        assert [lvl.correspondence.n_reduced for lvl in chain.levels] == [32, 16, 8]
+        built = []
+        original = gs.VertexCorrespondence.__post_init__
+        monkeypatch.setattr(
+            gs.VertexCorrespondence, "__post_init__", lambda self: built.append(original(self))
+        )
+        curve = gs.nla_error_curve(np.ones(64), chain, CONFIGS["vertex"], [0.0, 0.5, 1.0])
+        assert len(curve) == 3 and built == []
 
     @pytest.mark.parametrize(
         "config",

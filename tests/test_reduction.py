@@ -205,7 +205,40 @@ class TestSelectEveryOther:
             gs.select_every_other(gs.build_complete(6), 2)
 
 
+def reference_select_polarity(basis, target_size):
+    """Grow or shrink the positive set one vertex at a time through a Python set."""
+    u = basis.eigenvectors[:, -1]
+    mag_order = np.lexsort((np.arange(basis.n), -np.abs(u)))
+    selected = set(np.nonzero(u > 0)[0].tolist())
+    if len(selected) > target_size:
+        for v in mag_order[::-1]:
+            if len(selected) == target_size:
+                break
+            selected.discard(int(v))
+    else:
+        for v in mag_order:
+            if len(selected) == target_size:
+                break
+            selected.add(int(v))
+    return np.sort(np.fromiter(selected, dtype=int))
+
+
 class TestSelectPolarity:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_set_loop(self, data):
+        # few distinct magnitudes of both signs, signed zeros included: ties
+        # on either side of the positive set and at the cut
+        n = data.draw(st.integers(2, 40))
+        entry = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]) | st.floats(-1.0, 1.0)
+        u = np.zeros((n, n))
+        u[:, -1] = data.draw(st.lists(entry, min_size=n, max_size=n))
+        basis = gs.SpectralBasis(np.arange(n, dtype=float), u)
+        target = data.draw(st.integers(1, n - 1))
+        got = gs.select_polarity(basis, target)
+        want = reference_select_polarity(basis, target)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_path_alternates(self):
         # the top path eigenvector alternates sign, so half the
         # vertices are selected and no two selected vertices are adjacent
