@@ -25,13 +25,12 @@ def main():
     header = "  {:<9}{:>10}".format("sampling", "roundtrip")
     header += "".join(f"{frac:>9.2f}" for frac in fractions)
     print(header)
-    # reduced graphs and their bases depend only on the graph: the NLA curves
-    # of every sampling family share one level chain. The roundtrip check runs
-    # the analyze/synthesize pair, and analyze builds a chain of its own.
+    # reduced graphs and their bases depend only on the graph: the roundtrip
+    # check and the NLA curve of every sampling family share one level chain
     chain = gs.build_chain(lap, basis, 3)
     for sampling in ("vertex", "index", "spectrum"):
         config = gs.PyramidConfig(sampling=sampling, reduction="polarity")
-        dec = gs.analyze(f, g, num_levels=3, config=config)
+        dec = gs.decompose(f, chain, config)
         rec = gs.synthesize(dec)
         roundtrip = np.linalg.norm(rec - f) / np.linalg.norm(f)
         curve = gs.nla_error_curve(f, chain, config, fractions)

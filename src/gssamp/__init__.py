@@ -82,6 +82,7 @@ from .pyramid import (
     PyramidDecomposition,
     analyze,
     build_chain,
+    decompose,
     filter_signal,
     halving_lowpass,
     nla_error_curve,

@@ -571,7 +571,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             out = fractional_downsample(ctx, f0, mode="index", folded=True)
             art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
             out_coeffs = gft(basis1, np.real(out)).coefficients
-            src = b.eigenvectors.T @ f0
+            src = gft(b, f0).coefficients  # b's kept analysis of f0, taken by ctx
             fold = out_coeffs - src[: target.n]
             art.scalars[f"{tag}_fold_energy"] = float(np.linalg.norm(fold) ** 2)
             art.scalars[f"{tag}_total_energy"] = float(np.linalg.norm(out_coeffs) ** 2)

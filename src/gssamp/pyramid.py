@@ -99,14 +99,14 @@ def filter_signal(
     it evaluates the same polynomial on the eigenvalues, in O(n^2).
     """
     f = check_signal(f, basis.n)
-    u = basis.eigenvectors
     if spec.mode == "exact":
-        return u @ (spec.response(basis.eigenvalues) * (u.T @ f))
-    coeffs = chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
-    if lap is not None:
-        return chebyshev_apply(lap.sparse, f, coeffs, basis.lambda_max)
-    x = basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0
-    return u @ (chebval(x, coeffs) * (u.T @ f))
+        response = spec.response(basis.eigenvalues)
+    else:
+        coeffs = chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
+        if lap is not None:
+            return chebyshev_apply(lap.sparse, f, coeffs, basis.lambda_max)
+        response = chebval(basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0, coeffs)
+    return basis.eigenvectors @ (response * basis._analysis(f))
 
 
 @dataclass(frozen=True)
@@ -239,8 +239,10 @@ def _predict(lvl: ChainLevel, coarse: np.ndarray, config: PyramidConfig) -> np.n
     return filter_signal(lvl.basis, upsampled, config.analysis_filter, lvl.lap)
 
 
-def _decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> PyramidDecomposition:
-    """Per-signal analysis pass over a prebuilt level chain."""
+def decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> PyramidDecomposition:
+    """Analyse a signal over a ``build_chain`` chain into one prediction error
+    per level plus the coarse band. ``config``'s reduction must match the
+    chain's, and spectral sampling needs an even vertex count at every level."""
     if (config.reduction, config.sparsify_ratio) != (chain.reduction, chain.sparsify_ratio):
         raise InvalidParameterError(
             f"config reduction {config.reduction!r} / sparsify_ratio {config.sparsify_ratio} "
@@ -267,17 +269,16 @@ def analyze(
 ) -> PyramidDecomposition:
     """Decompose a signal into ``num_levels`` prediction errors plus a coarse band.
 
-    Builds the level chain of ``graph`` and runs one analysis pass over it.
-    Spectral sampling modes require the vertex count to stay even down the
-    chain (each level halves the graph).
+    ``build_chain`` then ``decompose``; to decompose several signals or
+    sampling families on one graph, build its chain once.
     """
     config = config or PyramidConfig()
     lap = laplacian(graph)
-    return _decompose(f, build_chain(lap, eigendecompose(lap), num_levels, config), config)
+    return decompose(f, build_chain(lap, eigendecompose(lap), num_levels, config), config)
 
 
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
-    """Invert ``analyze``; exact when coefficients are unmodified."""
+    """Invert ``decompose`` (or ``analyze``); exact when coefficients are unmodified."""
     current = dec.coarse
     for lvl, detail in zip(dec.chain.levels[::-1], dec.details[::-1]):
         current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.graph.n, "detail")
@@ -316,7 +317,7 @@ def nla_error_curve(
     original graph size, capped at the total detail count.
     """
     f = np.asarray(f, dtype=float)
-    dec = _decompose(f, chain, config)
+    dec = decompose(f, chain, config)
     n = chain.levels[0].graph.n
     total = sum(dec.detail_sizes())
     norm = np.linalg.norm(f)

@@ -25,7 +25,6 @@ _NEG_WEIGHT_TOL = 1e-10
 class ReductionResult:
     graph: Graph
     correspondence: VertexCorrespondence
-    keep: np.ndarray
 
 
 def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
@@ -74,9 +73,7 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     if lap.graph.coordinates is not None:
         coords = lap.graph.coordinates[keep]
     graph = Graph(w, coordinates=coords)
-    return ReductionResult(
-        graph=graph, correspondence=VertexCorrespondence(keep), keep=keep
-    )
+    return ReductionResult(graph=graph, correspondence=VertexCorrespondence(keep))
 
 
 def sparsify(graph: Graph, threshold_ratio: float) -> Graph:

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_signal
+from .spectral import SpectralBasis, Spectrum, _Analysis, _interpolation_map, check_signal
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,16 @@ class SamplingContext:
     Accepts SpectralBasis objects or raw eigenvector matrices (possibly
     complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids,
     one finite value per eigenvector. Each operator's coefficient map S is
-    built on its first call and kept for the context's later calls.
+    built on its first call and kept for the context's later calls. u0^H f
+    is the SpectralBasis's kept analysis; a raw matrix is copied once,
+    read-only, so editing the caller's array later changes nothing here.
     """
 
     def __init__(self, basis0, basis1, lambdas0=None, lambdas1=None):
-        self.u0, self.lambdas0 = _unpack_basis(basis0, lambdas0)
-        self.u1, self.lambdas1 = _unpack_basis(basis1, lambdas1)
-        self.n0 = self.u0.shape[0]
-        self.n1 = self.u1.shape[0]
+        self._analysis0, self.lambdas0 = _unpack_basis(basis0, lambdas0)
+        analysis1, self.lambdas1 = _unpack_basis(basis1, lambdas1)
+        self.u0, self.u1 = self._analysis0.u, analysis1.u
+        self.n0, self.n1 = self.u0.shape[0], self.u1.shape[0]
         self._maps = {}
 
     @property
@@ -87,7 +89,7 @@ class SamplingContext:
 
     def _apply(self, f, family: str, folded: bool, up: bool) -> np.ndarray:
         """u1 @ (S @ u0^H f) with the map S of (family, folded, up), built on first use."""
-        coeffs = self.u0.conj().T @ check_signal(f, self.n0)  # u0^H: complex bases too
+        coeffs = self._analysis0(check_signal(f, self.n0))
         key = (family, folded, up)
         if key not in self._maps:
             self._maps[key] = _coefficient_map(self, *key)
@@ -95,14 +97,16 @@ class SamplingContext:
 
 
 def _unpack_basis(basis, lambdas):
+    """The analysis and eigenvalue grid of a SpectralBasis, or of a raw matrix's copy."""
     if isinstance(basis, SpectralBasis):
-        return basis.eigenvectors, basis.eigenvalues
-    u = np.asarray(basis)
+        return basis._analysis, basis.eigenvalues
+    u = np.array(basis)  # a copy: the caller's array stays writable
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidParameterError("eigenvector matrix must be square")
     if lambdas is not None:
         lambdas = np.sort(check_signal(np.asarray(lambdas, dtype=float), u.shape[0], "eigenvalue"))
-    return u, lambdas
+    u.flags.writeable = False
+    return _Analysis(u), lambdas
 
 
 # ---------------------------------------------------------------------------

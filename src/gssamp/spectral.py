@@ -2,7 +2,7 @@
 
 Eigenpairs are ordered ascending with a deterministic tie-break inside
 repeated-eigenvalue groups; the graph Fourier transform of a signal f is
-U^T f with U the orthonormal eigenvector matrix.
+U^H f with U the orthonormal eigenvector matrix.
 """
 from __future__ import annotations
 
@@ -18,12 +18,31 @@ from .graphs import Laplacian
 _GROUP_TOL_SCALE = 1e-8
 
 
+class _Analysis:
+    """u^H f, kept read-only for the last signal; keyed on the signal's dtype,
+    shape and bytes, so an in-place edit or another dtype is analysed again."""
+
+    def __init__(self, u: np.ndarray):
+        self.u, self._memo = u, None
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        key = (f.dtype, f.shape, f.tobytes())
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            coeffs = self.u.conj().T @ f  # u^H: complex bases too
+            coeffs.flags.writeable = False
+            memo = self._memo = (key, coeffs)
+        return memo[1]
+
+
 @dataclass(frozen=True)
 class SpectralBasis:
     """Ordered eigenpairs of a Laplacian.
 
     eigenvalues : (n,) ascending, first value 0 for connected graphs
     eigenvectors : (n, n) orthonormal, column i pairs with eigenvalues[i]
+    Both are made read-only. The basis keeps the last signal's U^H f for
+    ``gft``, ``filter_signal`` and every ``SamplingContext`` built from it.
     """
 
     eigenvalues: np.ndarray
@@ -36,6 +55,7 @@ class SpectralBasis:
         u.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
+        object.__setattr__(self, "_analysis", _Analysis(u))  # not a field: eq and repr ignore it
 
     @property
     def n(self) -> int:
@@ -156,9 +176,8 @@ def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
 
 
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:
-    """Forward graph Fourier transform U^T f."""
-    f = check_signal(signal, basis.n)
-    return Spectrum(basis.eigenvectors.T @ f, basis.eigenvalues)
+    """Forward graph Fourier transform U^H f, read-only and shared with the basis's other users."""
+    return Spectrum(basis._analysis(check_signal(signal, basis.n)), basis.eigenvalues)
 
 
 def igft(basis: SpectralBasis, spectrum: Spectrum | np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ class TestKronReduce:
         red = gs.kron_reduce(lap, [0, 2])
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
         assert np.abs(gs.laplacian(red.graph).matrix - expected).max() < 1e-12
-        assert red.keep.tolist() == [0, 2]
         assert red.correspondence.targets.tolist() == [0, 2]
 
     def test_result_is_valid_laplacian(self):

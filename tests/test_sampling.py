@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -624,3 +625,166 @@ def _real_bandlimited(rng, n, half_band):
         spec[k] = c
         spec[n - k] = np.conj(c)
     return np.fft.ifft(spec).real
+
+
+# ---------------------------------------------------------------------------
+# one analysis u0^H f per basis and signal, shared by every operator and gft
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def unmemoized_filter(b, f, spec):
+    """``filter_signal`` without a Laplacian, from a fresh u^T f."""
+    u, lam = b.eigenvectors, b.eigenvalues
+    if spec.mode == "exact":
+        response = spec.response(lam)
+    else:
+        c = gs.pyramid.chebyshev_coefficients(spec.response, b.lambda_max, spec.order)
+        response = np.polynomial.chebyshev.chebval(lam / (b.lambda_max / 2.0) - 1.0, c)
+    return u @ (response * (u.T @ f))
+
+
+def unmemoized_operator(ctx, f, family, folded, up):
+    """A spectral operator from a fresh u0^H f and a freshly built map."""
+    coeffs = ctx.u0.conj().T @ f
+    s = sampling._coefficient_map(ctx, family, folded, up)
+    return ctx.u1 @ (s @ (coeffs.real if family == "spectrum" else coeffs))
+
+
+class TestSharedAnalysis:
+    @staticmethod
+    def operators(b0, b1):
+        """(name, input side, call, unmemoized call) of gft, both filter modes
+        and every spectral operator over b0 (n0 = 2 n1) and b1."""
+        down, up = gs.SamplingContext(b0, b1), gs.SamplingContext(b1, b0)
+        raw = gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, b1.eigenvalues)
+        ops = []
+        for side, b in enumerate((b0, b1)):
+            ops.append(("gft", side, lambda f, b=b: gs.gft(b, f).coefficients,
+                        lambda f, b=b: b.eigenvectors.T @ f))
+            for spec in (gs.FilterSpec(), gs.FilterSpec(mode="chebyshev")):
+                ops.append((f"filter-{spec.mode}", side,
+                            lambda f, b=b, spec=spec: gs.filter_signal(b, f, spec),
+                            lambda f, b=b, spec=spec: unmemoized_filter(b, f, spec)))
+        for family in ("index", "spectrum"):
+            for folded in (False, True):
+                name = f"{family}-folded" if folded else family
+                for ctx, direction in ((down, "down"), (raw, "down"), (up, "up"), (down, "frac")):
+                    ops.append((
+                        f"{direction}-{name}", int(direction == "up"),
+                        lambda f, ctx=ctx, name=name, direction=direction: gs.apply_operator(
+                            name if direction != "frac" else f"frac-{name}", direction, ctx, f, 2),
+                        lambda f, ctx=ctx, key=(family, folded, direction == "up"):
+                            unmemoized_operator(ctx, f, *key),
+                    ))
+        return ops
+
+    @staticmethod
+    def signal_pool(n, seed):
+        """Signals of length n: two random ones, the first with the same values
+        as complex and with the same bytes as int64, and a pair differing only
+        in the sign of a zero entry."""
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        a[0] = 0.0
+        negative_zero = a.copy()
+        negative_zero[0] = -0.0
+        return [a, b, a.astype(complex), a.view(np.int64), negative_zero]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["path", "ring", "complete"]),
+        n1=st.integers(3, 10),
+        seed=st.integers(0, 2**16),
+        steps=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 4), st.booleans(), st.floats(-4, 4)),
+            min_size=1, max_size=40,
+        ),
+    )
+    def test_interleaved_calls_match_unmemoized(self, kind, n1, seed, steps):
+        build = {"path": gs.build_path, "ring": gs.build_ring, "complete": gs.build_complete}[kind]
+        b0, b1 = basis_of(build(2 * n1)), basis_of(build(n1))
+        ops = self.operators(b0, b1)
+        pools = (self.signal_pool(2 * n1, seed), self.signal_pool(n1, seed + 1))
+        for pick, which, edit, value in steps:
+            name, side, call, reference = ops[pick % len(ops)]
+            f = pools[side][which]
+            if edit:
+                # in place, through the float signal: its int64 view changes too
+                pools[side][which if f.dtype == float else 0][pick % f.size] = value
+            assert bits(call(f)) == bits(reference(f)), name
+
+    def test_one_product_per_basis_and_signal(self):
+        # the call sequence of one perfbench ``resample`` job, on small graphs
+        lap0 = gs.laplacian(gs.build_random_sensor(64, seed=11))
+        b0 = gs.eigendecompose(lap0)
+        reduced = gs.kron_reduce(lap0, gs.select_polarity(b0, 32))
+        b1 = basis_of(reduced.graph)
+        b2 = basis_of(gs.build_random_sensor(48, seed=12))
+        products = count_analysis_products(b0, b1, b2)
+        down, up = gs.SamplingContext(b0, b1), gs.SamplingContext(b1, b0)
+        frac = gs.SamplingContext(b0, b2)
+        rng = np.random.default_rng(0)
+        for job in range(1, 3):
+            f = rng.standard_normal(64)
+            gs.igft(b0, gs.gft(b0, f))
+            gs.vertex_downsample(f, reduced.correspondence)
+            for folded in (False, True):
+                gs.spectral_downsample_index(down, f, 2, folded=folded)
+                gs.spectral_downsample_spectrum(down, f, 2, folded=folded)
+            g = gs.spectral_downsample_index(down, f, 2)
+            gs.vertex_upsample(g, reduced.correspondence, 64)
+            for folded in (False, True):
+                gs.spectral_upsample_index(up, g, 2, folded=folded)
+                gs.spectral_upsample_spectrum(up, g, 2, folded=folded)
+                for mode in ("index", "spectrum"):
+                    gs.fractional_downsample(frac, f, mode=mode, folded=folded)
+            gs.filter_signal(b0, f, gs.FilterSpec())
+            gs.filter_signal(b0, f, gs.FilterSpec(mode="chebyshev"), lap0)
+            assert products == {id(b0): job, id(b1): job}
+
+    def test_raw_matrices_are_copied(self):
+        b0, b1 = basis_of(gs.build_path(16)), basis_of(gs.build_path(8))
+        u0, u1 = np.array(b0.eigenvectors), np.array(b1.eigenvectors)
+        ctx = gs.SamplingContext(u0, u1, b0.eigenvalues, b1.eigenvalues)
+        f = np.random.default_rng(0).standard_normal(16)
+        names = ("index", "index-folded", "spectrum", "spectrum-folded")
+        first = [bits(gs.apply_operator(name, "down", ctx, f, 2)) for name in names]
+        u0[:] = np.random.default_rng(1).standard_normal(u0.shape)  # edited in place
+        u1[:] = 0.0
+        assert u0.flags.writeable and u1.flags.writeable
+        assert [bits(gs.apply_operator(name, "down", ctx, f, 2)) for name in names] == first
+        g = f[::-1].copy()  # a new signal is analysed with the original matrix too
+        want = gs.apply_operator("index", "down", gs.SamplingContext(b0, b1), g, 2)
+        assert bits(gs.apply_operator("index", "down", ctx, g, 2)) == bits(want)
+
+
+class _Counted(np.ndarray):
+    """An eigenvector matrix that counts its transposed products u^T x."""
+
+    def __array_finalize__(self, obj):
+        self.products, self.key = getattr(obj, "products", None), getattr(obj, "key", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        first = inputs[0]
+        if ufunc is np.matmul and isinstance(first, _Counted) and not first.flags.c_contiguous:
+            first.products[first.key] += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def count_analysis_products(*bases):
+    """Make each basis's eigenvectors count their analysis products, per basis id.
+
+    Call before building contexts from the bases: a context keeps the
+    eigenvector matrix it was built with.
+    """
+    products = collections.Counter()  # missing keys compare as 0
+    for b in bases:
+        u = b.eigenvectors.view(_Counted)
+        u.products, u.key = products, id(b)
+        object.__setattr__(b, "eigenvectors", u)
+        b._analysis.u = u
+    return products

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -141,6 +143,34 @@ class TestGft:
         f = np.random.default_rng(seed).standard_normal(n)
         back = gs.igft(b, gs.gft(b, f))
         assert np.abs(back - f).max() < 1e-10
+
+
+class TestKeptAnalysis:
+    def test_coefficients_read_only_and_shared(self):
+        b = basis_of(gs.build_path(8))
+        f = np.random.default_rng(0).standard_normal(8)
+        gs.filter_signal(b, f, gs.pyramid.FilterSpec())  # the filter analyses f first
+        c = b._analysis(f)
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 1.0
+        assert gs.gft(b, f.copy()).coefficients is c  # same dtype, shape and bytes
+
+    def test_edited_or_reinterpreted_signal_is_analysed_again(self):
+        b = basis_of(gs.build_path(8))
+        f = np.random.default_rng(0).standard_normal(8)
+        gs.gft(b, f)
+        f[3] += 1.0  # in place
+        for g in (f, f.view(np.int64)):  # then the same bytes as another dtype
+            got = gs.gft(b, g).coefficients
+            assert got.tobytes() == (b.eigenvectors.T @ g).tobytes()
+
+    def test_kept_analysis_is_not_a_field(self):
+        b = basis_of(gs.build_path(6))
+        gs.gft(b, np.ones(6))
+        assert [f.name for f in dataclasses.fields(b)] == ["eigenvalues", "eigenvectors"]
+        assert "_analysis" not in repr(b)
+        copy = dataclasses.replace(b)
+        assert copy._analysis is not b._analysis and copy._analysis._memo is None
 
 
 class TestInterpolation:
