@@ -13,15 +13,15 @@ counts of graph and graph1 and an int is never a bool:
 
     name      str, experiment label
     kind      "downsample" | "upsample" | "fractional" |
-              "repeated-eigenvalues" | "cluster-energy" | "pyramid-nla"
+              "repeated-eigenvalues" | "cluster-energy" (odd n too) | "pyramid-nla"
     graph     {"generator": name, "params": {...}} or {"edge_list": path,
               "coordinates": path?}; params bind to the generator's
               arguments: finite numbers, ints >= 0 where it takes an int
     graph1    the target graph of "upsample" (n1 = rate * n) and
               "fractional" (n1 <= n), same form
-    reduction "generator" | "every_other" | "polarity" (the default) |
-              {"keep_first": k}, 1 <= k < n, which "repeated-eigenvalues" needs;
-              a "downsample" by "generator" or "every_other" needs a path,
+    reduction of "downsample": "generator" | "every_other" | "polarity" (the
+              default) | {"keep_first": k}, 1 <= k < n, the one form of
+              "repeated-eigenvalues"; by "generator" or "every_other" a path,
               ring or grid generator, and on a grid a square rate whose root
               divides rows and cols; by "generator", n / rate >= 2 on a path,
               >= 3 on a ring and >= 2 on a grid
@@ -37,11 +37,12 @@ counts of graph and graph1 and an int is never a bool:
               at least one for the three resampling kinds, none otherwise
     seed      int >= 0, required; ``run --seed`` replaces it
     extras    "pyramid-nla" takes {"levels": int >= 1 (default 3),
-              "fractions": non-empty list of numbers in [0, 1]}
+              "fractions": non-empty list of numbers in [0, 1]}; n = m * 2**levels, m >= 2
 
-``validate_config`` holds every rule. Outputs are CSV series plus
-manifest.json listing every file with its sha256 checksum and the
-experiment's key scalars.
+``validate_config`` holds every rule; a key the kind does not read
+(``_KINDS``), or an extras key other than levels and fractions, is an error.
+Outputs are CSV series plus manifest.json listing every file with its sha256
+checksum and the experiment's key scalars.
 """
 from __future__ import annotations
 
@@ -87,17 +88,18 @@ _GENERATORS = {
     "random_sensor": G.build_random_sensor,
 }
 
-_DIRECTIONS = {"downsample": "down", "upsample": "up", "fractional": "frac"}
 _BASIS_SIGNALS = ("bandlimited-random", "delta-spectrum", "constant", "spectral-decay")
-_SIGNAL_KINDS = (*_BASIS_SIGNALS, "cluster-band")
-# Signal kinds per experiment kind, which also names every experiment kind.
+# Per experiment kind: the signal kinds it takes, the keys it reads beyond
+# name, kind, graph, signal and seed, and its ``sampling.OPERATORS`` direction.
 # "repeated-eigenvalues" reads only a cutoff from its signal, and only
 # "cluster-energy" finds the clusters that "cluster-band" needs.
-_SIGNALS = {
-    **dict.fromkeys(_DIRECTIONS, _BASIS_SIGNALS),
-    "repeated-eigenvalues": ("bandlimited-random",),
-    "cluster-energy": _SIGNAL_KINDS,
-    "pyramid-nla": _BASIS_SIGNALS,
+_KINDS = {
+    "downsample": (_BASIS_SIGNALS, ("rate", "reduction", "operators"), "down"),
+    "upsample": (_BASIS_SIGNALS, ("graph1", "rate", "operators"), "up"),
+    "fractional": (_BASIS_SIGNALS, ("graph1", "operators"), "frac"),
+    "repeated-eigenvalues": (("bandlimited-random",), ("reduction",), None),
+    "cluster-energy": ((*_BASIS_SIGNALS, "cluster-band"), (), None),
+    "pyramid-nla": (_BASIS_SIGNALS, ("extras",), None),
 }
 _REDUCTIONS = ("generator", "every_other", "polarity")
 # Values of the optional keys left out of a config.
@@ -286,12 +288,12 @@ def _check_params(gen: str, params: dict, key: str, errors: list) -> int | None:
     return params["rows"] * params["cols"] if gen == "grid" else params["n"]
 
 
-def _check_signal_spec(sig, kind: str | None, n0: int | None, errors: list) -> None:
+def _check_signal_spec(sig, kind: str, n0: int | None, errors: list) -> None:
     """Append the errors of a ``signal`` object for experiment ``kind``."""
     if not isinstance(sig, dict):
         errors.append("signal must be an object")
         return
-    skind, allowed = sig.get("kind"), _SIGNALS.get(kind, _SIGNAL_KINDS)
+    skind, allowed = sig.get("kind"), _KINDS[kind][0]
     if skind not in allowed:
         errors.append(
             f"signal kind {skind!r} does not apply to kind {kind!r}; "
@@ -329,29 +331,30 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         return ["config must be a JSON object"]
     errors = []
     kind = cfg.get("kind")
-    if not (isinstance(kind, str) and kind in _SIGNALS):
-        errors.append(f"kind must be one of {tuple(_SIGNALS)}, got {kind!r}")
-        kind = None
+    if not (isinstance(kind, str) and kind in _KINDS):
+        return [f"kind must be one of {tuple(_KINDS)}, got {kind!r}"]  # it decides every rule
+    _, keys, direction = _KINDS[kind]
+    for key in cfg:
+        if key not in ("name", "kind", "graph", "signal", "seed", *keys):
+            errors.append(f"key {key!r} does not apply to kind {kind!r}")
     size0 = _check_graph_spec(cfg.get("graph"), "graph", errors)
     n0 = size0 if n0 is None else n0
-    if kind in ("upsample", "fractional"):
+    if "graph1" in keys:
         if "graph1" in cfg:
             size1 = _check_graph_spec(cfg["graph1"], "graph1", errors)
             n1 = size1 if n1 is None else n1
         else:
             errors.append(f"kind {kind!r} needs a target graph in graph1")
     _int(errors, "seed", cfg.get("seed"), 0)
-    rate = None
-    if kind in ("downsample", "upsample"):
-        rate = _int(errors, "rate", cfg.get("rate"), 2)
-        if kind == "downsample" and None not in (rate, n0) and n0 % rate != 0:
-            errors.append(f"rate {rate} does not divide graph size {n0}")
-        if kind == "upsample" and None not in (rate, n0, n1) and n1 != rate * n0:
-            errors.append(f"graph1 size {n1} is not rate {rate} times graph size {n0}")
+    rate = _int(errors, "rate", cfg.get("rate"), 2) if "rate" in keys else None
+    if kind == "downsample" and None not in (rate, n0) and n0 % rate != 0:
+        errors.append(f"rate {rate} does not divide graph size {n0}")
+    if kind == "upsample" and None not in (rate, n0, n1) and n1 != rate * n0:
+        errors.append(f"graph1 size {n1} is not rate {rate} times graph size {n0}")
     if kind == "fractional" and None not in (n0, n1) and n1 > n0:
         errors.append(f"graph1 size {n1} exceeds graph size {n0}")
     _check_signal_spec(cfg.get("signal"), kind, n0, errors)
-    red = cfg.get("reduction", _DEFAULT_REDUCTION)
+    red = cfg.get("reduction", _DEFAULT_REDUCTION) if "reduction" in keys else _DEFAULT_REDUCTION
     if kind == "repeated-eigenvalues" and not isinstance(red, dict):
         errors.append("kind 'repeated-eigenvalues' needs reduction {\"keep_first\": k}")
     elif isinstance(red, dict):
@@ -362,7 +365,7 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         errors.append(
             f"reduction must be one of {_REDUCTIONS} or {{\"keep_first\": k}}, got {red!r}"
         )
-    elif red in ("generator", "every_other") and kind == "downsample":
+    elif red in ("generator", "every_other"):  # only "downsample" takes these
         # reduction.select_every_other strides only these index structures
         gspec = cfg.get("graph")
         gen = gspec.get("generator") if isinstance(gspec, dict) else None
@@ -383,11 +386,17 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
                     f"a {gen} graph needs n >= {_MIN_SIZE[gen]}"
                 )
     extras = cfg.get("extras", {})
-    if kind == "pyramid-nla" and not isinstance(extras, dict):
+    if "extras" in keys and not isinstance(extras, dict):
         errors.append("extras must be an object")
-    elif kind == "pyramid-nla":
+    elif "extras" in keys:
+        for key in extras:
+            if key not in _PYRAMID_EXTRAS:
+                errors.append(f"key 'extras.{key}' does not apply to kind {kind!r}")
         extras = {**_PYRAMID_EXTRAS, **extras}
-        _int(errors, "extras.levels", extras["levels"], 1)
+        levels = _int(errors, "extras.levels", extras["levels"], 1)
+        # each level halves an even size and leaves >= 2; shifts, as levels may be huge
+        if None not in (levels, n0) and not (n0 >> levels >= 2 and (n0 >> levels) << levels == n0):
+            errors.append(f"extras.levels {levels} halves graph size {n0} unevenly or below 2")
         fractions = extras["fractions"]
         if not (
             isinstance(fractions, list)
@@ -395,18 +404,18 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
             and all(_is_number(fr) and 0 <= fr <= 1 for fr in fractions)
         ):
             errors.append("extras.fractions must be a non-empty list of numbers in [0, 1]")
-    operators = cfg.get("operators", [])
+    operators = cfg.get("operators", []) if "operators" in keys else []
     if not isinstance(operators, list):
         errors.append("operators must be a list")
         operators = []
-    elif kind in _DIRECTIONS and not operators:
+    elif direction is not None and not operators:
         errors.append(f"kind {kind!r} needs a non-empty operators list")
-    allowed = OPERATORS.get(_DIRECTIONS.get(kind), ())
+    allowed = OPERATORS.get(direction, ())
     for op in operators:
         if op not in allowed:
             errors.append(
                 f"operator {op!r} does not apply to kind {kind!r}; "
-                f"allowed: {', '.join(allowed) or 'none'}"
+                f"allowed: {', '.join(allowed)}"
             )
     return errors
 
@@ -451,25 +460,23 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
 def _reduce(cfg, graph, lap, basis, rate):
     """Produce (reduced graph, correspondence or None) per the reduction spec."""
     red = cfg.get("reduction", _DEFAULT_REDUCTION)
-    if red == "generator":
-        gspec = copy.deepcopy(cfg["graph"])
-        params = gspec.get("params", {})
-        if "n" in params:
-            params["n"] = params["n"] // rate
-        elif "rows" in params:
-            s = round(rate**0.5)
-            params["rows"], params["cols"] = params["rows"] // s, params["cols"] // s
-        reduced = _build_graph(gspec, "graph")
-        keep = select_every_other(graph, rate)
-        return reduced, VertexCorrespondence(keep)
-    if red == "every_other":
+    if red in ("generator", "every_other"):
         keep = select_every_other(graph, rate)
     elif red == "polarity":
         keep = select_polarity(basis, graph.n // rate)
     else:
         keep = np.arange(red["keep_first"])
-    result = kron_reduce(lap, keep)
-    return result.graph, result.correspondence
+    if red != "generator":
+        result = kron_reduce(lap, keep)
+        return result.graph, result.correspondence
+    gspec = copy.deepcopy(cfg["graph"])
+    params = gspec.get("params", {})
+    if "n" in params:
+        params["n"] = params["n"] // rate
+    elif "rows" in params:
+        s = round(rate**0.5)
+        params["rows"], params["cols"] = params["rows"] // s, params["cols"] // s
+    return _build_graph(gspec, "graph"), VertexCorrespondence(keep)
 
 
 class _Artifacts:
@@ -530,15 +537,16 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     _require_valid(cfg)
     cfg = copy.deepcopy(cfg)
     kind = cfg["kind"]
+    _, keys, direction = _KINDS[kind]
     graph = _build_graph(cfg["graph"], "graph")
-    target = _build_graph(cfg["graph1"], "graph1") if kind in ("upsample", "fractional") else None
+    target = _build_graph(cfg["graph1"], "graph1") if "graph1" in keys else None
     _require_valid(cfg, graph.n, None if target is None else target.n)
     art = _Artifacts(Path(out_dir))
     lap = G.laplacian(graph)
     basis = eigendecompose(lap)
 
-    if kind in _DIRECTIONS:
-        direction, rate, corr = _DIRECTIONS[kind], cfg.get("rate"), None
+    if direction is not None:
+        rate, corr = cfg.get("rate"), None
         if kind == "downsample":
             target, corr = _reduce(cfg, graph, lap, basis, rate)
         elif kind == "upsample":
@@ -584,24 +592,24 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         labels = np.zeros(graph.n, dtype=int)
         labels[clusters[1]] = 1
         art.write_csv("clusters.csv", "vertex,cluster", enumerate(labels))
-        keep = select_polarity(basis, graph.n // 2)
-        result = kron_reduce(lap, keep)
-        basis1 = eigendecompose(G.laplacian(result.graph))
-        n1 = keep.size
+        reduced, corr = _reduce(cfg, graph, lap, basis, 2)
+        basis1 = eigendecompose(G.laplacian(reduced))
+        n1 = reduced.n
         ctx = SamplingContext(basis, basis1)
         out = fractional_downsample(ctx, f, mode="index", folded=False)
         art.signal_csv("downsampled_signal.csv", out)
         art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
         # split the downsampled signal into the main band (original spectrum
-        # below the fold index) and the folded aliasing band, then measure
-        # per-cluster energies; cluster labels follow the kept vertices
+        # below the fold index) and the aliasing band (orig[n1:] folded onto n1
+        # slots, unfolded; an odd n wraps one), then measure per-cluster
+        # energies; cluster labels follow the kept vertices
         orig = gft(basis, f).coefficients
         alias_coeffs = np.zeros(n1)
-        alias_coeffs[: graph.n - n1] = orig[n1:]
+        np.add.at(alias_coeffs, np.arange(graph.n - n1) % n1, orig[n1:])
         f_main = igft(basis1, orig[:n1])
         f_alias = igft(basis1, alias_coeffs)
         for ci in (0, 1):
-            idx = np.nonzero(labels[keep] == ci)[0]
+            idx = np.nonzero(labels[corr.targets] == ci)[0]
             for band, part in (("main", f_main), ("alias", f_alias)):
                 energy = float(np.linalg.norm(part[idx]) ** 2)
                 art.scalars[f"{band}_cluster{ci + 1}_energy"] = energy

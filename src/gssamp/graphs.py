@@ -70,15 +70,8 @@ class Graph:
     def n(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def num_edges(self) -> int:
-        return int(np.count_nonzero(np.triu(self.adjacency)))
-
     def is_connected(self) -> bool:
         return components(self.adjacency) == 1
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -93,11 +86,8 @@ class Laplacian:
     graph: Graph = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix)
-        if m.flags.writeable:
-            m = m.copy()  # frozen below, so ``sparse`` cannot go stale
-            m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        # frozen, so ``sparse`` cannot go stale
+        object.__setattr__(self, "matrix", read_only(self.matrix))
 
     @property
     def n(self) -> int:
@@ -107,6 +97,15 @@ class Laplacian:
     def sparse(self) -> csr_array:
         """CSR form of ``matrix``, built on first use and kept."""
         return _csr(self.matrix)
+
+
+def read_only(a) -> np.ndarray:
+    """``a`` read-only; a writable array is copied first (C-ordered), so no view edits it."""
+    a = np.asarray(a)
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def _csr(m: np.ndarray) -> csr_array:

@@ -13,7 +13,7 @@ import scipy.linalg
 from scipy.sparse import csr_array
 
 from .errors import DataError, InvalidParameterError, NumericError, RangeError
-from .graphs import Laplacian
+from .graphs import Laplacian, read_only
 
 _GROUP_TOL_SCALE = 1e-8
 
@@ -41,7 +41,9 @@ class SpectralBasis:
 
     eigenvalues : (n,) ascending, first value 0 for connected graphs
     eigenvectors : (n, n) orthonormal, column i pairs with eigenvalues[i]
-    Both are made read-only. The basis keeps the last signal's U^H f for
+    Both are read-only; a writable array is copied first, C-ordered, because
+    the layout decides which BLAS kernel, and so which rounding, later
+    products with the basis get. The basis keeps the last signal's U^H f for
     ``gft``, ``filter_signal`` and every ``SamplingContext`` built from it.
     """
 
@@ -49,10 +51,8 @@ class SpectralBasis:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.eigenvectors)
-        lam.flags.writeable = False
-        u.flags.writeable = False
+        lam = read_only(np.asarray(self.eigenvalues, dtype=float))
+        u = read_only(self.eigenvectors)
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
         object.__setattr__(self, "_analysis", _Analysis(u))  # not a field: eq and repr ignore it
@@ -68,18 +68,16 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """GFT coefficients together with the eigenvalue grid indexing them."""
+    """GFT coefficients and the eigenvalue grid indexing them, read-only; copied if writable."""
 
     coefficients: np.ndarray
     grid: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients)
-        g = np.asarray(self.grid, dtype=float)
+        c = read_only(self.coefficients)
+        g = read_only(np.asarray(self.grid, dtype=float))
         if c.shape != g.shape:
             raise InvalidParameterError("coefficients and grid sizes differ")
-        c.flags.writeable = False
-        g.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "grid", g)
 
@@ -89,15 +87,10 @@ class Spectrum:
 
 
 def _canonicalize_signs(u: np.ndarray) -> np.ndarray:
-    """Flip columns so the first entry with magnitude > 1e-10 is positive.
-
-    Returns a C-ordered copy: the layout decides which BLAS kernel, and so
-    which rounding, later products with the basis get.
-    """
+    """Flip columns in place so the first entry with magnitude > 1e-10 is positive."""
     lead = u[np.argmax(np.abs(u) > 1e-10, axis=0), np.arange(u.shape[1])]
     # an all-tiny column has argmax 0 and a lead below 1e-10: never flipped
     flip = (lead < 0) & (np.abs(lead) > 1e-10)
-    u = u.copy()
     u[:, flip] = -u[:, flip]
     return u
 

@@ -3,7 +3,10 @@ import copy
 import hashlib
 import io
 import json
+import math
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +15,9 @@ from hypothesis import strategies as st
 from gssamp import build_complete, build_path, cli, save_edge_list
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
 from gssamp.errors import InvalidParameterError
+from gssamp.sampling import OPERATORS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -88,6 +94,19 @@ class TestListAndValidate:
         assert "config error" in err
         with pytest.raises(InvalidParameterError, match="does not apply to kind"):
             run_experiment(cfg, tmp_path / "out")
+
+
+def test_readme_kind_table_matches_kinds():
+    # one row per kind: its keys, signal kinds and operators, each name in backticks
+    text = README.read_text()
+    table = text[text.index("| kind | keys"):].split("\n\n")[0].splitlines()[2:]
+    rows = {}
+    for row in table:
+        kind, *cells = [re.findall(r"`([^`]+)`", cell) for cell in row.split("|")[1:-1]]
+        rows[kind[0]] = tuple(map(tuple, cells))
+    assert list(rows) == list(cli._KINDS)
+    for kind, (signals, keys, direction) in cli._KINDS.items():
+        assert rows[kind] == (keys, signals, OPERATORS.get(direction, ())), kind
 
 
 def _drop(key):
@@ -216,6 +235,24 @@ class TestIncompleteConfig:
              "at rate 2 leaves n = 1; a path graph needs n >= 2"),
             ("path-downsample", _reduced("grid", 4, rows=2, cols=2),
              "at rate 4 leaves n = 1; a grid graph needs n >= 2"),
+            # a key the kind does not read was once silently ignored
+            ("pyramid-nla", _set("reduction", "every_other"),
+             "key 'reduction' does not apply to kind 'pyramid-nla'"),
+            ("community-fractional", _set("rate", 3),
+             "key 'rate' does not apply to kind 'fractional'"),
+            ("path-upsample", _set("reduction", "polarity"),
+             "key 'reduction' does not apply to kind 'upsample'"),
+            ("path-downsample", _set("extras", {"levels": 2}),
+             "key 'extras' does not apply to kind 'downsample'"),
+            ("repeated-eigenvalues", _set("operators", []),
+             "key 'operators' does not apply to kind 'repeated-eigenvalues'"),
+            ("pyramid-nla", _extras(fraction=[0.2]),
+             "key 'extras.fraction' does not apply to kind 'pyramid-nla'"),
+            # every pyramid level halves an even vertex count and leaves >= 2
+            ("pyramid-nla", _params(n=100),
+             "extras.levels 3 halves graph size 100 unevenly or below 2"),
+            ("pyramid-nla", _extras(levels=9),
+             "extras.levels 9 halves graph size 128 unevenly or below 2"),
         ],
     )
     def test_validate_and_run_report_config_error(
@@ -291,8 +328,11 @@ class TestIncompleteConfig:
          {"graph1": {"generator": "path", "params": {"n": 12}}},
          {"graph1": {"generator": "path", "params": {"n": 8}}},
          "graph1 size 12 exceeds graph size 10"),
+        ("pyramid-nla", 20, {"signal": {"kind": "constant"}},
+         {"extras": {"levels": 3}}, {"extras": {"levels": 2}},
+         "extras.levels 3 halves graph size 20 unevenly or below 2"),
     ],
-    ids=["cutoff", "keep-first", "upsample", "fractional"],
+    ids=["cutoff", "keep-first", "upsample", "fractional", "pyramid-levels"],
 )
 def test_size_rules_checked_on_built_graphs(
     kind, edges, extra, bad, fitting, match, tmp_path, capsys
@@ -451,6 +491,23 @@ class TestRun:
     def test_other_presets_run(self, preset, tmp_path, capsys):
         code, _, _ = run_cli(["run", preset, "--out", str(tmp_path / preset)], capsys)
         assert code == 0
+
+    def test_cluster_energy_on_odd_size_graph(self, tmp_path, capsys):
+        # the alias band of an odd n once overran its n1 slots with a traceback
+        cfg = {
+            "name": "odd-cluster-energy",
+            "kind": "cluster-energy",
+            "graph": {"generator": "path", "params": {"n": 41}},
+            "signal": {"kind": "constant"},
+            "seed": 0,
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["run", str(p), "--out", str(out_dir)], capsys)
+        assert code == 0, err
+        scalars = json.loads((out_dir / "manifest.json").read_text())["scalars"]
+        assert len(scalars) == 5 and all(math.isfinite(v) for v in scalars.values())
 
     def test_repeated_eigenvalue_scalars(self, tmp_path):
         m = run_experiment(PRESETS["repeated-eigenvalues"](), tmp_path)

@@ -172,6 +172,31 @@ class TestKeptAnalysis:
         copy = dataclasses.replace(b)
         assert copy._analysis is not b._analysis and copy._analysis._memo is None
 
+    def test_basis_copies_writable_arrays(self):
+        # another writable view of the caller's memory once edited the
+        # eigenvectors under the kept analysis, so gft returned stale values
+        b = basis_of(gs.build_path(6))
+        f = np.random.default_rng(0).standard_normal(6)
+        a, lam = np.array(b.eigenvectors, order="F"), np.array(b.eigenvalues)
+        bb = gs.SpectralBasis(lam, a[:])
+        first = gs.gft(bb, f).coefficients.copy()
+        a[:], lam[:] = np.eye(6), 0.0
+        assert a.flags.writeable and lam.flags.writeable
+        assert np.array_equal(gs.gft(bb, f).coefficients, first)
+        assert np.array_equal(bb.eigenvectors, b.eigenvectors)
+        assert np.array_equal(bb.eigenvalues, b.eigenvalues)
+        assert bb.eigenvectors.flags.c_contiguous  # the layout picks later BLAS kernels
+
+    def test_spectrum_copies_writable_arrays(self):
+        c, g = np.ones(4), np.arange(4.0)
+        s = Spectrum(c, g)
+        c[0] = g[0] = 9.0
+        assert c.flags.writeable and g.flags.writeable
+        assert s.coefficients[0] == 1.0 and s.grid[0] == 0.0
+        for a in (s.coefficients, s.grid):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
 
 class TestInterpolation:
     def test_exact_at_distinct_node(self):
@@ -314,7 +339,8 @@ class TestVectorizedMatchesReference:
         # tiny entries of both signs lead most columns, and some are all tiny
         entries = np.array([0.0, -0.0, 5e-11, -5e-11, 1e-10, -1e-10, 2e-10, -2e-10, 0.3, -0.7])
         u = np.random.default_rng(seed).choice(entries, size=shape)
-        assert bitwise_equal(spectral._canonicalize_signs(u), reference_signs(u))
+        want = reference_signs(u)  # before the call: it flips u in place
+        assert bitwise_equal(spectral._canonicalize_signs(u), want)
 
     @pytest.mark.parametrize(
         "graph",
