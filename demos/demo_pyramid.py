@@ -21,7 +21,7 @@ def main():
 
     fractions = [0.05, 0.1, 0.2, 0.4, 1.0]
     print("sensor(128), smooth input, 3-level pyramid")
-    print("exact reconstruction check and NLA error vs fraction of details kept:")
+    print("exact reconstruction check and NLA error vs detail budget over N = 128:")
     header = "  {:<9}{:>10}".format("sampling", "roundtrip")
     header += "".join(f"{frac:>9.2f}" for frac in fractions)
     print(header)

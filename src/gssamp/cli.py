@@ -8,41 +8,12 @@ Commands::
 
 Exit codes: 0 ok, 1 config error, 2 numeric error, 3 I/O error.
 
-A config is a JSON object with the keys below, where n and n1 are the vertex
-counts of graph and graph1 and an int is never a bool:
-
-    name      str, experiment label
-    kind      "downsample" | "upsample" | "fractional" |
-              "repeated-eigenvalues" | "cluster-energy" (odd n too) | "pyramid-nla"
-    graph     {"generator": name, "params": {...}} or {"edge_list": path,
-              "coordinates": path?}; params bind to the generator's
-              arguments: finite numbers, ints >= 0 where it takes an int
-    graph1    the target graph of "upsample" (n1 = rate * n) and
-              "fractional" (n1 <= n), same form
-    reduction of "downsample": "generator" | "every_other" | "polarity" (the
-              default) | {"keep_first": k}, 1 <= k < n, the one form of
-              "repeated-eigenvalues"; by "generator" or "every_other" a path,
-              ring or grid generator, and on a grid a square rate whose root
-              divides rows and cols; by "generator", n / rate >= 2 on a path,
-              >= 3 on a ring and >= 2 on a grid
-    rate      int >= 2 for "downsample" (dividing n) and "upsample"
-    signal    {"kind": "bandlimited-random", "cutoff": int in [1, n]} |
-              {"kind": "delta-spectrum", "index": int in [0, n)} |
-              {"kind": "constant"} |
-              {"kind": "spectral-decay", "alpha": finite number} |
-              {"kind": "cluster-band", "bands": [[lo,hi],[lo,hi]]};
-              "repeated-eigenvalues" takes only "bandlimited-random", and
-              only "cluster-energy" takes "cluster-band"
-    operators names from ``sampling.OPERATORS`` for the kind's direction,
-              at least one for the three resampling kinds, none otherwise
-    seed      int >= 0, required; ``run --seed`` replaces it
-    extras    "pyramid-nla" takes {"levels": int >= 1 (default 3),
-              "fractions": non-empty list of numbers in [0, 1]}; n = m * 2**levels, m >= 2
-
-``validate_config`` holds every rule; a key the kind does not read
-(``_KINDS``), or an extras key other than levels and fractions, is an error.
-Outputs are CSV series plus manifest.json listing every file with its sha256
-checksum and the experiment's key scalars.
+A config is a JSON object; README.md ("Command-line interface") lists its
+keys and rules, and ``_KINDS`` the keys and signals of each experiment kind.
+``validate`` and ``run`` share one config pass, ``_prepare``, which builds
+both graphs; ``run`` goes on from the first eigendecomposition. Outputs are
+CSV series plus manifest.json listing every file with its sha256 checksum and
+the experiment's key scalars.
 """
 from __future__ import annotations
 
@@ -104,8 +75,6 @@ _KINDS = {
 _REDUCTIONS = ("generator", "every_other", "polarity")
 # Values of the optional keys left out of a config.
 _DEFAULT_REDUCTION = "polarity"
-# the fewest vertices each index-structured generator builds
-_MIN_SIZE = {"path": 2, "ring": 3, "grid": 2}
 _PYRAMID_EXTRAS = {"levels": 3, "fractions": [0.0, 0.1, 0.2, 0.4, 0.8, 1.0]}
 
 
@@ -249,8 +218,8 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _check_graph_spec(gspec, key: str, errors: list) -> int | None:
-    """Append the errors of one graph spec; return the vertex count its params give."""
+def _check_graph_spec(gspec, key: str, errors: list) -> None:
+    """Append the errors of one graph spec."""
     if not isinstance(gspec, dict):
         errors.append(f"{key} must be an object")
     elif ("generator" in gspec) == ("edge_list" in gspec):
@@ -265,31 +234,26 @@ def _check_graph_spec(gspec, key: str, errors: list) -> int | None:
     elif not isinstance(gspec.get("params", {}), dict):
         errors.append(f"{key}.params must be an object")
     else:
-        return _check_params(gspec["generator"], gspec.get("params", {}), f"{key}.params", errors)
-    return None
+        _check_params(gspec["generator"], gspec.get("params", {}), f"{key}.params", errors)
 
 
-def _check_params(gen: str, params: dict, key: str, errors: list) -> int | None:
-    """Append the errors of a generator's params; return the vertex count they give."""
+def _check_params(gen: str, params: dict, key: str, errors: list) -> None:
+    """Append the errors of a generator's params."""
     signature = inspect.signature(_GENERATORS[gen], eval_str=True)
     try:
         signature.bind(**params)
     except TypeError as exc:
         errors.append(f"{key} do not fit generator {gen!r}: {exc}")
-        return None
-    before = len(errors)
+        return
     for name, value in params.items():
         if signature.parameters[name].annotation is int:
             _int(errors, f"{key}.{name}", value, 0)
         elif not _is_number(value):
             errors.append(f"{key}.{name} must be a finite number")
-    if len(errors) > before:
-        return None
-    return params["rows"] * params["cols"] if gen == "grid" else params["n"]
 
 
-def _check_signal_spec(sig, kind: str, n0: int | None, errors: list) -> None:
-    """Append the errors of a ``signal`` object for experiment ``kind``."""
+def _check_signal_spec(sig, kind: str, n0: int, errors: list) -> None:
+    """Append the errors of a ``signal`` object for experiment ``kind`` on n0 vertices."""
     if not isinstance(sig, dict):
         errors.append("signal must be an object")
         return
@@ -301,11 +265,11 @@ def _check_signal_spec(sig, kind: str, n0: int | None, errors: list) -> None:
         )
     if skind == "bandlimited-random":
         cutoff = _int(errors, "signal.cutoff", sig.get("cutoff"), 1)
-        if None not in (cutoff, n0) and cutoff > n0:
+        if cutoff is not None and cutoff > n0:
             errors.append(f"signal.cutoff {cutoff} exceeds graph size {n0}")
     elif skind == "delta-spectrum":
         index = _int(errors, "signal.index", sig.get("index"), 0)
-        if None not in (index, n0) and index >= n0:
+        if index is not None and index >= n0:
             errors.append(f"signal.index {index} out of range for graph size {n0}")
     elif skind == "spectral-decay" and not _is_number(sig.get("alpha")):
         errors.append("signal.alpha must be a finite number")
@@ -319,72 +283,62 @@ def _check_signal_spec(sig, kind: str, n0: int | None, errors: list) -> None:
             errors.append("signal.bands must be two [lo, hi] pairs of finite numbers")
 
 
-def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> list[str]:
-    """Check a config against every rule; return the errors, empty if it can run.
+def _prepare(cfg, errors: list):
+    """The one config pass of ``validate`` and ``run``; every broken rule goes to ``errors``.
 
-    ``n0`` and ``n1`` are the vertex counts of ``graph`` and ``graph1``. Left
-    None, each is read from its generator params where they give it; a rule
-    on a size still unknown is skipped. ``run_experiment`` checks again with
-    the sizes of the graphs it built.
+    In order: the kind, the top-level keys and the graph specs; the build of
+    ``graph`` and ``graph1``; every other rule on their vertex counts; the
+    keep set of a reduction that needs no basis. Returns (graph, target,
+    keep), or None once a step breaks a rule. ``target`` is graph1 or the
+    graph a "generator" reduction builds; ``keep`` is None where the basis
+    picks it. A graph that cannot be read or built raises its own error.
     """
     if not isinstance(cfg, dict):
-        return ["config must be a JSON object"]
-    errors = []
+        errors.append("config must be a JSON object")
+        return None
     kind = cfg.get("kind")
     if not (isinstance(kind, str) and kind in _KINDS):
-        return [f"kind must be one of {tuple(_KINDS)}, got {kind!r}"]  # it decides every rule
+        errors.append(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")  # it decides every rule
+        return None
     _, keys, direction = _KINDS[kind]
+    try:  # manifest.json records the config as strict JSON
+        json.dumps(cfg, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"config must be strict JSON: {exc}")
     for key in cfg:
         if key not in ("name", "kind", "graph", "signal", "seed", *keys):
             errors.append(f"key {key!r} does not apply to kind {kind!r}")
-    size0 = _check_graph_spec(cfg.get("graph"), "graph", errors)
-    n0 = size0 if n0 is None else n0
-    if "graph1" in keys:
-        if "graph1" in cfg:
-            size1 = _check_graph_spec(cfg["graph1"], "graph1", errors)
-            n1 = size1 if n1 is None else n1
-        else:
-            errors.append(f"kind {kind!r} needs a target graph in graph1")
+    _check_graph_spec(cfg.get("graph"), "graph", errors)
+    if "graph1" in keys and "graph1" not in cfg:
+        errors.append(f"kind {kind!r} needs a target graph in graph1")
+    elif "graph1" in keys:
+        _check_graph_spec(cfg["graph1"], "graph1", errors)
+    if errors:
+        return None
+
+    graph = _build_graph(cfg["graph"], "graph")
+    target = _build_graph(cfg["graph1"], "graph1") if "graph1" in keys else None
+    n0 = graph.n
     _int(errors, "seed", cfg.get("seed"), 0)
     rate = _int(errors, "rate", cfg.get("rate"), 2) if "rate" in keys else None
-    if kind == "downsample" and None not in (rate, n0) and n0 % rate != 0:
+    if kind == "downsample" and rate is not None and n0 % rate != 0:
         errors.append(f"rate {rate} does not divide graph size {n0}")
-    if kind == "upsample" and None not in (rate, n0, n1) and n1 != rate * n0:
-        errors.append(f"graph1 size {n1} is not rate {rate} times graph size {n0}")
-    if kind == "fractional" and None not in (n0, n1) and n1 > n0:
-        errors.append(f"graph1 size {n1} exceeds graph size {n0}")
+    if kind == "upsample" and rate is not None and target.n != rate * n0:
+        errors.append(f"graph1 size {target.n} is not rate {rate} times graph size {n0}")
+    if kind == "fractional" and target.n > n0:
+        errors.append(f"graph1 size {target.n} exceeds graph size {n0}")
     _check_signal_spec(cfg.get("signal"), kind, n0, errors)
     red = cfg.get("reduction", _DEFAULT_REDUCTION) if "reduction" in keys else _DEFAULT_REDUCTION
     if kind == "repeated-eigenvalues" and not isinstance(red, dict):
         errors.append("kind 'repeated-eigenvalues' needs reduction {\"keep_first\": k}")
     elif isinstance(red, dict):
         keep_first = _int(errors, "reduction.keep_first", red.get("keep_first"), 1)
-        if None not in (keep_first, n0) and keep_first >= n0:
+        if keep_first is not None and keep_first >= n0:
             errors.append(f"reduction.keep_first {keep_first} must be below graph size {n0}")
     elif red not in _REDUCTIONS:
         errors.append(
             f"reduction must be one of {_REDUCTIONS} or {{\"keep_first\": k}}, got {red!r}"
         )
-    elif red in ("generator", "every_other"):  # only "downsample" takes these
-        # reduction.select_every_other strides only these index structures
-        gspec = cfg.get("graph")
-        gen = gspec.get("generator") if isinstance(gspec, dict) else None
-        if gen not in ("path", "ring", "grid"):
-            errors.append(f"reduction {red!r} needs a path, ring or grid generator graph")
-        elif None not in (rate, size0):
-            params, root = gspec["params"], math.isqrt(rate)
-            if gen == "grid" and (root * root != rate or params["rows"] % root
-                                  or params["cols"] % root):
-                errors.append(
-                    f"reduction {red!r} on a {params['rows']} x {params['cols']} grid needs "
-                    f"a square rate whose root divides rows and cols, got {rate}"
-                )
-            elif red == "generator" and size0 // rate < _MIN_SIZE[gen]:
-                # cli._reduce builds the reduced graph with the same generator
-                errors.append(
-                    f"reduction 'generator' at rate {rate} leaves n = {size0 // rate}; "
-                    f"a {gen} graph needs n >= {_MIN_SIZE[gen]}"
-                )
     extras = cfg.get("extras", {})
     if "extras" in keys and not isinstance(extras, dict):
         errors.append("extras must be an object")
@@ -395,7 +349,7 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
         extras = {**_PYRAMID_EXTRAS, **extras}
         levels = _int(errors, "extras.levels", extras["levels"], 1)
         # each level halves an even size and leaves >= 2; shifts, as levels may be huge
-        if None not in (levels, n0) and not (n0 >> levels >= 2 and (n0 >> levels) << levels == n0):
+        if levels is not None and not (n0 >> levels >= 2 and (n0 >> levels) << levels == n0):
             errors.append(f"extras.levels {levels} halves graph size {n0} unevenly or below 2")
         fractions = extras["fractions"]
         if not (
@@ -417,6 +371,37 @@ def validate_config(cfg: dict, n0: int | None = None, n1: int | None = None) -> 
                 f"operator {op!r} does not apply to kind {kind!r}; "
                 f"allowed: {', '.join(allowed)}"
             )
+    if errors:
+        return None
+
+    keep = None
+    try:
+        if isinstance(red, dict):
+            keep = np.arange(red["keep_first"])
+        elif red != _DEFAULT_REDUCTION:
+            keep = select_every_other(graph, rate)
+        if kind == "downsample" and keep is not None and keep.size != n0 // rate:
+            errors.append(
+                f"reduction {red!r} keeps {keep.size} vertices, not n / rate = {n0 // rate}"
+            )
+        elif red == "generator":  # the generator that built graph, at n / rate vertices
+            root = math.isqrt(rate)
+            size = [d // root for d in graph.grid_shape] if graph.grid_shape else [keep.size]
+            target = _GENERATORS[graph.structure](*size)
+    except InvalidParameterError as exc:
+        errors.append(f"reduction {red!r}: {exc}")
+    return None if errors else (graph, target, keep)
+
+
+def validate_config(cfg: dict) -> list[str]:
+    """Check a config against every rule; return the errors, empty if it can run.
+
+    This is ``run``'s config pass up to its first eigendecomposition, so it
+    reads edge lists and builds both graphs; a graph that cannot be read or
+    built raises its own error.
+    """
+    errors = []
+    _prepare(cfg, errors)
     return errors
 
 
@@ -457,26 +442,10 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
     return igft(basis, coeffs)
 
 
-def _reduce(cfg, graph, lap, basis, rate):
-    """Produce (reduced graph, correspondence or None) per the reduction spec."""
-    red = cfg.get("reduction", _DEFAULT_REDUCTION)
-    if red in ("generator", "every_other"):
-        keep = select_every_other(graph, rate)
-    elif red == "polarity":
-        keep = select_polarity(basis, graph.n // rate)
-    else:
-        keep = np.arange(red["keep_first"])
-    if red != "generator":
-        result = kron_reduce(lap, keep)
-        return result.graph, result.correspondence
-    gspec = copy.deepcopy(cfg["graph"])
-    params = gspec.get("params", {})
-    if "n" in params:
-        params["n"] = params["n"] // rate
-    elif "rows" in params:
-        s = round(rate**0.5)
-        params["rows"], params["cols"] = params["rows"] // s, params["cols"] // s
-    return _build_graph(gspec, "graph"), VertexCorrespondence(keep)
+def _reduce(lap, basis, keep, size):
+    """Kron-reduce to ``keep``, or to the ``size`` vertices polarity picks if it is None."""
+    result = kron_reduce(lap, select_polarity(basis, size) if keep is None else keep)
+    return result.graph, result.correspondence
 
 
 class _Artifacts:
@@ -487,6 +456,8 @@ class _Artifacts:
         self.files: dict[str, str] = {}
         self.scalars: dict[str, float] = {}
         out_dir.mkdir(parents=True, exist_ok=True)
+        # an earlier run's manifest would list checksums these files replace
+        (out_dir / "manifest.json").unlink(missing_ok=True)
 
     def write_csv(self, name: str, header: str, rows) -> None:
         path = self.out_dir / name
@@ -519,38 +490,41 @@ def _open_fresh(path: Path):
     return open(path, "w")
 
 
-def _require_valid(cfg, n0: int | None = None, n1: int | None = None) -> None:
-    errors = validate_config(cfg, n0, n1)
+def _setup(cfg):
+    """Run the config pass; raise InvalidParameterError naming every broken rule."""
+    errors = []
+    prepared = _prepare(cfg, errors)
     if errors:
         raise InvalidParameterError("; ".join(errors))
+    return prepared
 
 
 def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     """Run one experiment config; writes artifacts and returns the manifest.
 
-    ``seed`` replaces the config's seed. The config is checked before any
-    graph is built and again with the built graphs' sizes; a broken rule
-    raises InvalidParameterError.
+    ``seed`` replaces the config's seed. The config pass of ``validate_config``
+    runs first, before any eigendecomposition or output; a broken rule raises
+    InvalidParameterError, and a non-finite scalar NumericError before the
+    manifest is written.
     """
     if seed is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": seed}
-    _require_valid(cfg)
+    graph, target, keep = _setup(cfg)
     cfg = copy.deepcopy(cfg)
     kind = cfg["kind"]
-    _, keys, direction = _KINDS[kind]
-    graph = _build_graph(cfg["graph"], "graph")
-    target = _build_graph(cfg["graph1"], "graph1") if "graph1" in keys else None
-    _require_valid(cfg, graph.n, None if target is None else target.n)
+    direction = _KINDS[kind][2]
     art = _Artifacts(Path(out_dir))
     lap = G.laplacian(graph)
     basis = eigendecompose(lap)
 
     if direction is not None:
         rate, corr = cfg.get("rate"), None
-        if kind == "downsample":
-            target, corr = _reduce(cfg, graph, lap, basis, rate)
-        elif kind == "upsample":
+        if kind == "upsample":
             corr = VertexCorrespondence(np.arange(0, target.n, rate))
+        elif kind == "downsample" and target is not None:  # built by "generator"
+            corr = VertexCorrespondence(keep)
+        elif kind == "downsample":
+            target, corr = _reduce(lap, basis, keep, graph.n // rate)
         basis1 = eigendecompose(G.laplacian(target))
         ctx = SamplingContext(basis, basis1)
         f = _build_signal(cfg["signal"], basis, cfg["seed"])
@@ -568,7 +542,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     elif kind == "repeated-eigenvalues":
         # On a graph with a repeated top eigenvalue the eigenvector order is
         # free; an adversarial order scatters the spectrum into the fold band.
-        target, _ = _reduce(cfg, graph, lap, basis, None)
+        target, _ = _reduce(lap, basis, keep, None)
         basis1 = eigendecompose(G.laplacian(target))
         coeffs0 = np.zeros(graph.n)
         coeffs0[: cfg["signal"]["cutoff"]] = 1.0
@@ -592,7 +566,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         labels = np.zeros(graph.n, dtype=int)
         labels[clusters[1]] = 1
         art.write_csv("clusters.csv", "vertex,cluster", enumerate(labels))
-        reduced, corr = _reduce(cfg, graph, lap, basis, 2)
+        reduced, corr = _reduce(lap, basis, None, graph.n // 2)
         basis1 = eigendecompose(G.laplacian(reduced))
         n1 = reduced.n
         ctx = SamplingContext(basis, basis1)
@@ -600,14 +574,12 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         art.signal_csv("downsampled_signal.csv", out)
         art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
         # split the downsampled signal into the main band (original spectrum
-        # below the fold index) and the aliasing band (orig[n1:] folded onto n1
-        # slots, unfolded; an odd n wraps one), then measure per-cluster
-        # energies; cluster labels follow the kept vertices
+        # below the fold index) and the aliasing band (the rest of the output
+        # spectrum: orig[n1:] folded onto n1 slots, unfolded), then measure
+        # per-cluster energies; cluster labels follow the kept vertices
         orig = gft(basis, f).coefficients
-        alias_coeffs = np.zeros(n1)
-        np.add.at(alias_coeffs, np.arange(graph.n - n1) % n1, orig[n1:])
         f_main = igft(basis1, orig[:n1])
-        f_alias = igft(basis1, alias_coeffs)
+        f_alias = igft(basis1, gft(basis1, np.real(out)).coefficients - orig[:n1])
         for ci in (0, 1):
             idx = np.nonzero(labels[corr.targets] == ci)[0]
             for band, part in (("main", f_main), ("alias", f_alias)):
@@ -624,14 +596,17 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         for sampling in ("vertex", "index", "spectrum"):
             pcfg = PyramidConfig(sampling=sampling)
             curve = nla_error_curve(f, chain, pcfg, extras["fractions"])
-            art.write_csv(f"nla_{sampling}.csv", "fraction,error", curve)
-            art.scalars[f"{sampling}_error_at_0.2"] = next(
-                (e for fr, e in curve if abs(fr - 0.2) < 1e-12), float("nan")
-            )
+            art.write_csv(f"nla_{sampling}.csv", "budget_over_n,error", curve)
+            for budget, error in curve:
+                if abs(budget - 0.2) < 1e-12:
+                    art.scalars[f"{sampling}_error_at_0.2"] = error
 
+    broken = sorted(key for key, value in art.scalars.items() if not math.isfinite(value))
+    if broken:
+        raise NumericError(f"non-finite scalars: {', '.join(broken)}")
     manifest = {"config": cfg, "files": art.files, "scalars": art.scalars}
     with _open_fresh(Path(out_dir) / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return manifest
 
 
@@ -659,7 +634,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
-            _require_valid(cfg)
+            _setup(cfg)
             print("ok")
             return 0
         manifest = run_experiment(cfg, args.out, seed=args.seed)

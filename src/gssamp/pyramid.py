@@ -310,11 +310,13 @@ def nla_error_curve(
     config: PyramidConfig,
     fractions: Sequence[float],
 ) -> list[tuple[float, float]]:
-    """Normalized reconstruction error vs fraction of retained detail coefficients.
+    """Normalized reconstruction error vs detail budget over N, the original graph size.
 
     Decomposes ``f`` once over ``chain`` (from ``build_chain``) with the
-    sampling family of ``config``. n_kept = round(fraction * N) with N the
-    original graph size, capped at the total detail count.
+    sampling family of ``config``. Each entry of ``fractions`` is a budget
+    over N: it keeps the round(fraction * N) largest details, capped at the
+    total detail count, so 1.0 keeps N details, not all of a pyramid's
+    (about 1.75 N at three levels). Returns (budget over N, error) pairs.
     """
     f = np.asarray(f, dtype=float)
     dec = decompose(f, chain, config)

@@ -64,11 +64,12 @@ class SamplingContext:
     """Pair of spectral bases (original graph first) shared by spectral operators.
 
     Accepts SpectralBasis objects or raw eigenvector matrices (possibly
-    complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids,
-    one finite value per eigenvector. Each operator's coefficient map S is
-    built on its first call and kept for the context's later calls. u0^H f
-    is the SpectralBasis's kept analysis; a raw matrix is copied once,
-    read-only, so editing the caller's array later changes nothing here.
+    complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids:
+    one finite value per eigenvector, ascending in column order. Each
+    operator's coefficient map S is built on its first call and kept for the
+    context's later calls. u0^H f is the SpectralBasis's kept analysis; a raw
+    matrix is copied once, read-only, so editing the caller's array later
+    changes nothing here.
     """
 
     def __init__(self, basis0, basis1, lambdas0=None, lambdas1=None):
@@ -104,7 +105,9 @@ def _unpack_basis(basis, lambdas):
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise InvalidParameterError("eigenvector matrix must be square")
     if lambdas is not None:
-        lambdas = np.sort(check_signal(np.asarray(lambdas, dtype=float), u.shape[0], "eigenvalue"))
+        lambdas = check_signal(np.array(lambdas, dtype=float), u.shape[0], "eigenvalue")
+        if np.any(np.diff(lambdas) < 0):  # a sort would part each value from its column
+            raise InvalidParameterError("eigenvalue grid must be in ascending order")
     u.flags.writeable = False
     return _Analysis(u), lambdas
 

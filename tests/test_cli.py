@@ -7,6 +7,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,17 @@ class TestListAndValidate:
         p.write_text("{not json")
         code, _, err = run_cli(["validate", str(p)], capsys)
         assert code == 1
+
+    def test_validate_reads_the_edge_list(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        cfg = dict(PRESETS["minnesota-energy"](), graph={"edge_list": missing})
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 3 and out == ""
+            assert err.startswith("I/O error") and "missing.csv" in err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_collects_errors(self):
         errors = validate_config({"kind": "nonsense"})
@@ -216,25 +228,28 @@ class TestIncompleteConfig:
              "signal kind 'cluster-band' does not apply to kind 'downsample'"),
             ("path-downsample", _set("reduction", "foo"), "reduction must be one of"),
             ("path-downsample", _set("reduction", ["generator"]), "reduction must be one of"),
-            # index-structured reductions stride only path, ring and grid generators
+            # index-structured reductions stride only path, ring and grid
+            # graphs, and keep n / rate vertices: the library's own errors
             ("grid-downsample", _set("rate", 2),
-             "reduction 'generator' on a 16 x 16 grid needs a square rate"),
+             "reduction 'generator': grid selection needs a square rate"),
             ("grid-downsample", _params(rows=12, cols=15),
-             "reduction 'generator' on a 12 x 15 grid needs a square rate"),
+             "reduction 'generator' keeps 48 vertices, not n / rate = 45"),
             ("path-downsample",
              _set("graph", {"generator": "random_sensor", "params": {"n": 100, "seed": 1}}),
-             "reduction 'generator' needs a path, ring or grid generator graph"),
+             "reduction 'generator': no index-structured selection for structure 'sensor'"),
             ("random-regular-downsample", _set("reduction", "every_other"),
-             "reduction 'every_other' needs a path, ring or grid generator graph"),
+             "reduction 'every_other': no index-structured selection for structure 'regular'"),
+            ("path-downsample", _set("reduction", {"keep_first": 10}),
+             "reduction {'keep_first': 10} keeps 10 vertices, not n / rate = 50"),
             # the generator must be able to build the reduced graph
             ("path-downsample", _reduced("ring", 2, n=4),
-             "at rate 2 leaves n = 2; a ring graph needs n >= 3"),
+             "reduction 'generator': ring graph needs n >= 3"),
             ("path-downsample", _reduced("ring", 3, n=6),
-             "at rate 3 leaves n = 2; a ring graph needs n >= 3"),
+             "reduction 'generator': ring graph needs n >= 3"),
             ("path-downsample", _reduced("path", 2, n=2),
-             "at rate 2 leaves n = 1; a path graph needs n >= 2"),
+             "reduction 'generator': path graph needs n >= 2"),
             ("path-downsample", _reduced("grid", 4, rows=2, cols=2),
-             "at rate 4 leaves n = 1; a grid graph needs n >= 2"),
+             "reduction 'generator': grid needs at least two vertices"),
             # a key the kind does not read was once silently ignored
             ("pyramid-nla", _set("reduction", "every_other"),
              "key 'reduction' does not apply to kind 'pyramid-nla'"),
@@ -248,6 +263,10 @@ class TestIncompleteConfig:
              "key 'operators' does not apply to kind 'repeated-eigenvalues'"),
             ("pyramid-nla", _extras(fraction=[0.2]),
              "key 'extras.fraction' does not apply to kind 'pyramid-nla'"),
+            # manifest.json records the config, so no key may hold NaN or inf
+            ("path-downsample", _set("name", float("nan")), "config must be strict JSON"),
+            ("path-downsample", _set("signal", {"kind": "constant", "cutoff": float("inf")}),
+             "config must be strict JSON"),
             # every pyramid level halves an even vertex count and leaves >= 2
             ("pyramid-nla", _params(n=100),
              "extras.levels 3 halves graph size 100 unevenly or below 2"),
@@ -273,45 +292,21 @@ class TestIncompleteConfig:
             assert "config error" in err and match in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "signal, fitting, match",
-        [
-            ({"kind": "delta-spectrum", "index": 10}, {"index": 9},
-             "signal.index 10 out of range for graph size 10"),
-            ({"kind": "bandlimited-random", "cutoff": 20}, {"cutoff": 10},
-             "signal.cutoff 20 exceeds graph size 10"),
-        ],
-        ids=["delta-index", "cutoff"],
-    )
-    def test_signal_beyond_edge_list_graph(self, signal, fitting, match, tmp_path, capsys):
-        # the vertex count is unknown until the edge list is read
-        edges = tmp_path / "edges.csv"
-        save_edge_list(build_path(10), edges)
-        cfg = {
-            "name": "signal-edge-list",
-            "kind": "downsample",
-            "graph": {"edge_list": str(edges)},
-            "reduction": "polarity",
-            "rate": 2,
-            "signal": signal,
-            "operators": ["vertex"],
-            "seed": 0,
-        }
-        assert validate_config(cfg) == []
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg))
-        code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
-        assert code == 1
-        assert match in err
-        cfg["signal"].update(fitting)
-        p.write_text(json.dumps(cfg))
-        code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
-        assert code == 0
+
+_DOWNSAMPLE = {"reduction": "polarity", "rate": 2, "operators": ["vertex"]}
 
 
 @pytest.mark.parametrize(
     "kind, edges, extra, bad, fitting, match",
     [
+        ("downsample", 10, _DOWNSAMPLE,
+         {"signal": {"kind": "delta-spectrum", "index": 10}},
+         {"signal": {"kind": "delta-spectrum", "index": 9}},
+         "signal.index 10 out of range for graph size 10"),
+        ("downsample", 10, _DOWNSAMPLE,
+         {"signal": {"kind": "bandlimited-random", "cutoff": 20}},
+         {"signal": {"kind": "bandlimited-random", "cutoff": 10}},
+         "signal.cutoff 20 exceeds graph size 10"),
         # a complete graph with cutoff 500 once ran as if the cutoff were 12
         ("repeated-eigenvalues", 12, {"reduction": {"keep_first": 7}},
          {"signal": {"kind": "bandlimited-random", "cutoff": 500}},
@@ -332,26 +327,33 @@ class TestIncompleteConfig:
          {"extras": {"levels": 3}}, {"extras": {"levels": 2}},
          "extras.levels 3 halves graph size 20 unevenly or below 2"),
     ],
-    ids=["cutoff", "keep-first", "upsample", "fractional", "pyramid-levels"],
+    ids=["delta-index", "downsample-cutoff", "cutoff", "keep-first", "upsample", "fractional",
+         "pyramid-levels"],
 )
 def test_size_rules_checked_on_built_graphs(
     kind, edges, extra, bad, fitting, match, tmp_path, capsys
 ):
-    # the vertex count is unknown until the edge list is read
+    # the vertex count is known only once the edge list is read, by
+    # validate and run alike
     path = tmp_path / "edges.csv"
     build = build_complete if kind == "repeated-eigenvalues" else build_path
     save_edge_list(build(edges), path)
     cfg = {"name": "edge-list", "kind": kind, "graph": {"edge_list": str(path)}, "seed": 0}
     cfg.update(extra, **bad)
-    assert validate_config(cfg) == []
+    assert validate_config(cfg) == [match]
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
-    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
-    assert code == 1 and out == ""
-    assert match in err and "Traceback" not in err
-    p.write_text(json.dumps(dict(cfg, **fitting)))
-    code, _, _ = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
-    assert code == 0
+    for argv in (["validate", str(p)], ["run", str(p), "--out", str(tmp_path / "out")]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"config error: {match}\n"
+    assert not (tmp_path / "out").exists()
+    cfg.update(fitting)
+    assert validate_config(cfg) == []
+    p.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(p)], capsys)[:2] == (0, "ok\n")
+    code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
 
 
 # numpy refuses each of these n x n requests before it touches memory:
@@ -623,6 +625,13 @@ def test_preset_outputs_table_covers_self_contained_presets():
     assert sorted(PRESET_OUTPUTS) == [p for p in list_presets() if p != "minnesota-energy"]
 
 
+def _strict_json(text):
+    """Parse JSON that holds no NaN, Infinity or -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("preset", sorted(PRESET_OUTPUTS))
 def test_preset_artifact_names_and_scalar_keys(preset, tmp_path):
     files, scalars = PRESET_OUTPUTS[preset]
@@ -630,6 +639,39 @@ def test_preset_artifact_names_and_scalar_keys(preset, tmp_path):
     assert sorted(manifest["files"]) == files
     assert sorted(manifest["scalars"]) == scalars
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files + ["manifest.json"])
+    assert _strict_json((tmp_path / "manifest.json").read_text()) == manifest
+
+
+def test_nla_without_budget_0_2_records_no_error_at_0_2(tmp_path, capsys):
+    # the 0.2 scalars were once NaN, written to manifest.json as bare NaN
+    cfg = PRESETS["pyramid-nla"]()
+    cfg["extras"]["fractions"] = [0, 1]
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    manifest = _strict_json((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["scalars"] == {}
+    header = (tmp_path / "out" / "nla_index.csv").read_text().splitlines()[0]
+    assert header == "# budget_over_n,error"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_scalar_is_numeric_error(tmp_path, capsys):
+    # an energy that overflows was once written to manifest.json as Infinity
+    run_experiment(PRESETS["aliasing-path"](), tmp_path / "out")
+    cfg = PRESETS["aliasing-path"]()
+    cfg["signal"]["alpha"] = -100
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run_cli(["run", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and out == ""
+    assert err.endswith(
+        "numeric error: non-finite scalars: index-folded_energy, index_energy, "
+        "spectrum-folded_energy, spectrum_energy\n"
+    )
+    # nor is the earlier run's manifest left to vouch for the new files
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -702,8 +744,8 @@ def _fuzzed_config(draw, edge_list):
     name = draw(st.sampled_from(sorted(_SMALL)))
     cfg = PRESETS[name]()
     _merge(cfg, copy.deepcopy(_SMALL[name]))
-    if name == "minnesota-energy":
-        cfg["graph"]["edge_list"] = edge_list
+    if name == "minnesota-energy" or draw(st.booleans()):
+        cfg["graph"] = {"edge_list": edge_list}  # its size is known once it is read
     for _ in range(draw(st.integers(1, 3))):
         slots = list(_slots(cfg))
         if not slots:
@@ -749,3 +791,26 @@ def test_fuzzed_config_runs_or_is_refused(edge_list, data):
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
     assert ran[0] != 0 or validated[1] == "ok\n", (validated, ran)
+
+
+class _Reached(Exception):
+    """Raised in place of the first eigendecomposition."""
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_is_run_up_to_first_eigendecomposition(edge_list, data):
+    # validate prints ok exactly when run gets past the config pass, and
+    # otherwise exits with run's code and message
+    cfg = data.draw(_fuzzed_config(edge_list))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "eigendecompose", side_effect=_Reached):
+        path = f"{tmp}/cfg.json"
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        validated = _main_quietly(["validate", path])
+        try:
+            ran = _main_quietly(["run", path, "--out", f"{tmp}/out"])
+        except _Reached:
+            ran = (0, "ok\n", "")
+    assert validated == ran

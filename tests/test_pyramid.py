@@ -322,6 +322,21 @@ class TestNonlinearApproximation:
         b = gs.nla_error_curve(f, chain_of(g, 1), CONFIGS["spectrum"], fractions=[0.2, 0.5])
         assert np.array_equal(a, b)
 
+    def test_budget_one_keeps_n_details(self, monkeypatch):
+        # a budget over N, the graph size: at 1.0 a 3-level pyramid keeps N
+        # of its N + N/2 + N/4 details
+        f, g = self._dec()
+        approximate, kept = pyramid.nonlinear_approximate, []
+
+        def counting(dec, n_kept):
+            trimmed = approximate(dec, n_kept)
+            kept.append(sum(np.count_nonzero(d) for d in trimmed.details))
+            return trimmed
+
+        monkeypatch.setattr(pyramid, "nonlinear_approximate", counting)
+        gs.nla_error_curve(f, chain_of(g, 3), CONFIGS["index"], [1.0])
+        assert kept == [g.n]
+
     def test_zero_kept_drops_details(self):
         f, g = self._dec()
         dec = gs.analyze(f, g, num_levels=1, config=CONFIGS["index"])

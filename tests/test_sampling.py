@@ -451,9 +451,14 @@ class TestContextGrids:
                 gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, lam1)
 
     def test_grid_sorted(self, bases):
+        # sorting a grid would part each eigenvalue from its column
         b0, b1 = bases
+        for lam0, lam1 in ((b0.eigenvalues[::-1], b1.eigenvalues),
+                           (b0.eigenvalues, list(b1.eigenvalues[::-1]))):
+            with pytest.raises(InvalidParameterError, match="ascending order"):
+                gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, lam0, lam1)
         ctx = gs.SamplingContext(
-            b0.eigenvectors, b1.eigenvectors, b0.eigenvalues[::-1], list(b1.eigenvalues)
+            b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, list(b1.eigenvalues)
         )
         assert np.array_equal(ctx.lambdas0, b0.eigenvalues)
         assert np.array_equal(ctx.lambdas1, b1.eigenvalues)
@@ -564,8 +569,10 @@ def graph_basis(kind, rows, cols):
     """(eigenvectors, eigenvalues) of a rows x cols grid, or of an n = rows * cols
     path, ring (complex DFT basis) or complete graph."""
     n = rows * cols
-    if kind == "ring":
-        return gs.dft_matrix(n), 2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n)
+    if kind == "ring":  # DFT columns, reordered to ascending eigenvalues
+        lambdas = 2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n)
+        order = np.argsort(lambdas, kind="stable")
+        return gs.dft_matrix(n)[:, order], lambdas[order]
     graph = {
         "path": lambda: gs.build_path(n),
         "grid": lambda: gs.build_grid(rows, cols),
