@@ -18,6 +18,7 @@ the experiment's key scalars.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import functools
 import hashlib
@@ -72,6 +73,15 @@ _KINDS = {
     "cluster-energy": ((*_BASIS_SIGNALS, "cluster-band"), (), None),
     "pyramid-nla": (_BASIS_SIGNALS, ("extras",), None),
 }
+# The keys each signal kind and each graph spec form read beyond the one naming it.
+_SIGNAL_KEYS = {
+    "bandlimited-random": ("cutoff",),
+    "delta-spectrum": ("index",),
+    "constant": (),
+    "spectral-decay": ("alpha",),
+    "cluster-band": ("bands",),
+}
+_GRAPH_KEYS = {"generator": ("params",), "edge_list": ("coordinates",)}
 _REDUCTIONS = ("generator", "every_other", "polarity")
 # Values of the optional keys left out of a config.
 _DEFAULT_REDUCTION = "polarity"
@@ -218,13 +228,29 @@ def _is_number(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
+def _unread_keys(obj: dict, key: str, read, what: str, errors: list) -> None:
+    """Append one error per key of ``obj`` (at config key ``key``) outside ``read``.
+
+    A key the run would not read is refused, never ignored.
+    """
+    for name in obj:
+        if name not in read:
+            path = f"{key}.{name}" if key else name
+            errors.append(f"key {path!r} does not apply to {what}")
+
+
 def _check_graph_spec(gspec, key: str, errors: list) -> None:
     """Append the errors of one graph spec."""
     if not isinstance(gspec, dict):
         errors.append(f"{key} must be an object")
-    elif ("generator" in gspec) == ("edge_list" in gspec):
+        return
+    if ("generator" in gspec) == ("edge_list" in gspec):
         errors.append(f"{key} needs exactly one of 'generator' and 'edge_list'")
-    elif "edge_list" in gspec:
+        return
+    form = "edge_list" if "edge_list" in gspec else "generator"
+    what = "a generator graph" if form == "generator" else "an edge-list graph"
+    _unread_keys(gspec, key, (form, *_GRAPH_KEYS[form]), what, errors)
+    if "edge_list" in gspec:
         if not (isinstance(gspec["edge_list"], str) and gspec["edge_list"]):
             errors.append(f"{key}.edge_list path is required for this config")
         if not isinstance(gspec.get("coordinates", ""), str):
@@ -263,6 +289,9 @@ def _check_signal_spec(sig, kind: str, n0: int, errors: list) -> None:
             f"signal kind {skind!r} does not apply to kind {kind!r}; "
             f"allowed: {', '.join(allowed)}"
         )
+    if isinstance(skind, str) and skind in _SIGNAL_KEYS:
+        read = ("kind", *_SIGNAL_KEYS[skind])
+        _unread_keys(sig, "signal", read, f"signal kind {skind!r}", errors)
     if skind == "bandlimited-random":
         cutoff = _int(errors, "signal.cutoff", sig.get("cutoff"), 1)
         if cutoff is not None and cutoff > n0:
@@ -305,9 +334,8 @@ def _prepare(cfg, errors: list):
         json.dumps(cfg, allow_nan=False)
     except (TypeError, ValueError) as exc:
         errors.append(f"config must be strict JSON: {exc}")
-    for key in cfg:
-        if key not in ("name", "kind", "graph", "signal", "seed", *keys):
-            errors.append(f"key {key!r} does not apply to kind {kind!r}")
+    read = ("name", "kind", "graph", "signal", "seed", *keys)
+    _unread_keys(cfg, "", read, f"kind {kind!r}", errors)
     _check_graph_spec(cfg.get("graph"), "graph", errors)
     if "graph1" in keys and "graph1" not in cfg:
         errors.append(f"kind {kind!r} needs a target graph in graph1")
@@ -332,6 +360,7 @@ def _prepare(cfg, errors: list):
     if kind == "repeated-eigenvalues" and not isinstance(red, dict):
         errors.append("kind 'repeated-eigenvalues' needs reduction {\"keep_first\": k}")
     elif isinstance(red, dict):
+        _unread_keys(red, "reduction", ("keep_first",), "a keep_first reduction", errors)
         keep_first = _int(errors, "reduction.keep_first", red.get("keep_first"), 1)
         if keep_first is not None and keep_first >= n0:
             errors.append(f"reduction.keep_first {keep_first} must be below graph size {n0}")
@@ -343,9 +372,7 @@ def _prepare(cfg, errors: list):
     if "extras" in keys and not isinstance(extras, dict):
         errors.append("extras must be an object")
     elif "extras" in keys:
-        for key in extras:
-            if key not in _PYRAMID_EXTRAS:
-                errors.append(f"key 'extras.{key}' does not apply to kind {kind!r}")
+        _unread_keys(extras, "extras", _PYRAMID_EXTRAS, f"kind {kind!r}", errors)
         extras = {**_PYRAMID_EXTRAS, **extras}
         levels = _int(errors, "extras.levels", extras["levels"], 1)
         # each level halves an even size and leaves >= 2; shifts, as levels may be huge
@@ -449,18 +476,36 @@ def _reduce(lap, basis, keep, size):
 
 
 class _Artifacts:
-    """Collects CSV outputs under one directory and builds the manifest."""
+    """Collects CSV outputs under one directory and builds the manifest.
+
+    As a context manager it removes what a failed run wrote: its files, its
+    manifest, and the directory if the run made it.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: dict[str, str] = {}
         self.scalars: dict[str, float] = {}
+        self._made_dir = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
         # an earlier run's manifest would list checksums these files replace
         (out_dir / "manifest.json").unlink(missing_ok=True)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            return
+        for name in (*self.files, "manifest.json"):
+            (self.out_dir / name).unlink(missing_ok=True)
+        if self._made_dir:
+            with contextlib.suppress(OSError):  # a file another writer put there keeps it
+                self.out_dir.rmdir()
+
     def write_csv(self, name: str, header: str, rows) -> None:
         path = self.out_dir / name
+        self.files[name] = ""  # listed before it is written, so a failed run removes it
         with _open_fresh(path) as fh:
             fh.write(f"# {header}\n")
             for row in rows:
@@ -505,7 +550,8 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     ``seed`` replaces the config's seed. The config pass of ``validate_config``
     runs first, before any eigendecomposition or output; a broken rule raises
     InvalidParameterError, and a non-finite scalar NumericError before the
-    manifest is written.
+    manifest is written. A run that fails after the config pass removes
+    what it wrote.
     """
     if seed is not None and isinstance(cfg, dict):
         cfg = {**cfg, "seed": seed}
@@ -513,100 +559,101 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     cfg = copy.deepcopy(cfg)
     kind = cfg["kind"]
     direction = _KINDS[kind][2]
-    art = _Artifacts(Path(out_dir))
-    lap = G.laplacian(graph)
-    basis = eigendecompose(lap)
+    # no numpy floating-point warnings: a non-finite scalar is one NumericError below
+    with _Artifacts(Path(out_dir)) as art, np.errstate(all="ignore"):
+        lap = G.laplacian(graph)
+        basis = eigendecompose(lap)
 
-    if direction is not None:
-        rate, corr = cfg.get("rate"), None
-        if kind == "upsample":
-            corr = VertexCorrespondence(np.arange(0, target.n, rate))
-        elif kind == "downsample" and target is not None:  # built by "generator"
-            corr = VertexCorrespondence(keep)
-        elif kind == "downsample":
-            target, corr = _reduce(lap, basis, keep, graph.n // rate)
-        basis1 = eigendecompose(G.laplacian(target))
-        ctx = SamplingContext(basis, basis1)
-        f = _build_signal(cfg["signal"], basis, cfg["seed"])
-        art.spectrum_csv("original_spectrum.csv", basis, f)
-        art.signal_csv("original_signal.csv", f)
-        for op in cfg["operators"]:
-            out = apply_operator(op, direction, ctx, f, rate, corr)
-            # fractional artifacts use underscores and record no energy
-            stem = op.replace("-", "_") if direction == "frac" else op
-            art.spectrum_csv(f"{stem}_spectrum.csv", basis1, out)
-            art.signal_csv(f"{stem}_signal.csv", out)
-            if direction != "frac":
-                art.scalars[f"{op}_energy"] = float(np.linalg.norm(out) ** 2)
+        if direction is not None:
+            rate, corr = cfg.get("rate"), None
+            if kind == "upsample":
+                corr = VertexCorrespondence(np.arange(0, target.n, rate))
+            elif kind == "downsample" and target is not None:  # built by "generator"
+                corr = VertexCorrespondence(keep)
+            elif kind == "downsample":
+                target, corr = _reduce(lap, basis, keep, graph.n // rate)
+            basis1 = eigendecompose(G.laplacian(target))
+            ctx = SamplingContext(basis, basis1)
+            f = _build_signal(cfg["signal"], basis, cfg["seed"])
+            art.spectrum_csv("original_spectrum.csv", basis, f)
+            art.signal_csv("original_signal.csv", f)
+            for op in cfg["operators"]:
+                out = apply_operator(op, direction, ctx, f, rate, corr)
+                # fractional artifacts use underscores and record no energy
+                stem = op.replace("-", "_") if direction == "frac" else op
+                art.spectrum_csv(f"{stem}_spectrum.csv", basis1, out)
+                art.signal_csv(f"{stem}_signal.csv", out)
+                if direction != "frac":
+                    art.scalars[f"{op}_energy"] = float(np.linalg.norm(out) ** 2)
 
-    elif kind == "repeated-eigenvalues":
-        # On a graph with a repeated top eigenvalue the eigenvector order is
-        # free; an adversarial order scatters the spectrum into the fold band.
-        target, _ = _reduce(lap, basis, keep, None)
-        basis1 = eigendecompose(G.laplacian(target))
-        coeffs0 = np.zeros(graph.n)
-        coeffs0[: cfg["signal"]["cutoff"]] = 1.0
-        f0 = igft(basis, coeffs0)
-        permuted = eigendecompose(lap, ordering_seed=cfg["seed"])
-        for tag, b in (("ordered", basis), ("permuted", permuted)):
-            ctx = SamplingContext(b, basis1)
-            out = fractional_downsample(ctx, f0, mode="index", folded=True)
-            art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
-            out_coeffs = gft(basis1, np.real(out)).coefficients
-            src = gft(b, f0).coefficients  # b's kept analysis of f0, taken by ctx
-            fold = out_coeffs - src[: target.n]
-            art.scalars[f"{tag}_fold_energy"] = float(np.linalg.norm(fold) ** 2)
-            art.scalars[f"{tag}_total_energy"] = float(np.linalg.norm(out_coeffs) ** 2)
+        elif kind == "repeated-eigenvalues":
+            # On a graph with a repeated top eigenvalue the eigenvector order is
+            # free; an adversarial order scatters the spectrum into the fold band.
+            target, _ = _reduce(lap, basis, keep, None)
+            basis1 = eigendecompose(G.laplacian(target))
+            coeffs0 = np.zeros(graph.n)
+            coeffs0[: cfg["signal"]["cutoff"]] = 1.0
+            f0 = igft(basis, coeffs0)
+            permuted = eigendecompose(lap, ordering_seed=cfg["seed"])
+            for tag, b in (("ordered", basis), ("permuted", permuted)):
+                ctx = SamplingContext(b, basis1)
+                out = fractional_downsample(ctx, f0, mode="index", folded=True)
+                art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
+                out_coeffs = gft(basis1, np.real(out)).coefficients
+                src = gft(b, f0).coefficients  # b's kept analysis of f0, taken by ctx
+                fold = out_coeffs - src[: target.n]
+                art.scalars[f"{tag}_fold_energy"] = float(np.linalg.norm(fold) ** 2)
+                art.scalars[f"{tag}_total_energy"] = float(np.linalg.norm(out_coeffs) ** 2)
 
-    elif kind == "cluster-energy":
-        clusters = spectral_bisection(basis)
-        f = _build_signal(cfg["signal"], basis, cfg["seed"], clusters=clusters)
-        art.signal_csv("original_signal.csv", f)
-        art.spectrum_csv("original_spectrum.csv", basis, f)
-        labels = np.zeros(graph.n, dtype=int)
-        labels[clusters[1]] = 1
-        art.write_csv("clusters.csv", "vertex,cluster", enumerate(labels))
-        reduced, corr = _reduce(lap, basis, None, graph.n // 2)
-        basis1 = eigendecompose(G.laplacian(reduced))
-        n1 = reduced.n
-        ctx = SamplingContext(basis, basis1)
-        out = fractional_downsample(ctx, f, mode="index", folded=False)
-        art.signal_csv("downsampled_signal.csv", out)
-        art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
-        # split the downsampled signal into the main band (original spectrum
-        # below the fold index) and the aliasing band (the rest of the output
-        # spectrum: orig[n1:] folded onto n1 slots, unfolded), then measure
-        # per-cluster energies; cluster labels follow the kept vertices
-        orig = gft(basis, f).coefficients
-        f_main = igft(basis1, orig[:n1])
-        f_alias = igft(basis1, gft(basis1, np.real(out)).coefficients - orig[:n1])
-        for ci in (0, 1):
-            idx = np.nonzero(labels[corr.targets] == ci)[0]
-            for band, part in (("main", f_main), ("alias", f_alias)):
-                energy = float(np.linalg.norm(part[idx]) ** 2)
-                art.scalars[f"{band}_cluster{ci + 1}_energy"] = energy
-        art.scalars["fold_lambda"] = float(basis.eigenvalues[n1])
+        elif kind == "cluster-energy":
+            clusters = spectral_bisection(basis)
+            f = _build_signal(cfg["signal"], basis, cfg["seed"], clusters=clusters)
+            art.signal_csv("original_signal.csv", f)
+            art.spectrum_csv("original_spectrum.csv", basis, f)
+            labels = np.zeros(graph.n, dtype=int)
+            labels[clusters[1]] = 1
+            art.write_csv("clusters.csv", "vertex,cluster", enumerate(labels))
+            reduced, corr = _reduce(lap, basis, None, graph.n // 2)
+            basis1 = eigendecompose(G.laplacian(reduced))
+            n1 = reduced.n
+            ctx = SamplingContext(basis, basis1)
+            out = fractional_downsample(ctx, f, mode="index", folded=False)
+            art.signal_csv("downsampled_signal.csv", out)
+            art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
+            # split the downsampled signal into the main band (original spectrum
+            # below the fold index) and the aliasing band (the rest of the output
+            # spectrum: orig[n1:] folded onto n1 slots, unfolded), then measure
+            # per-cluster energies; cluster labels follow the kept vertices
+            orig = gft(basis, f).coefficients
+            f_main = igft(basis1, orig[:n1])
+            f_alias = igft(basis1, gft(basis1, np.real(out)).coefficients - orig[:n1])
+            for ci in (0, 1):
+                idx = np.nonzero(labels[corr.targets] == ci)[0]
+                for band, part in (("main", f_main), ("alias", f_alias)):
+                    energy = float(np.linalg.norm(part[idx]) ** 2)
+                    art.scalars[f"{band}_cluster{ci + 1}_energy"] = energy
+            art.scalars["fold_lambda"] = float(basis.eigenvalues[n1])
 
-    elif kind == "pyramid-nla":
-        extras = {**_PYRAMID_EXTRAS, **cfg.get("extras", {})}
-        f = _build_signal(cfg["signal"], basis, cfg["seed"])
-        art.signal_csv("original_signal.csv", f)
-        # the level chain depends only on the graph: one for all families
-        chain = build_chain(lap, basis, extras["levels"])
-        for sampling in ("vertex", "index", "spectrum"):
-            pcfg = PyramidConfig(sampling=sampling)
-            curve = nla_error_curve(f, chain, pcfg, extras["fractions"])
-            art.write_csv(f"nla_{sampling}.csv", "budget_over_n,error", curve)
-            for budget, error in curve:
-                if abs(budget - 0.2) < 1e-12:
-                    art.scalars[f"{sampling}_error_at_0.2"] = error
+        elif kind == "pyramid-nla":
+            extras = {**_PYRAMID_EXTRAS, **cfg.get("extras", {})}
+            f = _build_signal(cfg["signal"], basis, cfg["seed"])
+            art.signal_csv("original_signal.csv", f)
+            # the level chain depends only on the graph: one for all families
+            chain = build_chain(lap, basis, extras["levels"])
+            for sampling in ("vertex", "index", "spectrum"):
+                pcfg = PyramidConfig(sampling=sampling)
+                curve = nla_error_curve(f, chain, pcfg, extras["fractions"])
+                art.write_csv(f"nla_{sampling}.csv", "budget_over_n,error", curve)
+                for budget, error in curve:
+                    if abs(budget - 0.2) < 1e-12:
+                        art.scalars[f"{sampling}_error_at_0.2"] = error
 
-    broken = sorted(key for key, value in art.scalars.items() if not math.isfinite(value))
-    if broken:
-        raise NumericError(f"non-finite scalars: {', '.join(broken)}")
-    manifest = {"config": cfg, "files": art.files, "scalars": art.scalars}
-    with _open_fresh(Path(out_dir) / "manifest.json") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
+        broken = sorted(key for key, value in art.scalars.items() if not math.isfinite(value))
+        if broken:
+            raise NumericError(f"non-finite scalars: {', '.join(broken)}")
+        manifest = {"config": cfg, "files": art.files, "scalars": art.scalars}
+        with _open_fresh(Path(out_dir) / "manifest.json") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
     return manifest
 
 

@@ -21,6 +21,11 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-12
+_LAPLACIAN_SYM_TOL = 1e-10
+# Side of the square tiles that the n x n passes reading ``a.T`` work in: a
+# tile and its mirror (2 x 32 KiB of float64) stay in cache together, where a
+# whole-matrix ``a.T`` pass reads a new cache line on almost every element.
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -51,7 +56,7 @@ class Graph:
             raise InvalidParameterError("adjacency must be a square matrix")
         if not np.all(np.isfinite(a)):
             raise DataError("edge weights must be finite")
-        if not np.abs(a - a.T).max(initial=0.0) <= _SYM_TOL:
+        if not _is_symmetric(a, _SYM_TOL):
             raise InvalidParameterError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise DataError("self-loops are not allowed (nonzero diagonal)")
@@ -79,7 +84,9 @@ class Laplacian:
     """Combinatorial Laplacian D - A together with its source graph.
 
     ``matrix`` is read-only; a writable array from the caller is copied
-    first, so the caller's array stays writable.
+    first, so the caller's array stays writable. It must be finite (else
+    DataError) and symmetric to 1e-10 (else InvalidParameterError); this is
+    the one check of a matrix before it reaches ``eigh``.
     """
 
     matrix: np.ndarray
@@ -87,7 +94,13 @@ class Laplacian:
 
     def __post_init__(self):
         # frozen, so ``sparse`` cannot go stale
-        object.__setattr__(self, "matrix", read_only(self.matrix))
+        m = read_only(self.matrix)
+        f = np.asarray(m, dtype=float)
+        if not np.isfinite(f).all():
+            raise DataError("Laplacian entries must be finite")
+        if f.ndim != 2 or f.shape[0] != f.shape[1] or not _is_symmetric(f, _LAPLACIAN_SYM_TOL):
+            raise InvalidParameterError("Laplacian matrix must be symmetric")
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
@@ -103,9 +116,53 @@ def read_only(a) -> np.ndarray:
     """``a`` read-only; a writable array is copied first (C-ordered), so no view edits it."""
     a = np.asarray(a)
     if a.flags.writeable:
-        a = a.copy()
+        a = _c_copy(a) if a.ndim == 2 and not a.flags.c_contiguous else a.copy()
         a.flags.writeable = False
     return a
+
+
+def _tiles(shape):
+    """(rows, cols) slices of the _TILE x _TILE tiles of a 2-D array of ``shape``, row-major."""
+    for i in range(0, shape[0], _TILE):
+        for j in range(0, shape[1], _TILE):
+            yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
+def _is_symmetric(a: np.ndarray, tol: float) -> bool:
+    """``np.abs(a - a.T).max(initial=0) <= tol`` for a finite square ``a``, tile pair by tile pair.
+
+    A tile equal to its mirror's transpose needs no difference, so the
+    usual exactly symmetric matrix costs one comparison per entry.
+    """
+    for rows, cols in _tiles(a.shape):
+        if cols.start < rows.start:
+            continue
+        upper, lower = a[rows, cols], a[cols, rows].T
+        if not (upper == lower).all() and not np.abs(upper - lower).max() <= tol:
+            return False
+    return True
+
+
+def _mirror(a: np.ndarray, op) -> None:
+    """``a[...] = op(a, a.T)`` for a square ``a`` and an elementwise ``op``, in place and
+    tile pair by tile pair, with no second n x n array."""
+    for rows, cols in _tiles(a.shape):
+        if cols.start < rows.start:
+            continue
+        upper, lower = a[rows, cols], a[cols, rows].T
+        # both argument orders (np.maximum keeps its first argument on a 0.0 / -0.0
+        # tie), both before either write: on a diagonal tile upper and lower share memory
+        high, low = op(upper, lower), op(lower, upper)
+        upper[...] = high
+        lower[...] = low
+
+
+def _c_copy(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of the 2-D array ``a``, tile by tile."""
+    out = np.empty(a.shape, dtype=a.dtype)
+    for rows, cols in _tiles(a.shape):
+        out[rows, cols] = a[rows, cols]
+    return out
 
 
 def _csr(m: np.ndarray) -> csr_array:
@@ -145,7 +202,7 @@ def _from_edges(n: int, i, j, w=1.0, **attrs) -> Graph:
     """
     a = np.zeros((n, n))
     a[i, j] = w
-    a = np.maximum(a, a.T)  # rebound, so the unmirrored array is freed before Graph copies
+    _mirror(a, np.maximum)
     return Graph(a, **attrs)
 
 
@@ -235,7 +292,8 @@ def build_community(
 
     def sample(rng):
         a = np.triu(rng.random((n, n)) < p, k=1).astype(float)
-        return Graph(a + a.T, structure="community")
+        _mirror(a, np.add)
+        return Graph(a, structure="community")
 
     return _first_connected(sample, seed, "community")
 

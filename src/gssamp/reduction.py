@@ -14,7 +14,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Graph, Laplacian, components
+from .graphs import Graph, Laplacian, _mirror, components
 from .sampling import VertexCorrespondence
 from .spectral import SpectralBasis
 
@@ -60,7 +60,7 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
             raise DataError(f"graph is disconnected ({ncomp} components)") from exc
         raise NumericError(f"eliminated block is singular: {exc}") from exc
     l1 = l_ss - l_se @ solved
-    l1 = 0.5 * (l1 + l1.T)
+    _mirror(l1, lambda x, y: 0.5 * (x + y))  # 0.5 * (l1 + l1.T), exactly symmetric
     w = -l1.copy()
     np.fill_diagonal(w, 0.0)
     if np.any(w < -_NEG_WEIGHT_TOL):

@@ -131,11 +131,7 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
     a random permutation inside each group (used to probe the freedom of
     eigenvector order for repeated eigenvalues).
     """
-    m = np.asarray(lap.matrix, dtype=float)
-    if not np.isfinite(m).all():
-        raise DataError("Laplacian entries must be finite")
-    if not np.abs(m - m.T).max(initial=0.0) <= 1e-10:
-        raise InvalidParameterError("Laplacian matrix must be symmetric")
+    m = np.asarray(lap.matrix, dtype=float)  # finite and symmetric: ``Laplacian`` checked it
     try:
         lam, u = scipy.linalg.eigh(m)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -263,6 +265,22 @@ class TestIncompleteConfig:
              "key 'operators' does not apply to kind 'repeated-eigenvalues'"),
             ("pyramid-nla", _extras(fraction=[0.2]),
              "key 'extras.fraction' does not apply to kind 'pyramid-nla'"),
+            # ... and so was a key of a signal, graph spec or reduction object
+            ("path-downsample", _set("signal", {"kind": "bandlimited-random", "cutoff": 25,
+                                                "bogus": 5}),
+             "key 'signal.bogus' does not apply to signal kind 'bandlimited-random'"),
+            ("path-downsample", _set("signal", {"kind": "constant", "cutoff": 5}),
+             "key 'signal.cutoff' does not apply to signal kind 'constant'"),
+            ("path-downsample", _set("graph", {"generator": "path", "params": {"n": 100},
+                                               "coordinates": 7}),
+             "key 'graph.coordinates' does not apply to a generator graph"),
+            ("path-downsample", _set("graph", {"edge_list": "x.csv", "params": {"n": 100}}),
+             "key 'graph.params' does not apply to an edge-list graph"),
+            ("path-upsample", _set("graph1", {"generator": "path", "params": {"n": 100},
+                                              "seed": 1}),
+             "key 'graph1.seed' does not apply to a generator graph"),
+            ("path-downsample", _set("reduction", {"keep_first": 50, "junk": 1}),
+             "key 'reduction.junk' does not apply to a keep_first reduction"),
             # manifest.json records the config, so no key may hold NaN or inf
             ("path-downsample", _set("name", float("nan")), "config must be strict JSON"),
             ("path-downsample", _set("signal", {"kind": "constant", "cutoff": float("inf")}),
@@ -670,8 +688,38 @@ def test_non_finite_scalar_is_numeric_error(tmp_path, capsys):
         "numeric error: non-finite scalars: index-folded_energy, index_energy, "
         "spectrum-folded_energy, spectrum_energy\n"
     )
-    # nor is the earlier run's manifest left to vouch for the new files
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    # nor is the earlier run's manifest left to vouch for the new files, and
+    # the failed run removed the ten CSVs it wrote over the earlier ones
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_failed_run_leaves_nothing_behind(existing, tmp_path):
+    # the run wrote all ten CSVs before its energies overflowed, and numpy's
+    # overflow warning came before the one error line
+    cfg = PRESETS["aliasing-path"]()
+    cfg["signal"]["alpha"] = -100
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    out_dir = tmp_path / "out"
+    if existing:
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); "
+         "from gssamp.cli import main; sys.exit(main())", "run", str(p), "--out", str(out_dir)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "numeric error: non-finite scalars: index-folded_energy, index_energy, "
+        "spectrum-folded_energy, spectrum_energy\n"
+    )
+    if existing:
+        assert sorted(f.name for f in out_dir.iterdir()) == ["notes.txt"]
+    else:
+        assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,68 @@ def test_symmetry_tolerance_edge(skew, ok):
             gs.Graph(a)
 
 
+def _symmetric_130(seed):
+    """A symmetric nonnegative 130 x 130 adjacency: two full 64-tiles and a partial one."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((130, 130)), 1)
+    return upper + upper.T
+
+
+# (129, 65): the last, partial tile row against a full tile; (128, 129): inside
+# the partial diagonal tile; (3, 70): two full tiles
+_TILE_EDGE_POSITIONS = [(129, 65), (128, 129), (3, 70), (70, 3)]
+
+
+@pytest.mark.parametrize("i, j", _TILE_EDGE_POSITIONS)
+@pytest.mark.parametrize("skew, ok", [(0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)])
+def test_symmetry_tolerance_edge_across_tiles(i, j, skew, ok):
+    a = _symmetric_130(0)
+    a[i, j] += skew
+    if ok:
+        assert gs.Graph(a).n == 130
+    else:
+        with pytest.raises(InvalidParameterError, match="adjacency must be symmetric"):
+            gs.Graph(a)
+
+
+class TestLaplacianChecks:
+    """``Laplacian`` checks its matrix once, at construction, before any ``eigh``."""
+
+    @pytest.mark.parametrize("i, j", _TILE_EDGE_POSITIONS)
+    @pytest.mark.parametrize("skew, ok", [(0.9e-10, True), (1.1e-10, False), (-1.1e-10, False)])
+    def test_symmetry_tolerance_edge_across_tiles(self, i, j, skew, ok):
+        g = gs.Graph(_symmetric_130(1))
+        m = gs.laplacian(g).matrix.copy()
+        m[i, j] += skew
+        if ok:
+            assert gs.Laplacian(matrix=m, graph=g).n == 130
+        else:
+            with pytest.raises(InvalidParameterError, match="Laplacian matrix must be symmetric"):
+                gs.Laplacian(matrix=m, graph=g)
+
+    @pytest.mark.parametrize(
+        "edit, error, match",
+        [
+            (lambda m: _edited(m, (0, 1), 7.0), InvalidParameterError, "must be symmetric"),
+            (lambda m: _edited(m, (1, 2), np.nan), DataError, "entries must be finite"),
+            (lambda m: _edited(m, (2, 2), np.inf), DataError, "entries must be finite"),
+            (lambda m: m[:, :3], InvalidParameterError, "must be symmetric"),
+            (lambda m: m[0], InvalidParameterError, "must be symmetric"),
+        ],
+        ids=["asymmetric", "nan", "inf", "not-square", "one-dimensional"],
+    )
+    def test_bad_matrix_raises_at_construction(self, edit, error, match):
+        g = gs.build_path(4)
+        with pytest.raises(error, match=match):
+            gs.Laplacian(matrix=edit(gs.laplacian(g).matrix), graph=g)
+
+
+def _edited(m, index, value):
+    m = m.copy()
+    m[index] = value
+    return m
+
+
 class TestLaplacianStorage:
     @pytest.mark.parametrize(
         "graph",
@@ -374,6 +436,81 @@ class TestSharedEdgeConstructor:
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
             assert_same_bytes(gs.load_edge_list(path), loop_edge_list(n, edges))
+
+
+# Sizes for the tiled n x n passes: any size up to 200, and the sizes around
+# whole multiples of graphs._TILE (64) more often than a uniform draw gives.
+_tile_sizes = st.one_of(st.integers(0, 200), st.sampled_from([1, 63, 64, 65, 127, 128, 129, 130]))
+# Entries with exact ties and signed zeros, so max and sum see both orders.
+_tile_values = np.array([0.0, -0.0, 0.0, 1.0, 0.5, 1e-300, 2.0])
+
+
+class TestTiledPasses:
+    """Each tiled pass equals the whole-matrix numpy expression it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=_tile_sizes,
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([1e-12, 1e-10]),
+        sparse=st.booleans(),  # mostly zeros, as an adjacency is: a skew of tol is exact
+        skews=st.lists(
+            st.tuples(
+                st.booleans(),  # in the last (often partial) tile row and column
+                st.floats(0, 1),
+                st.floats(0, 1),
+                st.sampled_from([0.5, 0.999, 1.0, 1.001, 3.0, -0.999, -1.001]),
+            ),
+            max_size=4,
+        ),
+    )
+    def test_symmetry_predicate(self, n, seed, tol, sparse, skews):
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < (0.05 if sparse else 1)), 1)
+        a = upper + upper.T
+        last = max(n - 1, 0) // graphs._TILE * graphs._TILE
+        for in_last, x, y, factor in skews:
+            if n == 0:
+                break
+            lo = last if in_last else 0
+            i, j = lo + int(x * (n - lo - 1)), int(y * (n - 1))
+            a[i, j] += factor * tol
+        want = np.abs(a - a.T).max(initial=0.0) <= tol
+        assert graphs._is_symmetric(a, tol) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=_tile_sizes, seed=st.integers(0, 2**32 - 1))
+    def test_mirror(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.choice(_tile_values, size=(n, n)) * rng.integers(1, 3, size=(n, n))
+        for op, want in (
+            (np.maximum, np.maximum(a, a.T)),
+            (np.add, a + a.T),
+            (lambda x, y: 0.5 * (x + y), 0.5 * (a + a.T)),  # kron_reduce's symmetrization
+        ):
+            got = a.copy()
+            graphs._mirror(got, op)
+            assert got.tobytes() == want.tobytes()  # sign bits too
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=_tile_sizes,
+        cols=_tile_sizes,
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.float64, np.complex128, np.int64]),
+        layout=st.sampled_from(["F", "transposed", "strided"]),
+    )
+    def test_read_only_copies_into_c_order(self, rows, cols, seed, dtype, layout):
+        base = np.random.default_rng(seed).standard_normal((2 * rows, 2 * cols)).astype(dtype)
+        a = {
+            "F": np.asfortranarray(base[:rows, :cols]),
+            "transposed": base[:rows, :cols].copy().T,
+            "strided": base[::2, ::2],
+        }[layout]
+        got = graphs.read_only(a)
+        assert got.tobytes() == a.copy().tobytes() and got.dtype == a.dtype
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert a.flags.writeable and not np.shares_memory(got, a)
 
 
 @settings(max_examples=150, deadline=None)
