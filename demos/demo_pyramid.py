@@ -29,7 +29,7 @@ def main():
     # check and the NLA curve of every sampling family share one level chain
     chain = gs.build_chain(lap, basis, 3)
     for sampling in ("vertex", "index", "spectrum"):
-        config = gs.PyramidConfig(sampling=sampling, reduction="polarity")
+        config = gs.PyramidConfig(sampling=sampling)
         dec = gs.decompose(f, chain, config)
         rec = gs.synthesize(dec)
         roundtrip = np.linalg.norm(rec - f) / np.linalg.norm(f)

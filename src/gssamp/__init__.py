@@ -77,7 +77,6 @@ from .reduction import (
 )
 from .pyramid import (
     FilterSpec,
-    PyramidChain,
     PyramidConfig,
     PyramidDecomposition,
     analyze,

@@ -113,9 +113,10 @@ class Laplacian:
 
 
 def read_only(a) -> np.ndarray:
-    """``a`` read-only; a writable array is copied first (C-ordered), so no view edits it."""
+    """``a`` read-only; anything but a read-only array owning its memory is copied
+    first (C-ordered), so no view of the caller's memory edits the result."""
     a = np.asarray(a)
-    if a.flags.writeable:
+    if a.flags.writeable or not a.flags.owndata:
         a = _c_copy(a) if a.ndim == 2 and not a.flags.c_contiguous else a.copy()
         a.flags.writeable = False
     return a

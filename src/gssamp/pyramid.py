@@ -21,7 +21,11 @@ from .errors import GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
 from .reduction import kron_reduce, select_every_other, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
-from .spectral import SpectralBasis, check_signal, eigendecompose
+from .spectral import SpectralBasis, check_count, check_signal, eigendecompose
+
+# Each level's Kron-reduced graph drops its edges lighter than this share of
+# its heaviest, keeping connectivity (``sparsify``)
+_SPARSIFY_RATIO = 0.05
 
 
 def halving_lowpass(lam):
@@ -40,8 +44,7 @@ class FilterSpec:
     def __post_init__(self):
         if self.mode not in ("exact", "chebyshev"):
             raise InvalidParameterError(f"unknown filter mode {self.mode!r}")
-        if self.order < 1:
-            raise InvalidParameterError("chebyshev order must be positive")
+        check_count(self.order, "chebyshev order", 1)
 
 
 def chebyshev_coefficients(
@@ -111,25 +114,19 @@ def filter_signal(
 
 @dataclass(frozen=True)
 class PyramidConfig:
-    """Operator, filter, and reduction choices for a pyramid.
+    """Per-signal operator and filter choices; the reduced graphs are the chain's.
 
     sampling: "vertex", "index", or "spectrum"; the spectral families
     use the folded variants by default.
-    reduction: "polarity" (sign of the top eigenvector + Kron reduction +
-    sparsification) or "every_other" (index stride, for path/ring/grid).
     """
 
     sampling: str = "index"
     folded: bool = True
     analysis_filter: FilterSpec = field(default_factory=FilterSpec)
-    reduction: str = "polarity"
-    sparsify_ratio: float = 0.05
 
     def __post_init__(self):
         if self.sampling not in ("vertex", "index", "spectrum"):
             raise InvalidParameterError(f"unknown sampling {self.sampling!r}")
-        if self.reduction not in ("polarity", "every_other"):
-            raise InvalidParameterError(f"unknown reduction {self.reduction!r}")
 
     @property
     def operator(self) -> str:
@@ -158,79 +155,60 @@ class ChainLevel:
 
 
 @dataclass(frozen=True)
-class PyramidChain:
-    """Level chain of a graph, shared by every signal and sampling family.
-
-    Records the reduction choices it was built with; a config that disagrees
-    cannot run over it.
-    """
-
-    levels: tuple[ChainLevel, ...]
-    reduction: str
-    sparsify_ratio: float
-
-
-@dataclass(frozen=True)
 class PyramidDecomposition:
     """A signal's pyramid over ``chain``: one prediction error per level, then the coarse band."""
 
-    chain: PyramidChain
+    chain: tuple[ChainLevel, ...]
     details: tuple[np.ndarray, ...]
     coarse: np.ndarray
     config: PyramidConfig
 
     def __post_init__(self):
-        if len(self.details) != len(self.chain.levels):
+        if len(self.details) != len(self.chain):
             raise InvalidParameterError("need one detail per chain level")
 
     def detail_sizes(self) -> list[int]:
         return [y.size for y in self.details]
 
 
-def _reduce_level(graph: Graph, basis: SpectralBasis, lap: Laplacian, config):
-    n1 = graph.n // 2
-    if n1 < 2:
-        raise InvalidParameterError(f"graph too small to halve (n={graph.n})")
-    if config.reduction == "every_other":
-        keep = select_every_other(graph, 2)
-    else:
-        keep = select_polarity(basis, n1)
-    result = kron_reduce(lap, keep)
-    reduced = sparsify(result.graph, config.sparsify_ratio)
-    if config.reduction == "every_other" and graph.structure in ("path", "ring"):
-        # striding a path/ring yields the same structure, so keep the tag
-        # to allow further index-structured selection at deeper levels
-        reduced = replace(reduced, structure=graph.structure)
-    return result.correspondence, reduced
-
-
 def build_chain(
-    lap: Laplacian, basis: SpectralBasis, num_levels: int, config: PyramidConfig | None = None
-) -> PyramidChain:
-    """Graphs, bases and correspondences of a ``num_levels`` pyramid over ``lap``.
+    lap: Laplacian, basis: SpectralBasis, num_levels: int, reduction: str = "polarity"
+) -> tuple[ChainLevel, ...]:
+    """The levels of a ``num_levels`` pyramid over ``lap``, shared by every signal and family.
 
-    Only ``config.reduction`` and ``config.sparsify_ratio`` matter; the chain
-    serves any signal and sampling family. Each level reuses the previous
-    level's reduced Laplacian and basis, so this takes ``num_levels``
-    eigendecompositions on top of the caller's ``basis``.
+    Each level keeps half the vertices, picked by ``reduction``: "polarity"
+    (sign of the top eigenvector) or "every_other" (index stride, for
+    path/ring/grid), then Kron-reduces to them and sparsifies. Each level
+    reuses the previous level's reduced Laplacian and basis, so this takes
+    ``num_levels`` eigendecompositions on top of the caller's ``basis``.
     """
-    config = config or PyramidConfig()
-    if num_levels < 1:
-        raise InvalidParameterError("need at least one level")
+    if reduction not in ("polarity", "every_other"):
+        raise InvalidParameterError(f"unknown reduction {reduction!r}")
+    check_count(num_levels, "num_levels", 1)
+    every_other = reduction == "every_other"
     levels = []
     for level in range(num_levels):
+        graph, n1 = lap.graph, lap.n // 2
         try:
-            corr, reduced = _reduce_level(lap.graph, basis, lap, config)
+            if n1 < 2:
+                raise InvalidParameterError(f"graph too small to halve (n={graph.n})")
+            keep = select_every_other(graph, 2) if every_other else select_polarity(basis, n1)
+            result = kron_reduce(lap, keep)
+            reduced = sparsify(result.graph, _SPARSIFY_RATIO)
         except GssampError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
+        if every_other and graph.structure in ("path", "ring"):
+            # striding a path/ring yields the same structure, so keep the tag
+            # to allow further index-structured selection at deeper levels
+            reduced = replace(reduced, structure=graph.structure)
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
         levels.append(ChainLevel(
-            lap.graph, lap, basis, corr, reduced, reduced_basis,
+            graph, lap, basis, result.correspondence, reduced, reduced_basis,
             SamplingContext(basis, reduced_basis), SamplingContext(reduced_basis, basis),
         ))
         lap, basis = reduced_lap, reduced_basis
-    return PyramidChain(tuple(levels), config.reduction, config.sparsify_ratio)
+    return tuple(levels)
 
 
 def _predict(lvl: ChainLevel, coarse: np.ndarray, config: PyramidConfig) -> np.ndarray:
@@ -239,18 +217,15 @@ def _predict(lvl: ChainLevel, coarse: np.ndarray, config: PyramidConfig) -> np.n
     return filter_signal(lvl.basis, upsampled, config.analysis_filter, lvl.lap)
 
 
-def decompose(f: np.ndarray, chain: PyramidChain, config: PyramidConfig) -> PyramidDecomposition:
+def decompose(
+    f: np.ndarray, chain: tuple[ChainLevel, ...], config: PyramidConfig
+) -> PyramidDecomposition:
     """Analyse a signal over a ``build_chain`` chain into one prediction error
-    per level plus the coarse band. ``config``'s reduction must match the
-    chain's, and spectral sampling needs an even vertex count at every level."""
-    if (config.reduction, config.sparsify_ratio) != (chain.reduction, chain.sparsify_ratio):
-        raise InvalidParameterError(
-            f"config reduction {config.reduction!r} / sparsify_ratio {config.sparsify_ratio} "
-            f"does not match the chain's {chain.reduction!r} / {chain.sparsify_ratio}"
-        )
-    current = check_signal(np.asarray(f, dtype=float), chain.levels[0].graph.n)
+    per level plus the coarse band. Spectral sampling needs an even vertex
+    count at every level."""
+    current = check_signal(np.asarray(f, dtype=float), chain[0].graph.n)
     details = []
-    for level, lvl in enumerate(chain.levels):
+    for level, lvl in enumerate(chain):
         if config.sampling != "vertex" and lvl.graph.n % 2 != 0:
             raise InvalidParameterError(
                 f"level {level}: spectral sampling needs an even vertex count"
@@ -269,18 +244,18 @@ def analyze(
 ) -> PyramidDecomposition:
     """Decompose a signal into ``num_levels`` prediction errors plus a coarse band.
 
-    ``build_chain`` then ``decompose``; to decompose several signals or
-    sampling families on one graph, build its chain once.
+    ``build_chain`` (polarity reduction) then ``decompose``; to decompose
+    several signals or sampling families on one graph, build its chain once.
     """
-    config = config or PyramidConfig()
     lap = laplacian(graph)
-    return decompose(f, build_chain(lap, eigendecompose(lap), num_levels, config), config)
+    chain = build_chain(lap, eigendecompose(lap), num_levels)
+    return decompose(f, chain, config or PyramidConfig())
 
 
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     """Invert ``decompose`` (or ``analyze``); exact when coefficients are unmodified."""
     current = dec.coarse
-    for lvl, detail in zip(dec.chain.levels[::-1], dec.details[::-1]):
+    for lvl, detail in zip(dec.chain[::-1], dec.details[::-1]):
         current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.graph.n, "detail")
     return current
 
@@ -293,8 +268,7 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
     """
     sizes = dec.detail_sizes()
     total = sum(sizes)
-    if not 0 <= n_kept <= total:
-        raise InvalidParameterError(f"n_kept must be in [0, {total}]")
+    n_kept = check_count(n_kept, "n_kept", 0, total)
     values = np.concatenate(dec.details)
     # pooled positions run in (level, index) order, so a stable sort on
     # magnitude alone breaks its ties the documented way
@@ -306,7 +280,7 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
 
 def nla_error_curve(
     f: np.ndarray,
-    chain: PyramidChain,
+    chain: tuple[ChainLevel, ...],
     config: PyramidConfig,
     fractions: Sequence[float],
 ) -> list[tuple[float, float]]:
@@ -316,13 +290,16 @@ def nla_error_curve(
     sampling family of ``config``. Each entry of ``fractions`` is a budget
     over N: it keeps the round(fraction * N) largest details, capped at the
     total detail count, so 1.0 keeps N details, not all of a pyramid's
-    (about 1.75 N at three levels). Returns (budget over N, error) pairs.
+    (about 1.75 N at three levels). Returns (budget over N, error) pairs. A
+    zero signal has no normalized error and raises InvalidParameterError.
     """
-    f = np.asarray(f, dtype=float)
-    dec = decompose(f, chain, config)
-    n = chain.levels[0].graph.n
-    total = sum(dec.detail_sizes())
+    n = chain[0].graph.n
+    f = check_signal(np.asarray(f, dtype=float), n)
     norm = np.linalg.norm(f)
+    if norm == 0:
+        raise InvalidParameterError("the NLA error curve needs a nonzero signal")
+    dec = decompose(f, chain, config)
+    total = sum(dec.detail_sizes())
     out = []
     for frac in fractions:
         if not 0.0 <= frac <= 1.0:

@@ -28,7 +28,9 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .spectral import SpectralBasis, Spectrum, _Analysis, _interpolation_map, check_signal
+from .spectral import (
+    SpectralBasis, Spectrum, _Analysis, _interpolation_map, check_count, check_signal,
+)
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,9 @@ def _coefficient_map(ctx: SamplingContext, family: str, folded: bool, up: bool):
 
 def _check_rate(ctx: SamplingContext, rate: int, up: bool) -> None:
     """Require the larger graph to hold exactly ``rate`` times the smaller one."""
+    rate = check_count(rate, "rate", 1)
     big, small = (ctx.n1, ctx.n0) if up else (ctx.n0, ctx.n1)
-    if rate < 1 or big != rate * small:
+    if big != rate * small:
         b, s = ("n1", "n0") if up else ("n0", "n1")
         raise InvalidParameterError(
             f"size mismatch: expected {b} = {rate} * {s}, got {big} vs {small}"
@@ -248,7 +251,9 @@ def ideal_lowpass_index(spectrum: Spectrum, cutoff_index: int) -> Spectrum:
 
 
 def ideal_lowpass_lambda(spectrum: Spectrum, cutoff_lambda: float) -> Spectrum:
-    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda."""
+    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, which must not be NaN."""
+    if np.isnan(cutoff_lambda):
+        raise InvalidParameterError("cutoff_lambda must not be NaN")
     c = np.where(spectrum.grid <= cutoff_lambda, spectrum.coefficients, 0.0)
     return Spectrum(c, spectrum.grid)
 
@@ -301,8 +306,9 @@ def apply_operator(
     """Apply the operator ``name`` of ``OPERATORS[direction]`` to ``f``.
 
     ``ctx`` runs from the input graph to the output graph. Integer-rate
-    spectral operators take ``rate``; the vertex operators take ``corr``.
-    A name outside the direction's table raises InvalidParameterError.
+    spectral operators take ``rate``, an int; the vertex operators take
+    ``corr``. A name outside the direction's table, or a missing ``rate`` or
+    ``corr``, raises InvalidParameterError.
     """
     names = OPERATORS.get(direction, ())
     if name not in names:
@@ -314,6 +320,8 @@ def apply_operator(
     if direction == "frac":
         return fractional_downsample(ctx, f, mode=family, folded=folded)
     if family == "vertex":
+        if corr is None:
+            raise InvalidParameterError(f"operator {name!r} needs a vertex correspondence")
         if direction == "down":
             return vertex_downsample(f, corr)
         return vertex_upsample(f, corr, ctx.n1)

@@ -164,6 +164,15 @@ def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
     return f
 
 
+def check_count(value, what: str, lo: int = 0, hi: float = np.inf) -> int:
+    """Return ``value`` as an int; anything but an integer in [lo, hi], a bool
+    included, raises InvalidParameterError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    bound = f"in [{lo}, {hi}]" if hi < np.inf else f">= {lo}"
+    raise InvalidParameterError(f"{what} must be an integer {bound}")
+
+
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:
     """Forward graph Fourier transform U^H f, read-only and shared with the basis's other users."""
     return Spectrum(basis._analysis(check_signal(signal, basis.n)), basis.eigenvalues)
@@ -225,10 +234,10 @@ def interpolate_spectrum(spectrum: Spectrum, lambda_query: float) -> float:
     """Evaluate the piecewise-linear spectrum interpolant at one frequency.
 
     Duplicate abscissae (repeated eigenvalues) are collapsed by averaging
-    before interpolation. Queries outside [0, lambda_max] raise RangeError.
+    before interpolation. Queries outside [0, lambda_max], and NaN, raise RangeError.
     """
     lam_max = float(spectrum.grid[-1])
     tol = 1e-9 * max(1.0, lam_max)
-    if lambda_query < -tol or lambda_query > lam_max + tol:
+    if not -tol <= lambda_query <= lam_max + tol:
         raise RangeError(f"query {lambda_query} outside spectrum range [0, {lam_max}]")
     return float(sample_interpolant(spectrum, [lambda_query])[0])

@@ -183,7 +183,7 @@ def test_criterion_8_pyramid_roundtrip():
         for g in graphs:
             f = rng.standard_normal(g.n)
             for sampling in ("vertex", "index", "spectrum"):
-                config = gs.PyramidConfig(sampling=sampling, reduction="polarity")
+                config = gs.PyramidConfig(sampling=sampling)
                 rec = gs.synthesize(gs.analyze(f, g, num_levels=3, config=config))
                 assert np.linalg.norm(rec - f) / np.linalg.norm(f) <= 1e-9
 

@@ -296,6 +296,32 @@ class TestLaplacianStorage:
         assert gs.Laplacian(matrix=lap.matrix, graph=lap.graph).matrix is lap.matrix
 
 
+def _read_only_view(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "basis", "spectrum"])
+def test_read_only_view_of_writable_memory_is_copied(kind):
+    # a read-only view does not freeze the caller's memory under it
+    lap = gs.laplacian(gs.build_path(6))
+    basis = gs.eigendecompose(lap)
+    base = {"laplacian": lap.matrix, "basis": basis.eigenvectors,
+            "spectrum": basis.eigenvalues}[kind].copy()
+    view = _read_only_view(base)
+    if kind == "laplacian":
+        frozen = gs.Laplacian(matrix=view, graph=lap.graph).matrix
+    elif kind == "basis":
+        frozen = gs.SpectralBasis(basis.eigenvalues, view).eigenvectors
+    else:
+        frozen = gs.Spectrum(view, _read_only_view(basis.eigenvalues.copy())).coefficients
+    assert not np.shares_memory(frozen, base) and not frozen.flags.writeable
+    want = base.copy()
+    base[...] = 0.0
+    assert np.array_equal(frozen, want)
+
+
 # The adjacency fills each builder had before they shared ``graphs._from_edges``,
 # kept as references: the shared constructor must give the same bytes.
 

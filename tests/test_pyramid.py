@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,9 +18,9 @@ def basis_of(graph):
     return gs.eigendecompose(gs.laplacian(graph))
 
 
-def chain_of(graph, num_levels, config=None):
+def chain_of(graph, num_levels, reduction="polarity"):
     lap = gs.laplacian(graph)
-    return gs.build_chain(lap, gs.eigendecompose(lap), num_levels, config)
+    return gs.build_chain(lap, gs.eigendecompose(lap), num_levels, reduction)
 
 
 def smooth_signal(basis, cutoff, seed=0):
@@ -211,9 +212,9 @@ def test_import_does_not_load_scipy_fft():
 
 
 CONFIGS = {
-    "vertex": gs.PyramidConfig(sampling="vertex", reduction="polarity"),
-    "index": gs.PyramidConfig(sampling="index", reduction="polarity"),
-    "spectrum": gs.PyramidConfig(sampling="spectrum", reduction="polarity"),
+    "vertex": gs.PyramidConfig(sampling="vertex"),
+    "index": gs.PyramidConfig(sampling="index"),
+    "spectrum": gs.PyramidConfig(sampling="spectrum"),
 }
 
 
@@ -229,8 +230,8 @@ class TestPerfectReconstruction:
     def test_path_every_other(self):
         g = gs.build_path(32)
         f = np.random.default_rng(4).standard_normal(32)
-        config = gs.PyramidConfig(sampling="index", reduction="every_other")
-        rec = gs.synthesize(gs.analyze(f, g, num_levels=2, config=config))
+        config = gs.PyramidConfig(sampling="index")
+        rec = gs.synthesize(gs.decompose(f, chain_of(g, 2, "every_other"), config))
         assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
 
     def test_chebyshev_filters_still_reconstruct(self):
@@ -337,6 +338,14 @@ class TestNonlinearApproximation:
         gs.nla_error_curve(f, chain_of(g, 3), CONFIGS["index"], [1.0])
         assert kept == [g.n]
 
+    def test_zero_signal_refused(self):
+        # its normalized error would be 0 / 0: refused before any decomposition
+        chain = chain_of(gs.build_random_sensor(32, seed=7), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match="nonzero signal"):
+                gs.nla_error_curve(np.zeros(32), chain, CONFIGS["index"], [0.5])
+
     def test_zero_kept_drops_details(self):
         f, g = self._dec()
         dec = gs.analyze(f, g, num_levels=1, config=CONFIGS["index"])
@@ -402,14 +411,16 @@ class TestSharedChain:
     def test_levels_reuse_the_previous_reduced_basis(self):
         g = gs.build_random_sensor(64, seed=7)
         chain = chain_of(g, 3)
-        assert [lvl.graph.n for lvl in chain.levels] == [64, 32, 16]
-        for upper, lower in zip(chain.levels, chain.levels[1:]):
+        assert isinstance(chain, tuple)
+        assert all(isinstance(lvl, pyramid.ChainLevel) for lvl in chain)
+        assert [lvl.graph.n for lvl in chain] == [64, 32, 16]
+        for upper, lower in zip(chain, chain[1:]):
             assert lower.graph is upper.reduced_graph
             assert lower.basis is upper.reduced_basis
 
     def test_signal_passes_reuse_the_chain_correspondences(self, monkeypatch):
         chain = chain_of(gs.build_random_sensor(64, seed=7), 3)
-        assert [lvl.correspondence.n_reduced for lvl in chain.levels] == [32, 16, 8]
+        assert [lvl.correspondence.n_reduced for lvl in chain] == [32, 16, 8]
         built = []
         original = gs.VertexCorrespondence.__post_init__
         monkeypatch.setattr(
@@ -417,19 +428,6 @@ class TestSharedChain:
         )
         curve = gs.nla_error_curve(np.ones(64), chain, CONFIGS["vertex"], [0.0, 0.5, 1.0])
         assert len(curve) == 3 and built == []
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            gs.PyramidConfig(reduction="every_other"),
-            gs.PyramidConfig(sparsify_ratio=0.1),
-        ],
-    )
-    def test_config_disagreeing_with_chain_rejected(self, config):
-        g = gs.build_random_sensor(64, seed=7)
-        f = np.ones(64)
-        with pytest.raises(InvalidParameterError, match="does not match the chain"):
-            gs.nla_error_curve(f, chain_of(g, 1), config, [0.5])
 
     def test_zero_levels_rejected(self):
         g = gs.build_random_sensor(16, seed=7)
@@ -445,6 +443,42 @@ class TestSharedChain:
             InvalidParameterError, match="level 2: spectral sampling needs an even vertex count"
         ):
             gs.nla_error_curve(f, chain, CONFIGS["index"], [0.5])
+
+
+class TestBoundaryErrors:
+    """Counts are ints, never bools or floats; operators get their rate and correspondence."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return chain_of(gs.build_random_sensor(16, seed=7), 1)
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda c: gs.apply_operator("index-folded", "down", c[0].ctx_down, np.ones(16)),
+             "rate must be"),
+            (lambda c: gs.apply_operator("spectrum", "up", c[0].ctx_up, np.ones(8), 2.0),
+             "rate must be"),
+            (lambda c: gs.apply_operator("vertex", "down", c[0].ctx_down, np.ones(16), 2),
+             "needs a vertex correspondence"),
+            (lambda c: gs.apply_operator("vertex", "up", c[0].ctx_up, np.ones(8)),
+             "needs a vertex correspondence"),
+            (lambda c: gs.FilterSpec(mode="chebyshev", order=2.5), "order must be"),
+            (lambda c: gs.FilterSpec(order=True), "order must be"),
+            (lambda c: gs.nonlinear_approximate(
+                gs.decompose(np.ones(16), c, CONFIGS["index"]), 3.7), "n_kept must be"),
+            (lambda c: gs.build_chain(c[0].lap, c[0].basis, 2.0), "num_levels must be"),
+            (lambda c: gs.build_chain(c[0].lap, c[0].basis, True), "num_levels must be"),
+            (lambda c: gs.build_chain(c[0].lap, c[0].basis, 1, reduction="bogus"),
+             "unknown reduction 'bogus'"),
+        ],
+        ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
+             "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
+             "unknown-reduction"],
+    )
+    def test_refused_at_the_call(self, chain, call, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            call(chain)
 
 
 def test_pyramid_nla_preset_builds_one_chain(monkeypatch, tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gssamp as gs
 from gssamp import sampling, spectral
-from gssamp.errors import DataError, InvalidParameterError
+from gssamp.errors import DataError, InvalidParameterError, RangeError
 
 
 def operator_matrix(op, n_in: int) -> np.ndarray:
@@ -253,6 +253,16 @@ class TestIdealFilters:
         mask = b.eigenvalues <= 1.0
         assert np.array_equal(out.coefficients[mask], spec.coefficients[mask])
         assert np.all(out.coefficients[~mask] == 0)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [(gs.interpolate_spectrum, RangeError), (gs.ideal_lowpass_lambda, InvalidParameterError)],
+        ids=["interpolate_spectrum", "ideal_lowpass_lambda"],
+    )
+    def test_nan_frequency_rejected(self, call, error):
+        spec = gs.gft(basis_of(gs.build_path(8)), np.random.default_rng(0).standard_normal(8))
+        with pytest.raises(error, match="NaN|outside spectrum range"):
+            call(spec, np.nan)
 
 
 class TestRingEquivalences:

@@ -1,8 +1,14 @@
-"""The benchmark's tracer patches library functions by name: every name must resolve."""
+"""The benchmark's tracer patches library functions by name: every name must resolve.
+
+The benchmark's own checks call the library too; the last test makes those calls.
+"""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import gssamp as gs
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -26,3 +32,13 @@ def test_class_hooks_resolve_in_class_body(tracing):
     for cls, attr, _ in tracing._CLASS_HOOKS:
         assert cls.__module__.startswith("gssamp.")
         assert callable(vars(cls).get(attr)), f"{cls.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("family", ["vertex", "index", "spectrum"])
+def test_pyramid_check_library_calls(family):
+    # the calls of the benchmark's pyramid reconstruction check, on a small graph
+    graph = gs.build_random_sensor(64, seed=3)
+    f = np.random.default_rng(0).standard_normal(64)
+    config = gs.PyramidConfig(sampling=family, analysis_filter=gs.FilterSpec())
+    rec = gs.synthesize(gs.analyze(f, graph, 3, config))
+    assert np.linalg.norm(rec - f) / np.linalg.norm(f) <= 1e-10
