@@ -47,7 +47,7 @@ from .sampling import (
     apply_operator,
     fractional_downsample,
 )
-from .spectral import eigendecompose, gft, igft
+from .spectral import SpectralBasis, check_count, eigendecompose, eigenvalue_groups, gft, igft
 
 _GENERATORS = {
     "path": G.build_path,
@@ -214,14 +214,15 @@ def load_config(source: str) -> dict:
 
 
 def _int(errors: list, key: str, value, lo: int) -> int | None:
-    """The integer rule of every config key: an int, never a bool, >= ``lo``.
+    """The integer rule of every config key, ``spectral.check_count``'s.
 
     Returns ``value``, or None once the broken rule is added to ``errors``.
     """
-    if type(value) is int and value >= lo:
-        return value
-    errors.append(f"{key} must be an integer >= {lo}")
-    return None
+    try:
+        return check_count(value, key, lo)
+    except InvalidParameterError as exc:
+        errors.append(str(exc))
+        return None
 
 
 def _is_number(x) -> bool:
@@ -475,6 +476,18 @@ def _reduce(lap, basis, keep, size):
     return result.graph, result.correspondence
 
 
+def _permute_within_groups(basis: SpectralBasis, seed: int) -> SpectralBasis:
+    """``basis`` with each repeated-eigenvalue group's columns in the order of one
+    ``default_rng(seed)`` permutation per group of two or more, in eigenvalue order."""
+    rng = np.random.default_rng(seed)
+    starts = eigenvalue_groups(basis.eigenvalues)
+    sizes = np.diff(np.append(starts, basis.n))
+    order = np.arange(basis.n)
+    for s, size in zip(starts[sizes > 1], sizes[sizes > 1]):
+        order[s : s + size] = s + rng.permutation(size)
+    return SpectralBasis(basis.eigenvalues, basis.eigenvectors[:, order])
+
+
 class _Artifacts:
     """Collects CSV outputs under one directory and builds the manifest.
 
@@ -594,7 +607,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             coeffs0 = np.zeros(graph.n)
             coeffs0[: cfg["signal"]["cutoff"]] = 1.0
             f0 = igft(basis, coeffs0)
-            permuted = eigendecompose(lap, ordering_seed=cfg["seed"])
+            permuted = _permute_within_groups(basis, cfg["seed"])
             for tag, b in (("ordered", basis), ("permuted", permuted)):
                 ctx = SamplingContext(b, basis1)
                 out = fractional_downsample(ctx, f0, mode="index", folded=True)

@@ -19,7 +19,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from .errors import GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
-from .reduction import kron_reduce, select_every_other, select_polarity, sparsify
+from .reduction import kron_reduce, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
 from .spectral import SpectralBasis, check_count, check_signal, eigendecompose
 
@@ -171,36 +171,24 @@ class PyramidDecomposition:
         return [y.size for y in self.details]
 
 
-def build_chain(
-    lap: Laplacian, basis: SpectralBasis, num_levels: int, reduction: str = "polarity"
-) -> tuple[ChainLevel, ...]:
+def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[ChainLevel, ...]:
     """The levels of a ``num_levels`` pyramid over ``lap``, shared by every signal and family.
 
-    Each level keeps half the vertices, picked by ``reduction``: "polarity"
-    (sign of the top eigenvector) or "every_other" (index stride, for
-    path/ring/grid), then Kron-reduces to them and sparsifies. Each level
-    reuses the previous level's reduced Laplacian and basis, so this takes
-    ``num_levels`` eigendecompositions on top of the caller's ``basis``.
+    Each level keeps the half of the vertices ``select_polarity`` picks, Kron-reduces
+    to them and sparsifies, reusing the previous level's reduced Laplacian and
+    basis: ``num_levels`` eigendecompositions on top of the caller's ``basis``.
     """
-    if reduction not in ("polarity", "every_other"):
-        raise InvalidParameterError(f"unknown reduction {reduction!r}")
     check_count(num_levels, "num_levels", 1)
-    every_other = reduction == "every_other"
     levels = []
     for level in range(num_levels):
         graph, n1 = lap.graph, lap.n // 2
         try:
             if n1 < 2:
                 raise InvalidParameterError(f"graph too small to halve (n={graph.n})")
-            keep = select_every_other(graph, 2) if every_other else select_polarity(basis, n1)
-            result = kron_reduce(lap, keep)
+            result = kron_reduce(lap, select_polarity(basis, n1))
             reduced = sparsify(result.graph, _SPARSIFY_RATIO)
         except GssampError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
-        if every_other and graph.structure in ("path", "ring"):
-            # striding a path/ring yields the same structure, so keep the tag
-            # to allow further index-structured selection at deeper levels
-            reduced = replace(reduced, structure=graph.structure)
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
         levels.append(ChainLevel(
@@ -222,7 +210,9 @@ def decompose(
 ) -> PyramidDecomposition:
     """Analyse a signal over a ``build_chain`` chain into one prediction error
     per level plus the coarse band. Spectral sampling needs an even vertex
-    count at every level."""
+    count at every level; an empty chain is refused."""
+    if not chain:
+        raise InvalidParameterError("a pyramid chain needs at least one level")
     current = check_signal(np.asarray(f, dtype=float), chain[0].graph.n)
     details = []
     for level, lvl in enumerate(chain):
@@ -293,12 +283,12 @@ def nla_error_curve(
     (about 1.75 N at three levels). Returns (budget over N, error) pairs. A
     zero signal has no normalized error and raises InvalidParameterError.
     """
-    n = chain[0].graph.n
-    f = check_signal(np.asarray(f, dtype=float), n)
+    dec = decompose(f, chain, config)  # refuses an empty chain and a wrong signal
+    f = np.asarray(f, dtype=float)
+    n = f.size
     norm = np.linalg.norm(f)
     if norm == 0:
         raise InvalidParameterError("the NLA error curve needs a nonzero signal")
-    dec = decompose(f, chain, config)
     total = sum(dec.detail_sizes())
     out = []
     for frac in fractions:

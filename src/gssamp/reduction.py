@@ -16,7 +16,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .errors import DataError, InvalidParameterError, NumericError
 from .graphs import Graph, Laplacian, _mirror, components
 from .sampling import VertexCorrespondence
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, check_count
 
 _NEG_WEIGHT_TOL = 1e-10
 
@@ -113,8 +113,7 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
 
 def select_every_other(graph: Graph, m: int):
     """Keep indices 0 mod M on path/ring structures; stride sqrt(M) on grids."""
-    if m < 2:
-        raise InvalidParameterError("rate must be >= 2")
+    m = check_count(m, "rate", 2)
     if graph.structure in ("path", "ring"):
         return np.arange(0, graph.n, m)
     if graph.structure == "grid":

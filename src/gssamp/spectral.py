@@ -123,13 +123,11 @@ def eigenvalue_groups(eigenvalues: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate((starts, np.asarray(extra, dtype=starts.dtype))))
 
 
-def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> SpectralBasis:
+def eigendecompose(lap: Laplacian) -> SpectralBasis:
     """Full symmetric eigendecomposition with deterministic ordering.
 
-    Within each repeated-eigenvalue group, columns are sign-canonicalized and
-    sorted lexicographically by their entries; ``ordering_seed`` then applies
-    a random permutation inside each group (used to probe the freedom of
-    eigenvector order for repeated eigenvalues).
+    Eigenvalues ascend; columns are sign-canonicalized, then sorted
+    lexicographically by their entries inside each repeated-eigenvalue group.
     """
     m = np.asarray(lap.matrix, dtype=float)  # finite and symmetric: ``Laplacian`` checked it
     try:
@@ -137,17 +135,13 @@ def eigendecompose(lap: Laplacian, ordering_seed: int | None = None) -> Spectral
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"eigensolver failed: {exc}") from exc
     u = _canonicalize_signs(u)  # eigh returns the eigenvalues ascending
-    rng = np.random.default_rng(ordering_seed) if ordering_seed is not None else None
     starts = eigenvalue_groups(lam)
     sizes = np.diff(np.append(starts, lam.size))
     multi = sizes > 1
     for s, size in zip(starts[multi], sizes[multi]):
         block = u[:, s : s + size]
         # lexicographic column order: compare entry 0, then 1, ...
-        key = np.lexsort(block[::-1])
-        if rng is not None:
-            key = key[rng.permutation(size)]
-        u[:, s : s + size] = block[:, key]
+        u[:, s : s + size] = block[:, np.lexsort(block[::-1])]
     return SpectralBasis(eigenvalues=lam, eigenvectors=u)
 
 

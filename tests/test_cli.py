@@ -535,6 +535,19 @@ class TestRun:
         assert s["ordered_fold_energy"] < 1e-12
         assert s["permuted_fold_energy"] > 0.25 * s["permuted_total_energy"]
 
+    def test_repeated_eigenvalues_preset_decomposes_twice(self, monkeypatch, tmp_path):
+        # the complete graph once, its reordered basis reusing it, then the reduced graph
+        sizes = []
+        original = cli.eigendecompose
+
+        def counting(lap, *args, **kwargs):
+            sizes.append(lap.n)
+            return original(lap, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "eigendecompose", counting)
+        run_experiment(PRESETS["repeated-eigenvalues"](), tmp_path)
+        assert sizes == [100, 52]
+
 
 # Sorted artifact file names and scalar keys of every self-contained preset.
 # Fractional stems use underscores and record no energy; integer-rate stems

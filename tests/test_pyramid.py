@@ -18,9 +18,9 @@ def basis_of(graph):
     return gs.eigendecompose(gs.laplacian(graph))
 
 
-def chain_of(graph, num_levels, reduction="polarity"):
+def chain_of(graph, num_levels):
     lap = gs.laplacian(graph)
-    return gs.build_chain(lap, gs.eigendecompose(lap), num_levels, reduction)
+    return gs.build_chain(lap, gs.eigendecompose(lap), num_levels)
 
 
 def smooth_signal(basis, cutoff, seed=0):
@@ -227,11 +227,11 @@ class TestPerfectReconstruction:
         rec = gs.synthesize(dec)
         assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
 
-    def test_path_every_other(self):
+    def test_path_polarity(self):
         g = gs.build_path(32)
         f = np.random.default_rng(4).standard_normal(32)
         config = gs.PyramidConfig(sampling="index")
-        rec = gs.synthesize(gs.decompose(f, chain_of(g, 2, "every_other"), config))
+        rec = gs.synthesize(gs.decompose(f, chain_of(g, 2), config))
         assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
 
     def test_chebyshev_filters_still_reconstruct(self):
@@ -339,7 +339,7 @@ class TestNonlinearApproximation:
         assert kept == [g.n]
 
     def test_zero_signal_refused(self):
-        # its normalized error would be 0 / 0: refused before any decomposition
+        # its normalized error would be 0 / 0
         chain = chain_of(gs.build_random_sensor(32, seed=7), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -469,12 +469,14 @@ class TestBoundaryErrors:
                 gs.decompose(np.ones(16), c, CONFIGS["index"]), 3.7), "n_kept must be"),
             (lambda c: gs.build_chain(c[0].lap, c[0].basis, 2.0), "num_levels must be"),
             (lambda c: gs.build_chain(c[0].lap, c[0].basis, True), "num_levels must be"),
-            (lambda c: gs.build_chain(c[0].lap, c[0].basis, 1, reduction="bogus"),
-             "unknown reduction 'bogus'"),
+            (lambda c: gs.decompose(np.ones(4), (), gs.PyramidConfig()),
+             "needs at least one level"),
+            (lambda c: gs.nla_error_curve(np.ones(4), (), gs.PyramidConfig(), [0.5]),
+             "needs at least one level"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
-             "unknown-reduction"],
+             "empty-chain-decompose", "empty-chain-nla"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):

@@ -203,6 +203,11 @@ class TestSelectEveryOther:
         with pytest.raises(InvalidParameterError):
             gs.select_every_other(gs.build_complete(6), 2)
 
+    @pytest.mark.parametrize("rate", [2.0, True, 1], ids=["float", "bool", "one"])
+    def test_rate_must_be_an_integer_of_at_least_2(self, rate):
+        with pytest.raises(InvalidParameterError, match="rate must be an integer >= 2"):
+            gs.select_every_other(gs.build_path(8), rate)
+
 
 def reference_select_polarity(basis, target_size):
     """Grow or shrink the positive set one vertex at a time through a Python set."""
