@@ -9,13 +9,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
+from .spectral import check_count
 
 
 def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
     """(D1) retain every m-th sample; m must divide len(f)."""
     f = np.asarray(f)
     n = f.shape[0]
-    if m < 1 or n % m != 0:
+    m = check_count(m, "rate", 1)
+    if n % m != 0:
         raise InvalidParameterError(f"rate {m} must divide signal length {n}")
     return f[::m].copy()
 
@@ -24,7 +26,8 @@ def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
     """(D2) fold the DFT spectrum: F_d[k] = (1/m) sum_p F[p N/m + k]."""
     f = np.asarray(f)
     n = f.shape[0]
-    if m < 1 or n % m != 0:
+    m = check_count(m, "rate", 1)
+    if n % m != 0:
         raise InvalidParameterError(f"rate {m} must divide signal length {n}")
     spec = np.fft.fft(f)
     folded = spec.reshape(m, n // m).sum(axis=0) / m
@@ -35,8 +38,7 @@ def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
 def upsample_time(f: np.ndarray, l: int) -> np.ndarray:
     """(U1) insert l-1 zeros between samples."""
     f = np.asarray(f)
-    if l < 1:
-        raise InvalidParameterError("rate must be >= 1")
+    l = check_count(l, "rate", 1)
     out = np.zeros(f.shape[0] * l, dtype=f.dtype)
     out[::l] = f
     return out
@@ -45,8 +47,7 @@ def upsample_time(f: np.ndarray, l: int) -> np.ndarray:
 def upsample_dft(f: np.ndarray, l: int) -> np.ndarray:
     """(U2) repeat the DFT spectrum l times: F_u[p N + k] = F[k]."""
     f = np.asarray(f)
-    if l < 1:
-        raise InvalidParameterError("rate must be >= 1")
+    l = check_count(l, "rate", 1)
     spec = np.tile(np.fft.fft(f), l)
     out = np.fft.ifft(spec)
     return out.real if np.isrealobj(f) else out

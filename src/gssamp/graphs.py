@@ -6,7 +6,7 @@ edge weights. Randomized generators are deterministic given their seed.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -21,7 +21,6 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-12
-_LAPLACIAN_SYM_TOL = 1e-10
 # Side of the square tiles that the n x n passes reading ``a.T`` work in: a
 # tile and its mirror (2 x 32 KiB of float64) stay in cache together, where a
 # whole-matrix ``a.T`` pass reads a new cache line on almost every element.
@@ -52,8 +51,8 @@ class Graph:
 
     def __post_init__(self):
         a = np.array(self.adjacency, dtype=float)  # defensive copy, frozen below
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidParameterError("adjacency must be a square matrix")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise InvalidParameterError("adjacency must be a nonempty square matrix")
         if not np.all(np.isfinite(a)):
             raise DataError("edge weights must be finite")
         if not _is_symmetric(a, _SYM_TOL):
@@ -81,26 +80,19 @@ class Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian D - A together with its source graph.
+    """Combinatorial Laplacian D - A of ``graph``; ``matrix`` is derived from the
+    graph when the Laplacian is built, read-only. ``Graph`` checked the adjacency,
+    and a degree that overflows to inf raises DataError."""
 
-    ``matrix`` is read-only; a writable array from the caller is copied
-    first, so the caller's array stays writable. It must be finite (else
-    DataError) and symmetric to 1e-10 (else InvalidParameterError); this is
-    the one check of a matrix before it reaches ``eigh``.
-    """
-
-    matrix: np.ndarray
-    graph: Graph = field(repr=False)
+    graph: Graph
 
     def __post_init__(self):
-        # frozen, so ``sparse`` cannot go stale
-        m = read_only(self.matrix)
-        f = np.asarray(m, dtype=float)
-        if not np.isfinite(f).all():
+        degree = self.graph.adjacency.sum(axis=1)
+        if not np.isfinite(degree).all():  # finite weights can overflow in a sum
             raise DataError("Laplacian entries must be finite")
-        if f.ndim != 2 or f.shape[0] != f.shape[1] or not _is_symmetric(f, _LAPLACIAN_SYM_TOL):
-            raise InvalidParameterError("Laplacian matrix must be symmetric")
-        object.__setattr__(self, "matrix", m)
+        m = np.diag(degree) - self.graph.adjacency
+        m.flags.writeable = False  # frozen, so ``sparse`` cannot go stale
+        object.__setattr__(self, "matrix", m)  # not a field: eq and repr ignore it
 
     @property
     def n(self) -> int:
@@ -186,10 +178,7 @@ def laplacian(graph: Graph) -> Laplacian:
 
     The result has zero row sums and is positive semidefinite.
     """
-    a = graph.adjacency
-    m = np.diag(a.sum(axis=1)) - a
-    m.flags.writeable = False
-    return Laplacian(matrix=m, graph=graph)
+    return Laplacian(graph)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
-from .errors import GssampError, InvalidParameterError
+from .errors import DataError, GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, laplacian
 from .reduction import kron_reduce, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
@@ -60,6 +60,8 @@ def chebyshev_coefficients(
     x = np.cos(theta)  # nodes in [-1, 1]
     lam = 0.5 * lam_max * (x + 1.0)
     h = np.asarray(response(lam), dtype=float)
+    if not np.isfinite(h).all():
+        raise DataError("filter response must be finite")
     k = np.arange(order + 1)
     # DCT-II through the FFT of the even extension [h, h reversed] (period
     # 2N): sum_j h_j cos(k theta_j) = Re(exp(-i pi k / 2N) Y_k) / 2 for every
@@ -99,11 +101,14 @@ def filter_signal(
 
     Exact mode multiplies in the eigenbasis. Chebyshev mode runs the
     recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
-    it evaluates the same polynomial on the eigenvalues, in O(n^2).
+    it evaluates the same polynomial on the eigenvalues, in O(n^2). A
+    response that is not finite where it is sampled raises DataError.
     """
     f = check_signal(f, basis.n)
     if spec.mode == "exact":
         response = spec.response(basis.eigenvalues)
+        if not np.isfinite(response).all():
+            raise DataError("filter response must be finite")
     else:
         coeffs = chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
         if lap is not None:

@@ -34,7 +34,10 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     graph the result is again a Laplacian; tiny negative off-diagonal
     round-off is clamped to zero.
     """
-    keep = np.asarray(sorted(set(keep)))
+    keep = np.asarray(keep)
+    if keep.ndim != 1:
+        raise InvalidParameterError("keep set must be a 1-D array of vertex indices")
+    keep = np.unique(keep)
     n = lap.n
     if keep.size == 0 or keep.size >= n:
         raise InvalidParameterError("keep set must be a nonempty proper subset")
@@ -137,8 +140,7 @@ def select_polarity(basis: SpectralBasis, target_size: int) -> np.ndarray:
     positive, then grow/shrink to ``target_size`` by |entry| ranking
     (ties broken by index). Deterministic given the basis.
     """
-    if not 0 < target_size < basis.n:
-        raise InvalidParameterError("target_size must be in (0, n)")
+    target_size = check_count(target_size, "target_size", 1, basis.n - 1)
     u = basis.eigenvectors[:, -1]
     mag_order = np.lexsort((np.arange(basis.n), -np.abs(u)))
     # positives first, each side by rank: shrinking drops the smallest

@@ -53,6 +53,8 @@ class SpectralBasis:
     def __post_init__(self):
         lam = read_only(np.asarray(self.eigenvalues, dtype=float))
         u = read_only(self.eigenvectors)
+        if lam.ndim != 1 or u.shape != (lam.size, lam.size):
+            raise InvalidParameterError("eigenvectors must be an (n, n) array for n eigenvalues")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
         object.__setattr__(self, "_analysis", _Analysis(u))  # not a field: eq and repr ignore it
@@ -129,7 +131,7 @@ def eigendecompose(lap: Laplacian) -> SpectralBasis:
     Eigenvalues ascend; columns are sign-canonicalized, then sorted
     lexicographically by their entries inside each repeated-eigenvalue group.
     """
-    m = np.asarray(lap.matrix, dtype=float)  # finite and symmetric: ``Laplacian`` checked it
+    m = lap.matrix  # finite, and symmetric to 1e-12: derived from a checked ``Graph``
     try:
         lam, u = scipy.linalg.eigh(m)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover

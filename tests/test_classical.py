@@ -26,6 +26,16 @@ class TestDownsample:
             gs.downsample_dft(np.ones(10), 4)
 
 
+@pytest.mark.parametrize("rate", [True, 2.0, 2.5], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize(
+    "resample", [gs.downsample_time, gs.downsample_dft, gs.upsample_time, gs.upsample_dft]
+)
+def test_rate_must_be_an_integer(resample, rate):
+    # True was once taken as rate 1, a float ended in a TypeError
+    with pytest.raises(InvalidParameterError, match="rate must be an integer >= 1"):
+        resample(np.ones(4), rate)
+
+
 class TestUpsample:
     def test_time_simple(self):
         assert gs.upsample_time(np.array([1.0, 2.0]), 2).tolist() == [1, 0, 2, 0]

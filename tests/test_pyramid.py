@@ -55,6 +55,21 @@ class TestFilters:
         with pytest.raises(DataError, match="signal entries must be finite"):
             gs.filter_signal(gs.eigendecompose(lap), f, gs.FilterSpec(mode=mode), lap=lap)
 
+    @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_response_rejected(self, mode, value):
+        # a NaN response once filtered every signal to all NaN
+        lap = gs.laplacian(gs.build_path(8))
+        spec = gs.FilterSpec(response=lambda lam: np.where(lam > 1.0, value, 1.0), mode=mode)
+        with pytest.raises(DataError, match="filter response must be finite"):
+            gs.filter_signal(gs.eigendecompose(lap), np.ones(8), spec, lap=lap)
+
+    def test_exact_scalar_response(self):
+        b = basis_of(gs.build_path(8))
+        f = np.arange(8.0)
+        spec = gs.FilterSpec(response=lambda lam: 0.5, mode="exact")
+        assert np.abs(gs.filter_signal(b, f, spec) - 0.5 * f).max() < 1e-12
+
     def test_eigenvector_scaled_by_response(self):
         g = gs.build_path(16)
         b = basis_of(g)

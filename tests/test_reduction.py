@@ -58,6 +58,21 @@ class TestKronReduce:
         with pytest.raises(InvalidParameterError, match="nonempty proper subset"):
             gs.kron_reduce(lap, np.array([], dtype=float))
 
+    @pytest.mark.parametrize(
+        "keep", [[[1, 2]], np.array([[0], [2]]), 3], ids=["nested", "column", "scalar"]
+    )
+    def test_keep_set_must_be_one_dimensional(self, keep):
+        lap = gs.laplacian(gs.build_path(6))
+        with pytest.raises(InvalidParameterError, match="keep set must be a 1-D array"):
+            gs.kron_reduce(lap, keep)
+
+    def test_duplicate_and_unsorted_keep_set(self):
+        lap = gs.laplacian(gs.build_path(6))
+        got = gs.kron_reduce(lap, [4, 0, 2, 2, 0])
+        want = gs.kron_reduce(lap, [0, 2, 4])
+        assert np.array_equal(got.correspondence.targets, [0, 2, 4])
+        assert np.array_equal(got.graph.adjacency, want.graph.adjacency)
+
     def test_singular_eliminated_block_rejected(self):
         # eliminating a whole disconnected component leaves a singular block,
         # reported by its cause
@@ -267,6 +282,13 @@ class TestSelectPolarity:
             gs.select_polarity(b, 0)
         with pytest.raises(InvalidParameterError):
             gs.select_polarity(b, 6)
+
+    @pytest.mark.parametrize("size", [True, 2.0, 2.5], ids=["bool", "float", "fraction"])
+    def test_target_size_must_be_an_integer(self, size):
+        # True once kept one vertex, a float ended in a TypeError
+        b = basis_of(gs.build_path(8))
+        with pytest.raises(InvalidParameterError, match=r"target_size must be an integer in \[1, 7\]"):
+            gs.select_polarity(b, size)
 
 
 class TestSpectralBisection:
