@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import check_count
+from .spectral import SpectralBasis, check_count
 
 
 def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
@@ -59,18 +59,26 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)
 
 
-def ring_sampling_bases(n0: int, n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """DFT eigenvector matrices (U0, U1) for a ring-graph sampling pair.
+def ring_sampling_bases(n0: int, n1: int) -> tuple[SpectralBasis, SpectralBasis]:
+    """DFT bases (U0, U1) for a ring-graph sampling pair.
 
-    The DFT matrix diagonalizes the ring-graph Laplacian. U0 is the unitary
-    DFT basis of size n0; U1 is the size-n1 basis rescaled by 1/sqrt(rate)
-    so that index-domain spectral sampling between the two rings coincides
-    numerically with classical time-domain sampling at rate max/min(n0, n1).
+    The DFT matrix diagonalizes the ring-graph Laplacian; column k pairs with
+    the eigenvalue 2 - 2 cos(2 pi k / n), in DFT column order, which does not
+    ascend, so the spectrum-family operators refuse these bases. U0 is the
+    unitary DFT basis of size n0; U1 is the size-n1 basis rescaled by
+    1/sqrt(rate) so that index-domain spectral sampling between the two rings
+    coincides numerically with classical time-domain sampling at rate
+    max/min(n0, n1).
     """
-    if n0 < 1 or n1 < 1:
-        raise InvalidParameterError("sizes must be positive")
+    n0, n1 = check_count(n0, "n0", 1), check_count(n1, "n1", 1)
     big, small = max(n0, n1), min(n0, n1)
     if big % small != 0:
         raise InvalidParameterError("one size must divide the other")
     rate = big // small
-    return dft_matrix(n0), dft_matrix(n1) / np.sqrt(rate)
+    return _ring_basis(dft_matrix(n0)), _ring_basis(dft_matrix(n1) / np.sqrt(rate))
+
+
+def _ring_basis(u: np.ndarray) -> SpectralBasis:
+    """``u``'s columns, DFT-ordered, with the ring Laplacian's eigenvalues."""
+    n = u.shape[0]
+    return SpectralBasis(2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n), u)

@@ -81,12 +81,15 @@ class Graph:
 @dataclass(frozen=True)
 class Laplacian:
     """Combinatorial Laplacian D - A of ``graph``; ``matrix`` is derived from the
-    graph when the Laplacian is built, read-only. ``Graph`` checked the adjacency,
-    and a degree that overflows to inf raises DataError."""
+    graph when the Laplacian is built, read-only. ``Graph`` checked the adjacency;
+    anything but a Graph raises InvalidParameterError, and a degree that
+    overflows to inf DataError."""
 
     graph: Graph
 
     def __post_init__(self):
+        if not isinstance(self.graph, Graph):
+            raise InvalidParameterError("a Laplacian needs a Graph")
         degree = self.graph.adjacency.sum(axis=1)
         if not np.isfinite(degree).all():  # finite weights can overflow in a sum
             raise DataError("Laplacian entries must be finite")

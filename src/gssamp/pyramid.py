@@ -145,16 +145,13 @@ class PyramidConfig:
 class ChainLevel:
     """Signal-independent part of one pyramid level.
 
-    ``correspondence`` maps ``reduced_graph`` into ``graph``. Every signal reuses
-    the maps of ``ctx_down`` (``basis`` to ``reduced_basis``) and ``ctx_up`` (back).
+    ``correspondence`` maps the next level's graph into ``lap.graph``. Every signal
+    reuses the maps of ``ctx_down`` (``basis`` to the next level's) and ``ctx_up`` (back).
     """
 
-    graph: Graph
     lap: Laplacian
     basis: SpectralBasis
     correspondence: VertexCorrespondence
-    reduced_graph: Graph
-    reduced_basis: SpectralBasis
     ctx_down: SamplingContext
     ctx_up: SamplingContext
 
@@ -186,10 +183,10 @@ def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[
     check_count(num_levels, "num_levels", 1)
     levels = []
     for level in range(num_levels):
-        graph, n1 = lap.graph, lap.n // 2
+        n1 = lap.n // 2
         try:
             if n1 < 2:
-                raise InvalidParameterError(f"graph too small to halve (n={graph.n})")
+                raise InvalidParameterError(f"graph too small to halve (n={lap.n})")
             result = kron_reduce(lap, select_polarity(basis, n1))
             reduced = sparsify(result.graph, _SPARSIFY_RATIO)
         except GssampError as exc:
@@ -197,7 +194,7 @@ def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
         levels.append(ChainLevel(
-            graph, lap, basis, result.correspondence, reduced, reduced_basis,
+            lap, basis, result.correspondence,
             SamplingContext(basis, reduced_basis), SamplingContext(reduced_basis, basis),
         ))
         lap, basis = reduced_lap, reduced_basis
@@ -218,10 +215,10 @@ def decompose(
     count at every level; an empty chain is refused."""
     if not chain:
         raise InvalidParameterError("a pyramid chain needs at least one level")
-    current = check_signal(np.asarray(f, dtype=float), chain[0].graph.n)
+    current = check_signal(np.asarray(f, dtype=float), chain[0].lap.n)
     details = []
     for level, lvl in enumerate(chain):
-        if config.sampling != "vertex" and lvl.graph.n % 2 != 0:
+        if config.sampling != "vertex" and lvl.lap.n % 2 != 0:
             raise InvalidParameterError(
                 f"level {level}: spectral sampling needs an even vertex count"
             )
@@ -251,7 +248,7 @@ def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     """Invert ``decompose`` (or ``analyze``); exact when coefficients are unmodified."""
     current = dec.coarse
     for lvl, detail in zip(dec.chain[::-1], dec.details[::-1]):
-        current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.graph.n, "detail")
+        current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.lap.n, "detail")
     return current
 
 

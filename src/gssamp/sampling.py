@@ -28,9 +28,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .spectral import (
-    SpectralBasis, Spectrum, _Analysis, _interpolation_map, check_count, check_signal,
-)
+from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_count, check_signal
 
 
 @dataclass(frozen=True)
@@ -65,27 +63,25 @@ class VertexCorrespondence:
 class SamplingContext:
     """Pair of spectral bases (original graph first) shared by spectral operators.
 
-    Accepts SpectralBasis objects or raw eigenvector matrices (possibly
-    complex, e.g. DFT bases for ring graphs) with optional eigenvalue grids:
-    one finite value per eigenvector, ascending in column order. Each
-    operator's coefficient map S is built on its first call and kept for the
-    context's later calls. u0^H f is the SpectralBasis's kept analysis; a raw
-    matrix is copied once, read-only, so editing the caller's array later
-    changes nothing here.
+    Takes two SpectralBasis objects and nothing else. Each operator's
+    coefficient map S is built on its first call and kept for the context's
+    later calls; u0^H f is basis0's kept analysis.
     """
 
-    def __init__(self, basis0, basis1, lambdas0=None, lambdas1=None):
-        self._analysis0, self.lambdas0 = _unpack_basis(basis0, lambdas0)
-        analysis1, self.lambdas1 = _unpack_basis(basis1, lambdas1)
-        self.u0, self.u1 = self._analysis0.u, analysis1.u
-        self.n0, self.n1 = self.u0.shape[0], self.u1.shape[0]
+    def __init__(self, basis0: SpectralBasis, basis1: SpectralBasis):
+        if not (isinstance(basis0, SpectralBasis) and isinstance(basis1, SpectralBasis)):
+            raise InvalidParameterError("a SamplingContext needs two SpectralBasis objects")
+        self._analysis0 = basis0._analysis
+        self.u0, self.u1 = basis0.eigenvectors, basis1.eigenvectors
+        self.lambdas0, self.lambdas1 = basis0.eigenvalues, basis1.eigenvalues
+        self.n0, self.n1 = basis0.n, basis1.n
         self._maps = {}
 
     @property
     def rho(self) -> float:
-        """Ratio of maximum eigenvalues, lambda_{0,max} / lambda_{1,max}."""
-        if self.lambdas0 is None or self.lambdas1 is None:
-            raise InvalidParameterError("context has no eigenvalue grids")
+        """Ratio of maximum eigenvalues, lambda_{0,max} / lambda_{1,max}, of two ascending grids."""
+        if np.any(np.diff(self.lambdas0) < 0) or np.any(np.diff(self.lambdas1) < 0):
+            raise InvalidParameterError("eigenvalue grid must be in ascending order")
         if self.lambdas1[-1] <= 0:
             raise InvalidParameterError("reduced graph has zero maximum eigenvalue")
         return float(self.lambdas0[-1] / self.lambdas1[-1])
@@ -97,21 +93,6 @@ class SamplingContext:
         if key not in self._maps:
             self._maps[key] = _coefficient_map(self, *key)
         return self.u1 @ (self._maps[key] @ (coeffs.real if family == "spectrum" else coeffs))
-
-
-def _unpack_basis(basis, lambdas):
-    """The analysis and eigenvalue grid of a SpectralBasis, or of a raw matrix's copy."""
-    if isinstance(basis, SpectralBasis):
-        return basis._analysis, basis.eigenvalues
-    u = np.array(basis)  # a copy: the caller's array stays writable
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise InvalidParameterError("eigenvector matrix must be square")
-    if lambdas is not None:
-        lambdas = check_signal(np.array(lambdas, dtype=float), u.shape[0], "eigenvalue")
-        if np.any(np.diff(lambdas) < 0):  # a sort would part each value from its column
-            raise InvalidParameterError("eigenvalue grid must be in ascending order")
-    u.flags.writeable = False
-    return _Analysis(u), lambdas
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,11 @@ class _Analysis:
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """Ordered eigenpairs of a Laplacian.
+    """Eigenpairs of a Laplacian; from ``eigendecompose``, the eigenvalues ascend
+    (first value 0 for a connected graph) and the eigenvectors are orthonormal.
 
-    eigenvalues : (n,) ascending, first value 0 for connected graphs
-    eigenvectors : (n, n) orthonormal, column i pairs with eigenvalues[i]
+    eigenvalues : (n,) finite
+    eigenvectors : (n, n), column i pairs with eigenvalues[i]
     Both are read-only; a writable array is copied first, C-ordered, because
     the layout decides which BLAS kernel, and so which rounding, later
     products with the basis get. The basis keeps the last signal's U^H f for
@@ -55,6 +56,8 @@ class SpectralBasis:
         u = read_only(self.eigenvectors)
         if lam.ndim != 1 or u.shape != (lam.size, lam.size):
             raise InvalidParameterError("eigenvectors must be an (n, n) array for n eigenvalues")
+        if not np.isfinite(lam).all():
+            raise DataError("eigenvalue entries must be finite")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", u)
         object.__setattr__(self, "_analysis", _Analysis(u))  # not a field: eq and repr ignore it

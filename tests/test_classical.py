@@ -81,3 +81,18 @@ def test_dft_matrix_diagonalizes_ring_laplacian():
     off = d - np.diag(np.diag(d))
     assert np.abs(off).max() < 1e-10
     assert np.allclose(np.diag(d).real, 2 - 2 * np.cos(2 * np.pi * np.arange(n) / n))
+
+
+def test_ring_sampling_bases_are_spectral_bases():
+    u0, u1 = gs.ring_sampling_bases(8, 4)
+    assert isinstance(u0, gs.SpectralBasis) and isinstance(u1, gs.SpectralBasis)
+    for b in (u0, u1):  # DFT column order, as the DFT matrix diagonalizes the ring
+        assert np.array_equal(b.eigenvalues, 2 - 2 * np.cos(2 * np.pi * np.arange(b.n) / b.n))
+    assert np.array_equal(u0.eigenvectors, gs.dft_matrix(8))
+    assert np.array_equal(u1.eigenvectors, gs.dft_matrix(4) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 5), (4.0, 2), (True, 1), (0, 4), (8, 3)])
+def test_ring_sampling_bases_reject_bad_sizes(sizes):
+    with pytest.raises(InvalidParameterError, match="n0|n1|divide"):
+        gs.ring_sampling_bases(*sizes)

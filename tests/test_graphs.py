@@ -267,6 +267,12 @@ class TestLaplacianStorage:
             with pytest.raises(DataError, match="Laplacian entries must be finite"):
                 gs.laplacian(g)
 
+    @pytest.mark.parametrize("build", [gs.Laplacian, gs.laplacian], ids=["class", "builder"])
+    def test_non_graph_rejected(self, build):
+        for graph in (np.eye(3), None, gs.laplacian(gs.build_path(3))):
+            with pytest.raises(InvalidParameterError, match="a Laplacian needs a Graph"):
+                build(graph)
+
 
 def _read_only_view(a):
     view = a.view()

@@ -428,10 +428,9 @@ class TestSharedChain:
         chain = chain_of(g, 3)
         assert isinstance(chain, tuple)
         assert all(isinstance(lvl, pyramid.ChainLevel) for lvl in chain)
-        assert [lvl.graph.n for lvl in chain] == [64, 32, 16]
+        assert [lvl.lap.n for lvl in chain] == [64, 32, 16]
         for upper, lower in zip(chain, chain[1:]):
-            assert lower.graph is upper.reduced_graph
-            assert lower.basis is upper.reduced_basis
+            assert lower.basis.eigenvectors is upper.ctx_up.u0
 
     def test_signal_passes_reuse_the_chain_correspondences(self, monkeypatch):
         chain = chain_of(gs.build_random_sensor(64, seed=7), 3)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gssamp as gs
@@ -268,35 +268,44 @@ class TestIdealFilters:
 class TestRingEquivalences:
     """Ring graphs with DFT bases reduce graph sampling to classical sampling."""
 
-    @pytest.mark.parametrize("n", [8, 16, 32])
-    @pytest.mark.parametrize("m", [2, 4])
-    def test_downsampling_matches_classical_decimation(self, n, m):
-        u0, u1 = gs.ring_sampling_bases(n, n // m)
-        ctx = gs.SamplingContext(u0, u1)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_and_m=st.integers(4, 64).flatmap(lambda n: st.tuples(
+            st.just(n), st.sampled_from([m for m in range(2, n + 1) if n % m == 0]))),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_and_m=(8, 2), seed=0)
+    @example(n_and_m=(8, 4), seed=0)
+    @example(n_and_m=(16, 2), seed=0)
+    @example(n_and_m=(16, 4), seed=0)
+    @example(n_and_m=(32, 2), seed=0)
+    @example(n_and_m=(32, 4), seed=0)
+    @example(n_and_m=(64, 4), seed=0)
+    def test_index_operators_match_classical_sampling(self, n_and_m, seed):
+        # down from n to n / m vertices and up from n / m back to n, for any signal
+        n, m = n_and_m
         corr = gs.VertexCorrespondence(np.arange(0, n, m))
-        rng = np.random.default_rng(n * m)
-        for _ in range(10):
-            f = _real_bandlimited(rng, n, n // (2 * m))
-            spec_down = gs.spectral_downsample_index(ctx, f, m, folded=False)
-            d1 = gs.downsample_time(f, m)
-            vert_down = gs.vertex_downsample(f, corr)
-            assert np.abs(spec_down - d1).max() < 1e-9
-            assert np.abs(spec_down - vert_down).max() < 1e-9
+        down = gs.SamplingContext(*gs.ring_sampling_bases(n, n // m))
+        up = gs.SamplingContext(*gs.ring_sampling_bases(n // m, n))
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            f, g = rng.standard_normal(n), rng.standard_normal(n // m)
+            spec_down = gs.spectral_downsample_index(down, f, m, folded=False)
+            assert np.abs(spec_down - gs.downsample_time(f, m)).max() < 1e-9
+            assert np.abs(spec_down - gs.vertex_downsample(f, corr)).max() < 1e-9
+            spec_up = gs.spectral_upsample_index(up, g, m, folded=False)
+            assert np.abs(spec_up - gs.upsample_time(g, m)).max() < 1e-9
+            assert np.abs(spec_up - gs.vertex_upsample(g, corr, n)).max() < 1e-9
 
-    @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("l", [2, 4])
-    def test_upsampling_matches_classical_zero_insertion(self, n, l):
-        u0, u1 = gs.ring_sampling_bases(n, n * l)
-        ctx = gs.SamplingContext(u0, u1)
-        corr = gs.VertexCorrespondence(np.arange(0, n * l, l))
-        rng = np.random.default_rng(n + l)
-        for _ in range(10):
-            f = rng.standard_normal(n)
-            spec_up = gs.spectral_upsample_index(ctx, f, l, folded=False)
-            u1_out = gs.upsample_time(f, l)
-            vert_up = gs.vertex_upsample(f, corr, n * l)
-            assert np.abs(spec_up - u1_out).max() < 1e-9
-            assert np.abs(spec_up - vert_up).max() < 1e-9
+    def test_spectrum_family_refuses_dft_order(self):
+        # the ring grids keep DFT column order, which is no frequency axis
+        down = gs.SamplingContext(*gs.ring_sampling_bases(8, 4))
+        up = gs.SamplingContext(*gs.ring_sampling_bases(8, 16))
+        for name in ("spectrum", "spectrum-folded"):
+            for op, direction, ctx in ((name, "down", down), (f"frac-{name}", "frac", down),
+                                       (name, "up", up)):
+                with pytest.raises(InvalidParameterError, match="ascending order"):
+                    gs.apply_operator(op, direction, ctx, np.ones(8), 2)
 
     def test_bandlimited_perfect_recovery(self):
         # bandlimited signal survives down-up-filter exactly
@@ -443,33 +452,47 @@ class TestApplyOperator:
 
 
 class TestContextGrids:
+    """A grid's length and finiteness are checked where a SpectralBasis is built,
+    its order where the spectrum family reads it."""
+
     @pytest.fixture
     def bases(self):
         return basis_of(gs.build_path(40)), basis_of(gs.build_path(20))
 
+    def test_non_basis_rejected(self, bases):
+        b0, _ = bases
+        for pair in ((b0, np.ones((3, 3))), (np.eye(3), b0), (b0.eigenvectors, b0.eigenvectors)):
+            with pytest.raises(InvalidParameterError, match="two SpectralBasis objects"):
+                gs.SamplingContext(*pair)
+
     def test_short_grid_rejected(self, bases):
-        b0, b1 = bases
-        with pytest.raises(InvalidParameterError, match="eigenvalue length"):
-            gs.SamplingContext(
-                b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, b1.eigenvalues[:10]
-            )
+        _, b1 = bases
+        with pytest.raises(InvalidParameterError, match=r"\(n, n\) array"):
+            gs.SpectralBasis(b1.eigenvalues[:10], b1.eigenvectors)
 
     def test_non_finite_grid_rejected(self, bases):
-        b0, b1 = bases
+        _, b1 = bases
         for lam1 in (np.full(20, np.nan), np.append(b1.eigenvalues[:-1], np.inf)):
             with pytest.raises(DataError, match="eigenvalue entries must be finite"):
-                gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, lam1)
+                gs.SpectralBasis(lam1, b1.eigenvectors)
 
     def test_grid_sorted(self, bases):
-        # sorting a grid would part each eigenvalue from its column
+        # sorting a grid would part each eigenvalue from its column; only the
+        # spectrum family reads the grids, and it refuses one out of order
         b0, b1 = bases
+        f = np.random.default_rng(0).standard_normal(40)
         for lam0, lam1 in ((b0.eigenvalues[::-1], b1.eigenvalues),
-                           (b0.eigenvalues, list(b1.eigenvalues[::-1]))):
+                           (b0.eigenvalues, b1.eigenvalues[::-1])):
+            ctx = gs.SamplingContext(
+                gs.SpectralBasis(lam0, b0.eigenvectors), gs.SpectralBasis(lam1, b1.eigenvectors)
+            )
+            for name in ("spectrum", "spectrum-folded"):
+                with pytest.raises(InvalidParameterError, match="ascending order"):
+                    gs.apply_operator(name, "down", ctx, f, 2)
             with pytest.raises(InvalidParameterError, match="ascending order"):
-                gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, lam0, lam1)
-        ctx = gs.SamplingContext(
-            b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, list(b1.eigenvalues)
-        )
+                gs.fractional_downsample(ctx, f)
+            gs.apply_operator("index", "down", ctx, f, 2)  # reads no grid
+        ctx = gs.SamplingContext(b0, gs.SpectralBasis(list(b1.eigenvalues), b1.eigenvectors))
         assert np.array_equal(ctx.lambdas0, b0.eigenvalues)
         assert np.array_equal(ctx.lambdas1, b1.eigenvalues)
 
@@ -576,20 +599,19 @@ def reference_operator(ctx, f, family, folded, up):
 
 
 def graph_basis(kind, rows, cols):
-    """(eigenvectors, eigenvalues) of a rows x cols grid, or of an n = rows * cols
-    path, ring (complex DFT basis) or complete graph."""
+    """The SpectralBasis of a rows x cols grid, or of an n = rows * cols path,
+    ring (complex DFT basis) or complete graph."""
     n = rows * cols
     if kind == "ring":  # DFT columns, reordered to ascending eigenvalues
         lambdas = 2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n)
         order = np.argsort(lambdas, kind="stable")
-        return gs.dft_matrix(n)[:, order], lambdas[order]
+        return gs.SpectralBasis(lambdas[order], gs.dft_matrix(n)[:, order])
     graph = {
         "path": lambda: gs.build_path(n),
         "grid": lambda: gs.build_grid(rows, cols),
         "complete": lambda: gs.build_complete(n),
     }[kind]()
-    b = basis_of(graph)
-    return b.eigenvectors, b.eigenvalues
+    return basis_of(graph)
 
 
 class TestMapsMatchReferenceLoops:
@@ -608,8 +630,7 @@ class TestMapsMatchReferenceLoops:
         small = graph_basis(kind, rows, cols)
         # integer ratios: rate * cols columns; fractional: cols + extra columns
         big = graph_basis(kind, rows, cols + extra if direction == "frac" else rate * cols)
-        (u0, lam0), (u1, lam1) = (small, big) if direction == "up" else (big, small)
-        ctx = gs.SamplingContext(u0, u1, lam0, lam1)
+        ctx = gs.SamplingContext(*((small, big) if direction == "up" else (big, small)))
         f = np.random.default_rng(seed).standard_normal(ctx.n0)
         for family in ("index", "spectrum"):
             for folded in (False, True):
@@ -631,17 +652,6 @@ def ctx_basis0(ctx):
     from gssamp.spectral import SpectralBasis
 
     return SpectralBasis(eigenvalues=ctx.lambdas0, eigenvectors=ctx.u0)
-
-
-def _real_bandlimited(rng, n, half_band):
-    """Real signal whose DFT support is the symmetric band |k| < half_band."""
-    spec = np.zeros(n, dtype=complex)
-    spec[0] = rng.standard_normal()
-    for k in range(1, half_band):
-        c = rng.standard_normal() + 1j * rng.standard_normal()
-        spec[k] = c
-        spec[n - k] = np.conj(c)
-    return np.fft.ifft(spec).real
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +687,6 @@ class TestSharedAnalysis:
         """(name, input side, call, unmemoized call) of gft, both filter modes
         and every spectral operator over b0 (n0 = 2 n1) and b1."""
         down, up = gs.SamplingContext(b0, b1), gs.SamplingContext(b1, b0)
-        raw = gs.SamplingContext(b0.eigenvectors, b1.eigenvectors, b0.eigenvalues, b1.eigenvalues)
         ops = []
         for side, b in enumerate((b0, b1)):
             ops.append(("gft", side, lambda f, b=b: gs.gft(b, f).coefficients,
@@ -689,7 +698,7 @@ class TestSharedAnalysis:
         for family in ("index", "spectrum"):
             for folded in (False, True):
                 name = f"{family}-folded" if folded else family
-                for ctx, direction in ((down, "down"), (raw, "down"), (up, "up"), (down, "frac")):
+                for ctx, direction in ((down, "down"), (up, "up"), (down, "frac")):
                     ops.append((
                         f"{direction}-{name}", int(direction == "up"),
                         lambda f, ctx=ctx, name=name, direction=direction: gs.apply_operator(
@@ -766,17 +775,20 @@ class TestSharedAnalysis:
     def test_raw_matrices_are_copied(self):
         b0, b1 = basis_of(gs.build_path(16)), basis_of(gs.build_path(8))
         u0, u1 = np.array(b0.eigenvectors), np.array(b1.eigenvectors)
-        ctx = gs.SamplingContext(u0, u1, b0.eigenvalues, b1.eigenvalues)
-        f = np.random.default_rng(0).standard_normal(16)
-        names = ("index", "index-folded", "spectrum", "spectrum-folded")
-        first = [bits(gs.apply_operator(name, "down", ctx, f, 2)) for name in names]
-        u0[:] = np.random.default_rng(1).standard_normal(u0.shape)  # edited in place
+        lam0, lam1 = np.array(b0.eigenvalues), np.array(b1.eigenvalues)
+        ctx = gs.SamplingContext(gs.SpectralBasis(lam0, u0), gs.SpectralBasis(lam1, u1))
+        # edited in place before any operator builds a map or an analysis
+        u0[:] = np.random.default_rng(1).standard_normal(u0.shape)
         u1[:] = 0.0
-        assert u0.flags.writeable and u1.flags.writeable
-        assert [bits(gs.apply_operator(name, "down", ctx, f, 2)) for name in names] == first
-        g = f[::-1].copy()  # a new signal is analysed with the original matrix too
-        want = gs.apply_operator("index", "down", gs.SamplingContext(b0, b1), g, 2)
-        assert bits(gs.apply_operator("index", "down", ctx, g, 2)) == bits(want)
+        lam0[:] = lam0[::-1]
+        lam1[:] = np.nan
+        assert all(a.flags.writeable for a in (u0, u1, lam0, lam1))
+        want = gs.SamplingContext(b0, b1)
+        f = np.random.default_rng(0).standard_normal(16)
+        for g in (f, f[::-1].copy()):
+            for name in ("index", "index-folded", "spectrum", "spectrum-folded"):
+                got = gs.apply_operator(name, "down", ctx, g, 2)
+                assert bits(got) == bits(gs.apply_operator(name, "down", want, g, 2))
 
 
 class _Counted(np.ndarray):
