@@ -50,7 +50,7 @@ class Graph:
     grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        a = np.array(self.adjacency, dtype=float)  # defensive copy, frozen below
+        a = read_only(self.adjacency, float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InvalidParameterError("adjacency must be a nonempty square matrix")
         if not np.all(np.isfinite(a)):
@@ -61,13 +61,11 @@ class Graph:
             raise DataError("self-loops are not allowed (nonzero diagonal)")
         if np.any(a < 0.0):
             raise InvalidParameterError("edge weights must be nonnegative")
-        a.flags.writeable = False
         object.__setattr__(self, "adjacency", a)
         if self.coordinates is not None:
-            c = np.array(self.coordinates, dtype=float)
-            if c.shape[0] != a.shape[0]:
+            c = read_only(self.coordinates, float)
+            if c.shape[:1] != a.shape[:1]:
                 raise InvalidParameterError("coordinates must have one row per vertex")
-            c.flags.writeable = False
             object.__setattr__(self, "coordinates", c)
 
     @property
@@ -93,8 +91,7 @@ class Laplacian:
         degree = self.graph.adjacency.sum(axis=1)
         if not np.isfinite(degree).all():  # finite weights can overflow in a sum
             raise DataError("Laplacian entries must be finite")
-        m = np.diag(degree) - self.graph.adjacency
-        m.flags.writeable = False  # frozen, so ``sparse`` cannot go stale
+        m = read_only(np.diag(degree) - self.graph.adjacency)  # so ``sparse`` cannot go stale
         object.__setattr__(self, "matrix", m)  # not a field: eq and repr ignore it
 
     @property
@@ -103,18 +100,28 @@ class Laplacian:
 
     @functools.cached_property
     def sparse(self) -> csr_array:
-        """CSR form of ``matrix``, built on first use and kept."""
-        return _csr(self.matrix)
+        """CSR form of ``matrix``, built on first use and kept, with read-only arrays."""
+        s = _csr(self.matrix)
+        s.data, s.indices, s.indptr = map(read_only, (s.data, s.indices, s.indptr))
+        return s
 
 
-def read_only(a) -> np.ndarray:
-    """``a`` read-only; anything but a read-only array owning its memory is copied
-    first (C-ordered), so no view of the caller's memory edits the result."""
+def read_only(a, dtype=None) -> np.ndarray:
+    """``a`` as a C-ordered ``dtype`` array (``None``: ``a``'s numeric dtype) over an
+    immutable ``bytes`` copy, which neither the caller's memory nor a writeable flag
+    can edit; C order, as the layout picks the BLAS kernel and so the rounding. An
+    array already stored so is returned as is; a source the cast would change
+    (complex to float, strings, objects) raises InvalidParameterError."""
     a = np.asarray(a)
-    if a.flags.writeable or not a.flags.owndata:
-        a = _c_copy(a) if a.ndim == 2 and not a.flags.c_contiguous else a.copy()
-        a.flags.writeable = False
-    return a
+    dtype = a.dtype if dtype is None else np.dtype(dtype)
+    if a.dtype.kind not in "biufc" or not np.can_cast(a.dtype, dtype, "same_kind"):
+        raise InvalidParameterError(f"cannot store {a.dtype} values as {dtype}")
+    base = a
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if isinstance(base, bytes) and a.flags.c_contiguous and a.dtype == dtype:
+        return a
+    return np.frombuffer(a.astype(dtype, copy=False).tobytes(order="C"), dtype).reshape(a.shape)
 
 
 def _tiles(shape):
@@ -151,14 +158,6 @@ def _mirror(a: np.ndarray, op) -> None:
         high, low = op(upper, lower), op(lower, upper)
         upper[...] = high
         lower[...] = low
-
-
-def _c_copy(a: np.ndarray) -> np.ndarray:
-    """A C-ordered copy of the 2-D array ``a``, tile by tile."""
-    out = np.empty(a.shape, dtype=a.dtype)
-    for rows, cols in _tiles(a.shape):
-        out[rows, cols] = a[rows, cols]
-    return out
 
 
 def _csr(m: np.ndarray) -> csr_array:

@@ -22,12 +22,14 @@ direction and ``apply_operator`` runs one by name.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
+from .graphs import read_only
 from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_count, check_signal
 
 
@@ -42,17 +44,16 @@ class VertexCorrespondence:
     targets: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.targets)  # a copy: the caller's array stays writable
+        t = np.asarray(self.targets)
         if t.ndim != 1:
             raise InvalidParameterError("targets must be a 1-D index array")
         if t.size and not np.issubdtype(t.dtype, np.integer):
             raise InvalidParameterError(f"targets must be integers, got {t.dtype}")
-        t = t.astype(int, copy=False)
+        t = read_only(t if t.size else t.astype(int), int)  # ``[]`` reads as float
         if np.unique(t).size != t.size:
             raise InvalidParameterError("correspondence must be injective")
         if t.size and t.min() < 0:
             raise InvalidParameterError("targets must be nonnegative")
-        t.flags.writeable = False
         object.__setattr__(self, "targets", t)
 
     @property
@@ -110,6 +111,7 @@ def vertex_downsample(f: np.ndarray, corr: VertexCorrespondence) -> np.ndarray:
 def vertex_upsample(f: np.ndarray, corr: VertexCorrespondence, n0: int) -> np.ndarray:
     """Place samples on their corresponding vertices, zeros elsewhere."""
     f = check_signal(f, corr.n_reduced)
+    n0 = check_count(n0, "n0")
     if corr.targets.size and corr.targets.max() >= n0:
         raise InvalidParameterError("correspondence targets exceed target size")
     out = np.zeros(n0, dtype=f.dtype)
@@ -224,17 +226,16 @@ def spectral_upsample_spectrum(
 
 def ideal_lowpass_index(spectrum: Spectrum, cutoff_index: int) -> Spectrum:
     """Zero all coefficients with index k > cutoff_index."""
-    if cutoff_index < 0:
-        raise InvalidParameterError("cutoff index must be nonnegative")
+    cutoff_index = check_count(cutoff_index, "cutoff index")
     c = spectrum.coefficients.copy()
     c[cutoff_index + 1 :] = 0.0
     return Spectrum(c, spectrum.grid)
 
 
 def ideal_lowpass_lambda(spectrum: Spectrum, cutoff_lambda: float) -> Spectrum:
-    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, which must not be NaN."""
-    if np.isnan(cutoff_lambda):
-        raise InvalidParameterError("cutoff_lambda must not be NaN")
+    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, a real number but not NaN."""
+    if not isinstance(cutoff_lambda, numbers.Real) or np.isnan(cutoff_lambda):
+        raise InvalidParameterError("cutoff_lambda must be a real number, not NaN")
     c = np.where(spectrum.grid <= cutoff_lambda, spectrum.coefficients, 0.0)
     return Spectrum(c, spectrum.grid)
 

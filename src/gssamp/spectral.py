@@ -29,9 +29,7 @@ class _Analysis:
         key = (f.dtype, f.shape, f.tobytes())
         memo = self._memo
         if memo is None or memo[0] != key:
-            coeffs = self.u.conj().T @ f  # u^H: complex bases too
-            coeffs.flags.writeable = False
-            memo = self._memo = (key, coeffs)
+            memo = self._memo = (key, read_only(self.u.conj().T @ f))  # u^H: complex bases too
         return memo[1]
 
 
@@ -42,17 +40,16 @@ class SpectralBasis:
 
     eigenvalues : (n,) finite
     eigenvectors : (n, n), column i pairs with eigenvalues[i]
-    Both are read-only; a writable array is copied first, C-ordered, because
-    the layout decides which BLAS kernel, and so which rounding, later
-    products with the basis get. The basis keeps the last signal's U^H f for
-    ``gft``, ``filter_signal`` and every ``SamplingContext`` built from it.
+    Both are read-only, C-ordered copies (``read_only``); complex eigenvalues
+    are refused. The basis keeps the last signal's U^H f for ``gft``,
+    ``filter_signal`` and every ``SamplingContext`` built from it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        lam = read_only(np.asarray(self.eigenvalues, dtype=float))
+        lam = read_only(self.eigenvalues, float)
         u = read_only(self.eigenvectors)
         if lam.ndim != 1 or u.shape != (lam.size, lam.size):
             raise InvalidParameterError("eigenvectors must be an (n, n) array for n eigenvalues")
@@ -73,14 +70,14 @@ class SpectralBasis:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """GFT coefficients and the eigenvalue grid indexing them, read-only; copied if writable."""
+    """GFT coefficients and the real eigenvalue grid indexing them, read-only (``read_only``)."""
 
     coefficients: np.ndarray
     grid: np.ndarray
 
     def __post_init__(self):
         c = read_only(self.coefficients)
-        g = read_only(np.asarray(self.grid, dtype=float))
+        g = read_only(self.grid, float)
         if c.shape != g.shape:
             raise InvalidParameterError("coefficients and grid sizes differ")
         object.__setattr__(self, "coefficients", c)

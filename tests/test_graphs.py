@@ -11,7 +11,13 @@ from scipy.spatial import cKDTree
 
 import gssamp as gs
 from gssamp import graphs
-from gssamp.errors import DataError, GenerationFailureError, InvalidParameterError, ParseError
+from gssamp.errors import (
+    DataError,
+    GenerationFailureError,
+    GssampError,
+    InvalidParameterError,
+    ParseError,
+)
 
 
 def laplacian_eigenvalues(graph):
@@ -195,6 +201,13 @@ def test_adjacency_must_be_a_nonempty_square_matrix(shape):
         gs.Graph(np.zeros(shape))
 
 
+@pytest.mark.parametrize("coordinates", [np.zeros((3, 2)), 5.0], ids=["rows", "0-D"])
+def test_coordinates_need_one_row_per_vertex(coordinates):
+    # a 0-D value once ended in an IndexError
+    with pytest.raises(InvalidParameterError, match="coordinates must have one row per vertex"):
+        gs.Graph(np.zeros((2, 2)), coordinates=coordinates)
+
+
 def test_graph_is_immutable():
     g = gs.build_path(4)
     with pytest.raises(ValueError):
@@ -294,6 +307,78 @@ def test_read_only_view_of_writable_memory_is_copied(kind):
     want = base.copy()
     base[...] = 0.0
     assert np.array_equal(frozen, want)
+
+
+def _array_and_bases(a):
+    """``a`` and each ndarray in its ``.base`` chain."""
+    while isinstance(a, np.ndarray):
+        yield a
+        a = a.base
+
+
+def _exposed_arrays(graph, seed):
+    """Every array that the objects built on ``graph`` expose, by name."""
+    lap = gs.laplacian(graph)
+    basis = gs.eigendecompose(lap)
+    reduced = gs.kron_reduce(lap, gs.select_polarity(basis, graph.n // 2))
+    level = gs.build_chain(lap, basis, 2)[-1]  # a sparsified Kron level and its reduction
+    spectrum = gs.gft(basis, np.random.default_rng(seed).standard_normal(graph.n))
+    ring = gs.SamplingContext(*gs.ring_sampling_bases(graph.n, graph.n // 2))  # complex
+    out = {"coefficients": spectrum.coefficients, "grid": spectrum.grid,
+           "kron.targets": reduced.correspondence.targets, "level.targets":
+           level.correspondence.targets}
+    for name, g in (("graph", graph), ("kron", reduced.graph), ("level", level.lap.graph)):
+        out.update({f"{name}.adjacency": g.adjacency, f"{name}.coordinates": g.coordinates})
+    for name, lp in (("lap", lap), ("level", level.lap)):
+        out.update({f"{name}.matrix": lp.matrix, f"{name}.sparse.data": lp.sparse.data,
+                    f"{name}.sparse.indices": lp.sparse.indices,
+                    f"{name}.sparse.indptr": lp.sparse.indptr})
+    out.update({"eigenvalues": basis.eigenvalues, "eigenvectors": basis.eigenvectors})
+    for name, ctx in (("down", level.ctx_down), ("up", level.ctx_up), ("ring", ring)):
+        out.update({f"{name}.{k}": getattr(ctx, k) for k in ("u0", "u1", "lambdas0", "lambdas1")})
+    return {name: a for name, a in out.items() if a is not None}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    build=st.sampled_from([
+        lambda n, seed: gs.build_path(n),
+        lambda n, seed: gs.build_ring(n),
+        lambda n, seed: gs.build_grid(2, n // 2),
+        lambda n, seed: gs.build_comet(n, 3),
+        lambda n, seed: gs.build_random_sensor(n, k_nearest=4, seed=seed),
+    ]),
+    n=st.sampled_from([8, 12, 16, 20, 24]),
+    seed=st.integers(0, 2**16),
+)
+def test_no_exposed_array_can_be_made_writable(build, n, seed):
+    # a writeable flag set back once let a caller zero a basis's kept analysis
+    for name, a in _exposed_arrays(build(n, seed), seed).items():
+        for x in _array_and_bases(a):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                x.flags.writeable = True
+            assert not x.flags.writeable, name
+
+
+_PAIR = np.ones((2, 2)) - np.eye(2)
+
+
+@pytest.mark.parametrize("bad", [_PAIR * (1 + 1j), _PAIR.astype(str)], ids=["complex", "string"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: gs.Graph(bad),
+        lambda bad: gs.Graph(_PAIR, coordinates=bad),
+        lambda bad: gs.SpectralBasis(bad[0], np.eye(2)),
+        lambda bad: gs.Spectrum(np.ones(2), bad[0]),
+    ],
+    ids=["adjacency", "coordinates", "eigenvalues", "grid"],
+)
+def test_complex_or_string_input_refused(build, bad):
+    # once a complex part was dropped with numpy's ComplexWarning, and numeric
+    # strings were parsed as weights
+    with pytest.raises(GssampError, match="cannot store"):
+        build(bad)
 
 
 # The adjacency fills each builder had before they shared ``graphs._from_edges``,
@@ -511,6 +596,8 @@ class TestTiledPasses:
         assert got.tobytes() == a.copy().tobytes() and got.dtype == a.dtype
         assert got.flags.c_contiguous and not got.flags.writeable
         assert a.flags.writeable and not np.shares_memory(got, a)
+        top = got[: rows // 2]  # a C-ordered view of the bytes-backed copy: kept as is
+        assert graphs.read_only(got) is got and graphs.read_only(top, dtype) is top
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gssamp as gs
 from gssamp import cli, graphs, pyramid, reduction, spectral
@@ -311,6 +313,46 @@ class TestPerfectReconstruction:
             gs.analyze(f, g, num_levels=1, config=CONFIGS["index"])
 
 
+def _rows(n):
+    """The largest divisor of n up to sqrt(n)."""
+    return max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
+
+
+# Small connected graphs of n vertices, one builder per generator.
+_SMALL_GRAPHS = {
+    "path": lambda n, seed: gs.build_path(n),
+    "ring": lambda n, seed: gs.build_ring(n),
+    "grid": lambda n, seed: gs.build_grid(n // _rows(n), _rows(n)),
+    "comet": lambda n, seed: gs.build_comet(n, 1 + seed % (n - 1)),
+    "sensor": lambda n, seed: gs.build_random_sensor(n, k_nearest=4, seed=seed),
+    "community": lambda n, seed: gs.build_community(n, 2, p_in=0.5, p_out=0.1, seed=seed),
+}
+
+
+@st.composite
+def _pyramid_cases(draw):
+    """(graph, levels, config): the spectral families need an even size at every level."""
+    sampling = draw(st.sampled_from(["vertex", "index", "spectrum"]))
+    levels = draw(st.integers(1, 3))
+    step = 1 if sampling == "vertex" else 2**levels  # n // 2**levels >= 2 in both cases
+    n = draw(st.sampled_from(range(max(8, 2 ** (levels + 1)) // step * step, 65, step)))
+    kind = draw(st.sampled_from(sorted(_SMALL_GRAPHS)))
+    graph = _SMALL_GRAPHS[kind](n, draw(st.integers(0, 2**16)))
+    spec = draw(st.sampled_from([gs.FilterSpec(), gs.FilterSpec(mode="chebyshev", order=12)]))
+    config = gs.PyramidConfig(sampling=sampling, folded=draw(st.booleans()), analysis_filter=spec)
+    return graph, levels, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_pyramid_cases(), seed=st.integers(0, 2**16))
+def test_synthesis_inverts_decomposition(case, seed):
+    # the paper's perfect-reconstruction law, for every family, filter mode and depth
+    graph, levels, config = case
+    f = np.random.default_rng(seed).standard_normal(graph.n)
+    rec = gs.synthesize(gs.decompose(f, chain_of(graph, levels), config))
+    assert np.linalg.norm(rec - f) <= 1e-9 * np.linalg.norm(f)
+
+
 class TestNonlinearApproximation:
     def _dec(self):
         g = gs.build_random_sensor(64, seed=7)
@@ -487,10 +529,18 @@ class TestBoundaryErrors:
              "needs at least one level"),
             (lambda c: gs.nla_error_curve(np.ones(4), (), gs.PyramidConfig(), [0.5]),
              "needs at least one level"),
+            (lambda c: gs.ideal_lowpass_index(gs.gft(c[0].basis, np.ones(16)), 2.5),
+             "cutoff index must be"),
+            (lambda c: gs.ideal_lowpass_index(gs.gft(c[0].basis, np.ones(16)), True),
+             "cutoff index must be"),
+            (lambda c: gs.vertex_upsample(np.ones(8), c[0].correspondence, 8.5), "n0 must be"),
+            (lambda c: gs.ideal_lowpass_lambda(gs.gft(c[0].basis, np.ones(16)), "x"),
+             "cutoff_lambda must be"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
-             "empty-chain-decompose", "empty-chain-nla"],
+             "empty-chain-decompose", "empty-chain-nla", "float-cutoff-index",
+             "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):
