@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParameterError
-from .spectral import SpectralBasis, check_count
+from .graphs import check_count
+from .spectral import SpectralBasis
 
 
 def downsample_time(f: np.ndarray, m: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from .sampling import (
     apply_operator,
     fractional_downsample,
 )
-from .spectral import SpectralBasis, check_count, eigendecompose, eigenvalue_groups, gft, igft
+from .spectral import SpectralBasis, eigendecompose, eigenvalue_groups, gft, igft
 
 _GENERATORS = {
     "path": G.build_path,
@@ -214,12 +214,12 @@ def load_config(source: str) -> dict:
 
 
 def _int(errors: list, key: str, value, lo: int) -> int | None:
-    """The integer rule of every config key, ``spectral.check_count``'s.
+    """The integer rule of every config key, ``graphs.check_count``'s.
 
     Returns ``value``, or None once the broken rule is added to ``errors``.
     """
     try:
-        return check_count(value, key, lo)
+        return G.check_count(value, key, lo)
     except InvalidParameterError as exc:
         errors.append(str(exc))
         return None

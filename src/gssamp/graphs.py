@@ -78,10 +78,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian D - A of ``graph``; ``matrix`` is derived from the
-    graph when the Laplacian is built, read-only. ``Graph`` checked the adjacency;
-    anything but a Graph raises InvalidParameterError, and a degree that
-    overflows to inf DataError."""
+    """Combinatorial Laplacian D - A of ``graph``, which keeps only the degrees,
+    read-only; ``matrix``, the dense D - A, and ``sparse``, its CSR form, are built
+    on first use and kept. ``Graph`` checked the adjacency; anything but a Graph
+    raises InvalidParameterError, and a degree that overflows to inf DataError."""
 
     graph: Graph
 
@@ -91,19 +91,37 @@ class Laplacian:
         degree = self.graph.adjacency.sum(axis=1)
         if not np.isfinite(degree).all():  # finite weights can overflow in a sum
             raise DataError("Laplacian entries must be finite")
-        m = read_only(np.diag(degree) - self.graph.adjacency)  # so ``sparse`` cannot go stale
-        object.__setattr__(self, "matrix", m)  # not a field: eq and repr ignore it
+        object.__setattr__(self, "degree", read_only(degree))  # not a field: eq and repr ignore it
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.degree.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """D - A, built on first use and kept, read-only."""
+        return read_only(self._block())
 
     @functools.cached_property
     def sparse(self) -> csr_array:
-        """CSR form of ``matrix``, built on first use and kept, with read-only arrays."""
-        s = _csr(self.matrix)
+        """CSR form of D - A, built on first use and kept, with read-only arrays."""
+        n = self.n
+        s = csr_array((self.degree, np.arange(n), np.arange(n + 1)), shape=(n, n)) - _csr(
+            self.graph.adjacency)  # a zero sum, an isolated vertex's degree, is not stored
         s.data, s.indices, s.indptr = map(read_only, (s.data, s.indices, s.indptr))
         return s
+
+    def _block(self, rows=None, cols=None, order="C") -> np.ndarray:
+        """A fresh, writable ``order``-ordered block (D - A)[rows][:, cols] for index
+        arrays ``rows`` and ``cols`` (``None``: all vertices); a principal block
+        (``cols is rows``) holds the degrees on its diagonal."""
+        a = self.graph.adjacency
+        sub = a if rows is None else a[np.ix_(rows, cols)]
+        b = np.subtract(0.0, sub, order=order)  # not -a: a zero weight stays +0.0, as in D - A
+        if cols is rows:
+            degree = self.degree if rows is None else self.degree[rows]
+            np.fill_diagonal(b, degree - np.diagonal(sub))
+        return b
 
 
 def read_only(a, dtype=None) -> np.ndarray:
@@ -111,8 +129,12 @@ def read_only(a, dtype=None) -> np.ndarray:
     immutable ``bytes`` copy, which neither the caller's memory nor a writeable flag
     can edit; C order, as the layout picks the BLAS kernel and so the rounding. An
     array already stored so is returned as is; a source the cast would change
-    (complex to float, strings, objects) raises InvalidParameterError."""
-    a = np.asarray(a)
+    (complex to float, strings, objects) or a ragged nested list raises
+    InvalidParameterError."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidParameterError(f"cannot store a ragged sequence: {exc}") from exc
     dtype = a.dtype if dtype is None else np.dtype(dtype)
     if a.dtype.kind not in "biufc" or not np.can_cast(a.dtype, dtype, "same_kind"):
         raise InvalidParameterError(f"cannot store {a.dtype} values as {dtype}")
@@ -122,6 +144,15 @@ def read_only(a, dtype=None) -> np.ndarray:
     if isinstance(base, bytes) and a.flags.c_contiguous and a.dtype == dtype:
         return a
     return np.frombuffer(a.astype(dtype, copy=False).tobytes(order="C"), dtype).reshape(a.shape)
+
+
+def check_count(value, what: str, lo: int = 0, hi: float = np.inf) -> int:
+    """Return ``value`` as an int; anything but an integer in [lo, hi], a bool
+    included, raises InvalidParameterError."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    bound = f"in [{lo}, {hi}]" if hi < np.inf else f">= {lo}"
+    raise InvalidParameterError(f"{what} must be an integer {bound}")
 
 
 def _tiles(shape):
@@ -200,6 +231,7 @@ def _from_edges(n: int, i, j, w=1.0, **attrs) -> Graph:
 
 def build_path(n: int) -> Graph:
     """Unit-weight chain 0-1-...-(n-1). Requires n >= 2."""
+    n = check_count(n, "n")
     if n < 2:
         raise InvalidParameterError("path graph needs n >= 2")
     idx = np.arange(n - 1)
@@ -209,6 +241,7 @@ def build_path(n: int) -> Graph:
 
 def build_ring(n: int) -> Graph:
     """Unit-weight cycle on n >= 3 vertices."""
+    n = check_count(n, "n")
     if n < 3:
         raise InvalidParameterError("ring graph needs n >= 3")
     idx = np.arange(n)
@@ -219,6 +252,7 @@ def build_ring(n: int) -> Graph:
 
 def build_grid(rows: int, cols: int) -> Graph:
     """4-connected 2-D grid with vertices in row-major order in [0, 1)^2."""
+    rows, cols = check_count(rows, "rows"), check_count(cols, "cols")
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise InvalidParameterError("grid needs at least two vertices")
     n = rows * cols
@@ -232,6 +266,7 @@ def build_grid(rows: int, cols: int) -> Graph:
 
 def build_complete(n: int) -> Graph:
     """Complete unit-weight graph K_n."""
+    n = check_count(n, "n")
     if n < 2:
         raise InvalidParameterError("complete graph needs n >= 2")
     a = np.ones((n, n)) - np.eye(n)
@@ -245,6 +280,7 @@ def build_comet(n: int, center_degree: int) -> Graph:
     and the remaining n - center_degree - 1 vertices form a path appended to
     the last leaf, so the center keeps degree exactly ``center_degree``.
     """
+    n, center_degree = check_count(n, "n"), check_count(center_degree, "center_degree")
     if center_degree < 1 or n < center_degree + 1:
         raise InvalidParameterError("comet needs n >= center_degree + 1")
     # vertex v > 0 hangs from the center if it is a leaf, else from v - 1
@@ -275,6 +311,7 @@ def build_community(
     and ``p_out`` across communities. If the sample is disconnected the
     generator retries with an incremented seed (bounded).
     """
+    n, k_communities = check_count(n, "n"), check_count(k_communities, "k_communities")
     if n < 2 or k_communities < 1 or k_communities > n:
         raise InvalidParameterError("infeasible community parameters")
     if not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0):
@@ -296,6 +333,7 @@ def build_random_regular(n: int, degree: int, seed: int = 0) -> Graph:
     Delegates to networkx, which resamples conflicting stub pairs instead of
     rejecting whole pairings (plain rejection is hopeless already at d ~ 10).
     """
+    n, degree = check_count(n, "n"), check_count(degree, "degree")
     if degree < 1 or degree >= n:
         raise InvalidParameterError("need 1 <= degree < n")
     if (n * degree) % 2 != 0:
@@ -316,6 +354,7 @@ def build_random_sensor(n: int, k_nearest: int = 6, seed: int = 0) -> Graph:
     Edge weights are exp(-d^2 / (2 sigma^2)) with sigma the mean k-NN
     distance. Disconnected samples are regenerated with an incremented seed.
     """
+    n, k_nearest = check_count(n, "n"), check_count(k_nearest, "k_nearest")
     if n < 2 or k_nearest < 1 or k_nearest >= n:
         raise InvalidParameterError("need 1 <= k_nearest < n")
 

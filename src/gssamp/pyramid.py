@@ -18,10 +18,10 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DataError, GssampError, InvalidParameterError
-from .graphs import Graph, Laplacian, laplacian
+from .graphs import Graph, Laplacian, check_count, laplacian
 from .reduction import kron_reduce, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
-from .spectral import SpectralBasis, check_count, check_signal, eigendecompose
+from .spectral import SpectralBasis, check_signal, eigendecompose
 
 # Each level's Kron-reduced graph drops its edges lighter than this share of
 # its heaviest, keeping connectivity (``sparsify``)

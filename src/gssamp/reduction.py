@@ -14,9 +14,9 @@ from scipy.sparse import coo_array
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Graph, Laplacian, _mirror, components
+from .graphs import Graph, Laplacian, _mirror, check_count, components
 from .sampling import VertexCorrespondence
-from .spectral import SpectralBasis, check_count
+from .spectral import SpectralBasis
 
 _NEG_WEIGHT_TOL = 1e-10
 
@@ -49,16 +49,15 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     mask = np.zeros(n, dtype=bool)
     mask[keep] = True
     elim = np.nonzero(~mask)[0]
-    m = lap.matrix
-    l_ss = m[np.ix_(keep, keep)]
-    l_se = m[np.ix_(keep, elim)]
-    l_ee = m[np.ix_(elim, elim)]
+    l_ss = lap._block(keep, keep)
+    l_se = lap._block(keep, elim)
+    l_ee = lap._block(elim, elim)
     try:
-        solved = scipy.linalg.solve(l_ee, m[np.ix_(elim, keep)], assume_a="sym")
+        solved = scipy.linalg.solve(l_ee, lap._block(elim, keep), assume_a="sym")
     except scipy.linalg.LinAlgError as exc:
         # a block of a connected graph's Laplacian is nonsingular, so look
         # for the usual cause only on this failure path
-        ncomp = components(m)
+        ncomp = components(lap.graph.adjacency)
         if ncomp > 1:
             raise DataError(f"graph is disconnected ({ncomp} components)") from exc
         raise NumericError(f"eliminated block is singular: {exc}") from exc

@@ -29,8 +29,8 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .graphs import read_only
-from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_count, check_signal
+from .graphs import check_count, read_only
+from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_signal
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,11 @@ def ideal_lowpass_index(spectrum: Spectrum, cutoff_index: int) -> Spectrum:
 
 
 def ideal_lowpass_lambda(spectrum: Spectrum, cutoff_lambda: float) -> Spectrum:
-    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, a real number but not NaN."""
-    if not isinstance(cutoff_lambda, numbers.Real) or np.isnan(cutoff_lambda):
-        raise InvalidParameterError("cutoff_lambda must be a real number, not NaN")
+    """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, a real number but
+    neither a bool nor NaN."""
+    if (not isinstance(cutoff_lambda, numbers.Real) or isinstance(cutoff_lambda, bool)
+            or np.isnan(cutoff_lambda)):
+        raise InvalidParameterError("cutoff_lambda must be a real number, not a bool or NaN")
     c = np.where(spectrum.grid <= cutoff_lambda, spectrum.coefficients, 0.0)
     return Spectrum(c, spectrum.grid)
 

@@ -131,9 +131,11 @@ def eigendecompose(lap: Laplacian) -> SpectralBasis:
     Eigenvalues ascend; columns are sign-canonicalized, then sorted
     lexicographically by their entries inside each repeated-eigenvalue group.
     """
-    m = lap.matrix  # finite, and symmetric to 1e-12: derived from a checked ``Graph``
     try:
-        lam, u = scipy.linalg.eigh(m)
+        # LAPACK factors a throwaway Fortran-ordered D - A in place, so eigh copies
+        # nothing and the block is freed on return; it is finite, and symmetric to
+        # 1e-12, as ``Graph`` and ``Laplacian`` checked
+        lam, u = scipy.linalg.eigh(lap._block(order="F"), overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericError(f"eigensolver failed: {exc}") from exc
     u = _canonicalize_signs(u)  # eigh returns the eigenvalues ascending
@@ -158,15 +160,6 @@ def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
     if not np.isfinite(f).all():
         raise DataError(f"{what} entries must be finite")
     return f
-
-
-def check_count(value, what: str, lo: int = 0, hi: float = np.inf) -> int:
-    """Return ``value`` as an int; anything but an integer in [lo, hi], a bool
-    included, raises InvalidParameterError."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi:
-        return int(value)
-    bound = f"in [{lo}, {hi}]" if hi < np.inf else f">= {lo}"
-    raise InvalidParameterError(f"{what} must be an integer {bound}")
 
 
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:

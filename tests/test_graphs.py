@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,26 @@ def test_generator_invariants(graph):
         assert lam[1] > 1e-8
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gs.build_path(2.5), "n must be an integer"),
+        (lambda: gs.build_ring(4.0), "n must be an integer"),
+        (lambda: gs.build_complete(3.5), "n must be an integer"),
+        (lambda: gs.build_grid(2, 2.5), "cols must be an integer"),
+        (lambda: gs.build_community(8.5, 2), "n must be an integer"),
+        (lambda: gs.build_comet(6, 2.5), "center_degree must be an integer"),
+        (lambda: gs.build_random_regular(8, 2.5), "degree must be an integer"),
+        (lambda: gs.build_random_sensor(8, 2.5), "k_nearest must be an integer"),
+    ],
+    ids=["path", "ring", "complete", "grid", "community", "comet", "regular", "sensor"],
+)
+def test_generator_counts_must_be_integers(call, match):
+    # each once raised a TypeError, or for the sensor graph an IndexError
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
 class TestEdgeList:
     def test_parse_simple(self, tmp_path):
         p = tmp_path / "g.csv"
@@ -254,8 +275,9 @@ class TestLaplacianStorage:
     @pytest.mark.parametrize(
         "graph",
         [gs.build_path(7), gs.build_grid(4, 5), gs.build_complete(9),
-         gs.build_random_sensor(60, seed=2)],
-        ids=["path", "grid", "complete", "sensor"],
+         gs.build_random_sensor(60, seed=2),
+         gs.Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))],
+        ids=["path", "grid", "complete", "sensor", "isolated-vertex"],
     )
     def test_sparse_equals_matrix_and_is_cached(self, graph):
         lap = gs.laplacian(graph)
@@ -270,8 +292,25 @@ class TestLaplacianStorage:
         lap = gs.Laplacian(g)
         assert [f.name for f in dataclasses.fields(lap)] == ["graph"]
         assert np.array_equal(lap.matrix, np.diag(g.adjacency.sum(axis=1)) - g.adjacency)
+        assert np.array_equal(np.signbit(lap.matrix), g.adjacency > 0)  # zeros are +0.0
         with pytest.raises(ValueError):
             lap.matrix[0, 1] = 5.0
+
+    def test_only_the_degrees_are_kept_until_matrix_is_asked_for(self):
+        # D - A was once stored dense: an n x n copy that only tests read
+        g = gs.build_random_sensor(512, seed=0)
+        block = g.n * g.n * 8  # one n x n float64 array
+        tracemalloc.start()
+        try:
+            lap = gs.laplacian(g)
+            kept = tracemalloc.get_traced_memory()[0]
+            gs.eigendecompose(lap)  # eigh factors its own throwaway copy of D - A
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.1 * block
+        assert peak <= 2.5 * block  # the block and eigh's eigenvectors, then their copy
+        assert "matrix" not in vars(lap) and np.array_equal(lap.degree, g.adjacency.sum(axis=1))
 
     def test_overflowing_degree_raises(self):
         # finite weights whose sum overflows: the graph is valid, its Laplacian is not
@@ -329,8 +368,9 @@ def _exposed_arrays(graph, seed):
            level.correspondence.targets}
     for name, g in (("graph", graph), ("kron", reduced.graph), ("level", level.lap.graph)):
         out.update({f"{name}.adjacency": g.adjacency, f"{name}.coordinates": g.coordinates})
-    for name, lp in (("lap", lap), ("level", level.lap)):
-        out.update({f"{name}.matrix": lp.matrix, f"{name}.sparse.data": lp.sparse.data,
+    for name, lp in (("lap", lap), ("level", level.lap)):  # ``matrix`` built here, on first use
+        out.update({f"{name}.degree": lp.degree, f"{name}.matrix": lp.matrix,
+                    f"{name}.sparse.data": lp.sparse.data,
                     f"{name}.sparse.indices": lp.sparse.indices,
                     f"{name}.sparse.indptr": lp.sparse.indptr})
     out.update({"eigenvalues": basis.eigenvalues, "eigenvectors": basis.eigenvectors})
@@ -363,7 +403,11 @@ def test_no_exposed_array_can_be_made_writable(build, n, seed):
 _PAIR = np.ones((2, 2)) - np.eye(2)
 
 
-@pytest.mark.parametrize("bad", [_PAIR * (1 + 1j), _PAIR.astype(str)], ids=["complex", "string"])
+@pytest.mark.parametrize(
+    "bad",
+    [_PAIR * (1 + 1j), _PAIR.astype(str), [[0, [1]], [1]]],  # ragged at depth 1 and, in bad[0], 2
+    ids=["complex", "string", "ragged"],
+)
 @pytest.mark.parametrize(
     "build",
     [
@@ -375,8 +419,8 @@ _PAIR = np.ones((2, 2)) - np.eye(2)
     ids=["adjacency", "coordinates", "eigenvalues", "grid"],
 )
 def test_complex_or_string_input_refused(build, bad):
-    # once a complex part was dropped with numpy's ComplexWarning, and numeric
-    # strings were parsed as weights
+    # once a complex part was dropped with numpy's ComplexWarning, numeric
+    # strings were parsed as weights, and a ragged list raised numpy's ValueError
     with pytest.raises(GssampError, match="cannot store"):
         build(bad)
 

@@ -536,11 +536,14 @@ class TestBoundaryErrors:
             (lambda c: gs.vertex_upsample(np.ones(8), c[0].correspondence, 8.5), "n0 must be"),
             (lambda c: gs.ideal_lowpass_lambda(gs.gft(c[0].basis, np.ones(16)), "x"),
              "cutoff_lambda must be"),
+            (lambda c: gs.ideal_lowpass_lambda(gs.gft(c[0].basis, np.ones(16)), True),
+             "cutoff_lambda must be"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
              "empty-chain-decompose", "empty-chain-nla", "float-cutoff-index",
-             "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda"],
+             "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda",
+             "bool-cutoff-lambda"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):
