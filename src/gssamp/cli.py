@@ -441,8 +441,9 @@ def _build_graph(gspec: dict, key: str) -> G.Graph:
     """Build the graph of config key ``key``; one too large to allocate is a config error.
 
     numpy refuses an n x n request beyond memory with MemoryError, beyond its
-    size limit with ValueError and beyond int64 with OverflowError. A GssampError
-    is also a ValueError and keeps its own type.
+    size limit with ValueError and beyond int64 with OverflowError, and the edge
+    constructor a vertex count whose dense n x n block exceeds physical memory
+    with MemoryError. A GssampError is also a ValueError and keeps its own type.
     """
     try:
         if "edge_list" in gspec:

@@ -6,10 +6,11 @@ edge weights. Randomized generators are deterministic given their seed.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array, issparse, triu
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -21,20 +22,24 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-12
-# Side of the square tiles that the n x n passes reading ``a.T`` work in: a
-# tile and its mirror (2 x 32 KiB of float64) stay in cache together, where a
-# whole-matrix ``a.T`` pass reads a new cache line on almost every element.
+# Side of the square tiles that ``_mirror`` works in: a tile and its mirror
+# (2 x 32 KiB of float64) stay in cache together, where a whole-matrix ``a.T``
+# pass reads a new cache line on almost every element. The degree pass sums
+# dense tiles of as many rows.
 _TILE = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Weighted undirected graph.
+    """Weighted undirected graph; two graphs compare equal only if they are one object.
 
     Attributes
     ----------
-    adjacency : (n, n) ndarray
-        Symmetric nonnegative weight matrix with zero diagonal.
+    adjacency : (n, n) csr_array
+        Symmetric nonnegative weights with zero diagonal, given dense or in any
+        scipy sparse format and stored as CSR: sorted indices, no duplicate and
+        no zero entry (an edge is a nonzero weight), and read-only ``data``,
+        ``indices`` and ``indptr``. ``adjacency.toarray()`` is a dense copy.
     coordinates : (n, d) ndarray, optional
         Vertex positions for generators that have geometry.
     structure : str, optional
@@ -44,24 +49,29 @@ class Graph:
         (rows, cols) for grid graphs.
     """
 
-    adjacency: np.ndarray
+    adjacency: csr_array
     coordinates: np.ndarray | None = None
     structure: str | None = None
     grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
-        a = read_only(self.adjacency, float)
+        a = self.adjacency
+        if not issparse(a):
+            a = read_only(a, float)  # a sparse input's data goes through it in _freeze
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InvalidParameterError("adjacency must be a nonempty square matrix")
-        if not np.all(np.isfinite(a)):
+        a = csr_array(a, copy=True)
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if not np.isfinite(a.data).all():
             raise DataError("edge weights must be finite")
-        if not _is_symmetric(a, _SYM_TOL):
+        if not abs(a - a.T).max() <= _SYM_TOL:
             raise InvalidParameterError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
+        if a.diagonal().any():
             raise DataError("self-loops are not allowed (nonzero diagonal)")
-        if np.any(a < 0.0):
+        if (a.data < 0.0).any():
             raise InvalidParameterError("edge weights must be nonnegative")
-        object.__setattr__(self, "adjacency", a)
+        object.__setattr__(self, "adjacency", _freeze(a))
         if self.coordinates is not None:
             c = read_only(self.coordinates, float)
             if c.shape[:1] != a.shape[:1]:
@@ -88,7 +98,12 @@ class Laplacian:
     def __post_init__(self):
         if not isinstance(self.graph, Graph):
             raise InvalidParameterError("a Laplacian needs a Graph")
-        degree = self.graph.adjacency.sum(axis=1)
+        a = self.graph.adjacency
+        # each dense tile sums its rows as numpy sums a row of the dense adjacency,
+        # so the degrees are the dense row sums bit for bit (the CSR's own row sums
+        # add in another order and differ in the last bits)
+        degree = np.concatenate([a[r:r + _TILE].toarray().sum(axis=1)
+                                 for r in range(0, a.shape[0], _TILE)])
         if not np.isfinite(degree).all():  # finite weights can overflow in a sum
             raise DataError("Laplacian entries must be finite")
         object.__setattr__(self, "degree", read_only(degree))  # not a field: eq and repr ignore it
@@ -106,21 +121,19 @@ class Laplacian:
     def sparse(self) -> csr_array:
         """CSR form of D - A, built on first use and kept, with read-only arrays."""
         n = self.n
-        s = csr_array((self.degree, np.arange(n), np.arange(n + 1)), shape=(n, n)) - _csr(
-            self.graph.adjacency)  # a zero sum, an isolated vertex's degree, is not stored
-        s.data, s.indices, s.indptr = map(read_only, (s.data, s.indices, s.indptr))
-        return s
+        # a zero sum, an isolated vertex's degree, is not stored
+        return _freeze(csr_array((self.degree, np.arange(n), np.arange(n + 1)), shape=(n, n))
+                       - self.graph.adjacency)
 
     def _block(self, rows=None, cols=None, order="C") -> np.ndarray:
         """A fresh, writable ``order``-ordered block (D - A)[rows][:, cols] for index
         arrays ``rows`` and ``cols`` (``None``: all vertices); a principal block
         (``cols is rows``) holds the degrees on its diagonal."""
         a = self.graph.adjacency
-        sub = a if rows is None else a[np.ix_(rows, cols)]
-        b = np.subtract(0.0, sub, order=order)  # not -a: a zero weight stays +0.0, as in D - A
+        b = (a if rows is None else a[rows][:, cols]).toarray(order=order)
+        np.subtract(0.0, b, out=b)  # not -b: a zero weight stays +0.0, as in D - A
         if cols is rows:
-            degree = self.degree if rows is None else self.degree[rows]
-            np.fill_diagonal(b, degree - np.diagonal(sub))
+            np.fill_diagonal(b, self.degree if rows is None else self.degree[rows])
         return b
 
 
@@ -146,6 +159,12 @@ def read_only(a, dtype=None) -> np.ndarray:
     return np.frombuffer(a.astype(dtype, copy=False).tobytes(order="C"), dtype).reshape(a.shape)
 
 
+def _freeze(a: csr_array) -> csr_array:
+    """``a`` with its ``data`` (as float64), ``indices`` and ``indptr`` read-only."""
+    a.data, a.indices, a.indptr = read_only(a.data, float), read_only(a.indices), read_only(a.indptr)
+    return a
+
+
 def check_count(value, what: str, lo: int = 0, hi: float = np.inf) -> int:
     """Return ``value`` as an int; anything but an integer in [lo, hi], a bool
     included, raises InvalidParameterError."""
@@ -155,55 +174,30 @@ def check_count(value, what: str, lo: int = 0, hi: float = np.inf) -> int:
     raise InvalidParameterError(f"{what} must be an integer {bound}")
 
 
-def _tiles(shape):
-    """(rows, cols) slices of the _TILE x _TILE tiles of a 2-D array of ``shape``, row-major."""
-    for i in range(0, shape[0], _TILE):
-        for j in range(0, shape[1], _TILE):
-            yield slice(i, i + _TILE), slice(j, j + _TILE)
-
-
-def _is_symmetric(a: np.ndarray, tol: float) -> bool:
-    """``np.abs(a - a.T).max(initial=0) <= tol`` for a finite square ``a``, tile pair by tile pair.
-
-    A tile equal to its mirror's transpose needs no difference, so the
-    usual exactly symmetric matrix costs one comparison per entry.
-    """
-    for rows, cols in _tiles(a.shape):
-        if cols.start < rows.start:
-            continue
-        upper, lower = a[rows, cols], a[cols, rows].T
-        if not (upper == lower).all() and not np.abs(upper - lower).max() <= tol:
-            return False
-    return True
+def check_type(value, cls, what: str):
+    """Return ``value``; anything but a ``cls`` raises InvalidParameterError."""
+    if not isinstance(value, cls):
+        raise InvalidParameterError(f"{what} needs a {cls.__name__}")
+    return value
 
 
 def _mirror(a: np.ndarray, op) -> None:
     """``a[...] = op(a, a.T)`` for a square ``a`` and an elementwise ``op``, in place and
     tile pair by tile pair, with no second n x n array."""
-    for rows, cols in _tiles(a.shape):
-        if cols.start < rows.start:
-            continue
-        upper, lower = a[rows, cols], a[cols, rows].T
-        # both argument orders (np.maximum keeps its first argument on a 0.0 / -0.0
-        # tie), both before either write: on a diagonal tile upper and lower share memory
-        high, low = op(upper, lower), op(lower, upper)
-        upper[...] = high
-        lower[...] = low
+    for i in range(0, a.shape[0], _TILE):
+        for j in range(i, a.shape[0], _TILE):
+            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE].T
+            # both argument orders (np.maximum keeps its first argument on a 0.0 / -0.0
+            # tie), both before either write: on a diagonal tile upper and lower share memory
+            high, low = op(upper, lower), op(lower, upper)
+            upper[...] = high
+            lower[...] = low
 
 
-def _csr(m: np.ndarray) -> csr_array:
-    """CSR form of a dense square array, storing no zeros."""
-    n = m.shape[0]
-    flat = np.flatnonzero(m != 0)  # nonzero is far faster on a boolean mask
-    rows, cols = np.divmod(flat, n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return csr_array((m.ravel()[flat], cols, indptr), shape=m.shape)
-
-
-def components(a: np.ndarray) -> int:
-    """Number of connected components of the graph whose edges are the nonzeros of ``a``."""
-    return connected_components(_csr(a), directed=False)[0]
+def components(a) -> int:
+    """Number of connected components of the graph whose edges are the stored entries
+    of the sparse ``a``."""
+    return connected_components(a, directed=False)[0]
 
 
 def laplacian(graph: Graph) -> Laplacian:
@@ -221,12 +215,19 @@ def laplacian(graph: Graph) -> Laplacian:
 def _from_edges(n: int, i, j, w=1.0, **attrs) -> Graph:
     """Graph on n vertices with edge weights ``w`` at (i, j), mirrored to (j, i).
 
-    An edge given in both orientations keeps the larger weight on both sides.
+    Each (i, j) comes at most once; an edge given in both orientations keeps the
+    larger weight on both sides.
     """
-    a = np.zeros((n, n))
-    a[i, j] = w
-    _mirror(a, np.maximum)
-    return Graph(a, **attrs)
+    _check_dense_fits(n)
+    a = coo_array((np.broadcast_to(np.asarray(w, float), np.shape(i)), (i, j)), shape=(n, n)).tocsr()
+    return Graph(a.maximum(a.T), **attrs)
+
+
+def _check_dense_fits(n: int) -> None:
+    """Raise MemoryError if the dense n x n float64 D - A that every eigendecomposition
+    factors exceeds physical memory, before a sparse build allocates arrays of n entries."""
+    if 8 * n * n > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise MemoryError(f"a dense {n} x {n} float64 block exceeds physical memory")
 
 
 def build_path(n: int) -> Graph:
@@ -291,6 +292,7 @@ def build_comet(n: int, center_degree: int) -> Graph:
 
 def _first_connected(sample, seed: int, name: str) -> Graph:
     """The first connected ``sample(rng)`` over the seeds seed, seed + 1, ... (100 tries)."""
+    seed = check_count(seed, "seed")
     for attempt in range(100):
         g = sample(np.random.default_rng(seed + attempt))
         if g.is_connected():
@@ -320,9 +322,8 @@ def build_community(
     p = np.where(labels[:, None] == labels[None, :], p_in, p_out)
 
     def sample(rng):
-        a = np.triu(rng.random((n, n)) < p, k=1).astype(float)
-        _mirror(a, np.add)
-        return Graph(a, structure="community")
+        i, j = np.nonzero(np.triu(rng.random((n, n)) < p, k=1))
+        return _from_edges(n, i, j, structure="community")
 
     return _first_connected(sample, seed, "community")
 
@@ -333,7 +334,7 @@ def build_random_regular(n: int, degree: int, seed: int = 0) -> Graph:
     Delegates to networkx, which resamples conflicting stub pairs instead of
     rejecting whole pairings (plain rejection is hopeless already at d ~ 10).
     """
-    n, degree = check_count(n, "n"), check_count(degree, "degree")
+    n, degree, seed = check_count(n, "n"), check_count(degree, "degree"), check_count(seed, "seed")
     if degree < 1 or degree >= n:
         raise InvalidParameterError("need 1 <= degree < n")
     if (n * degree) % 2 != 0:
@@ -344,8 +345,7 @@ def build_random_regular(n: int, degree: int, seed: int = 0) -> Graph:
         g = nx.random_regular_graph(degree, n, seed=seed)
     except nx.NetworkXError as exc:
         raise GenerationFailureError(str(exc)) from exc
-    a = nx.to_numpy_array(g, nodelist=range(n))
-    return Graph(a, structure="regular")
+    return Graph(nx.to_scipy_sparse_array(g, nodelist=range(n)), structure="regular")
 
 
 def build_random_sensor(n: int, k_nearest: int = 6, seed: int = 0) -> Graph:
@@ -379,11 +379,11 @@ def build_random_sensor(n: int, k_nearest: int = 6, seed: int = 0) -> Graph:
 
 
 def save_edge_list(graph: Graph, path, coordinates_path=None) -> None:
+    upper = triu(check_type(graph, Graph, "save_edge_list").adjacency, format="coo")
     with open(path, "w") as fh:
         fh.write("# src,dst,weight\n")
-        src, dst = np.nonzero(np.triu(graph.adjacency))
-        for i, j in zip(src, dst):
-            fh.write(f"{i},{j},{float(graph.adjacency[i, j])!r}\n")
+        for i, j, w in zip(upper.row, upper.col, upper.data):  # the CSR's row-major order
+            fh.write(f"{i},{j},{float(w)!r}\n")
     if coordinates_path is not None:
         if graph.coordinates is None:
             raise InvalidParameterError("graph has no coordinates to save")

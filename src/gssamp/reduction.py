@@ -6,15 +6,16 @@ two-cluster band-limited test-signal construction.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import coo_array
+from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Graph, Laplacian, _mirror, check_count, components
+from .graphs import Graph, Laplacian, _mirror, check_count, check_type, components
 from .sampling import VertexCorrespondence
 from .spectral import SpectralBasis
 
@@ -34,6 +35,7 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     graph the result is again a Laplacian; tiny negative off-diagonal
     round-off is clamped to zero.
     """
+    check_type(lap, Laplacian, "kron_reduce")
     keep = np.asarray(keep)
     if keep.ndim != 1:
         raise InvalidParameterError("keep set must be a 1-D array of vertex indices")
@@ -63,18 +65,18 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
         raise NumericError(f"eliminated block is singular: {exc}") from exc
     l1 = l_ss - l_se @ solved
     _mirror(l1, lambda x, y: 0.5 * (x + y))  # 0.5 * (l1 + l1.T), exactly symmetric
-    w = -l1.copy()
+    w = np.negative(l1, out=l1)
     np.fill_diagonal(w, 0.0)
     if np.any(w < -_NEG_WEIGHT_TOL):
         raise NumericError(
             f"Kron reduction produced negative weight {w.min():.3e}; "
             "input graph is likely disconnected"
         )
-    w = np.maximum(w, 0.0)
+    np.maximum(w, 0.0, out=w)
     coords = None
     if lap.graph.coordinates is not None:
         coords = lap.graph.coordinates[keep]
-    graph = Graph(w, coordinates=coords)
+    graph = Graph(csr_array(w), coordinates=coords)
     return ReductionResult(graph=graph, correspondence=VertexCorrespondence(keep))
 
 
@@ -85,36 +87,42 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     decreasing (weight, i, j) order: the shortest such prefix that reconnects
     it, or all of them if none does.
     """
-    if not 0.0 <= threshold_ratio < 1.0:
-        raise InvalidParameterError("threshold_ratio must be in [0, 1)")
-    a = graph.adjacency.copy()
-    if threshold_ratio == 0.0 or a.max() == 0.0:
+    check_type(graph, Graph, "sparsify")
+    if (not isinstance(threshold_ratio, numbers.Real) or isinstance(threshold_ratio, bool)
+            or not 0.0 <= threshold_ratio < 1.0):
+        raise InvalidParameterError("threshold_ratio must be a real number in [0, 1), not a bool")
+    a = graph.adjacency
+    if threshold_ratio == 0.0 or a.nnz == 0:
         return graph
-    cutoff = threshold_ratio * a.max()
-    weak = (a > 0) & (a < cutoff)
-    a[weak] = 0.0
-    if components(a) > 1:
-        rows, cols = np.nonzero(np.triu(weak))
-        weights = graph.adjacency[rows, cols]
-        order = np.lexsort((-cols, -rows, -weights))
-        rows, cols, weights = rows[order], cols[order], weights[order]
+    rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))  # with a.indices, row-major
+    weak = a.data < threshold_ratio * a.data.max()  # every stored weight is positive
+    if components(_entries(a, rows, ~weak)) > 1:
+        upper = np.flatnonzero(weak & (rows < a.indices))
+        upper = upper[np.lexsort((-a.indices[upper], -rows[upper], -a.data[upper]))]
         # Rank kept edges 1 and the removed edge at position p rank p + 2.
         # Every minimum spanning tree minimises its heaviest edge, so its
         # heaviest rank r is the least for which the edges ranked <= r
         # connect the graph: the shortest reconnecting prefix has r - 1
         # edges. A spanning forest means no prefix reconnects.
-        kept_rows, kept_cols = np.nonzero(a)
-        ranks = np.r_[np.ones(kept_rows.size), np.arange(2.0, weights.size + 2)]
-        edges = (np.r_[kept_rows, rows], np.r_[kept_cols, cols])
+        ranks = np.r_[np.ones(np.count_nonzero(~weak)), np.arange(2.0, upper.size + 2)]
+        edges = (np.r_[rows[~weak], rows[upper]], np.r_[a.indices[~weak], a.indices[upper]])
         tree = minimum_spanning_tree(coo_array((ranks, edges), shape=a.shape))
-        k = int(tree.max()) - 1 if tree.nnz == graph.n - 1 else weights.size
-        a[rows[:k], cols[:k]] = a[cols[:k], rows[:k]] = weights[:k]
-    return Graph(a, coordinates=graph.coordinates,
+        k = int(tree.max()) - 1 if tree.nnz == graph.n - 1 else upper.size
+        # restore both orientations of each edge of the prefix
+        key, mirror = rows * graph.n + a.indices, a.indices * np.int64(graph.n) + rows
+        weak &= ~np.isin(key, np.r_[key[upper[:k]], mirror[upper[:k]]])
+    return Graph(_entries(a, rows, ~weak), coordinates=graph.coordinates,
                  structure=graph.structure, grid_shape=graph.grid_shape)
+
+
+def _entries(a: csr_array, rows, mask) -> csr_array:
+    """The entries of ``a`` (of rows ``rows``) that ``mask`` selects, as a CSR array."""
+    return csr_array((a.data[mask], (rows[mask], a.indices[mask])), shape=a.shape)
 
 
 def select_every_other(graph: Graph, m: int):
     """Keep indices 0 mod M on path/ring structures; stride sqrt(M) on grids."""
+    check_type(graph, Graph, "select_every_other")
     m = check_count(m, "rate", 2)
     if graph.structure in ("path", "ring"):
         return np.arange(0, graph.n, m)
@@ -139,6 +147,7 @@ def select_polarity(basis: SpectralBasis, target_size: int) -> np.ndarray:
     positive, then grow/shrink to ``target_size`` by |entry| ranking
     (ties broken by index). Deterministic given the basis.
     """
+    check_type(basis, SpectralBasis, "select_polarity")
     target_size = check_count(target_size, "target_size", 1, basis.n - 1)
     u = basis.eigenvectors[:, -1]
     mag_order = np.lexsort((np.arange(basis.n), -np.abs(u)))
@@ -154,6 +163,7 @@ def spectral_bisection(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
     Zero entries join the nonnegative cluster. Requires a connected graph
     (positive second eigenvalue).
     """
+    check_type(basis, SpectralBasis, "spectral_bisection")
     if basis.n < 2 or basis.eigenvalues[1] <= 1e-10:
         raise InvalidParameterError("spectral bisection needs a connected graph")
     fiedler = basis.eigenvectors[:, 1]

@@ -374,10 +374,11 @@ def test_size_rules_checked_on_built_graphs(
     assert code == 0, err
 
 
-# numpy refuses each of these n x n requests before it touches memory:
-# MemoryError past the address space (7.1 PiB of path indices, 71 PiB of
-# edge-list adjacency), ValueError past its array size or dimension limit,
-# OverflowError for an index past int64
+# each of these is refused before it touches memory: numpy raises MemoryError
+# past the address space (7.1 PiB of path indices), ValueError past its array
+# size or dimension limit and OverflowError for an index past int64; the edge
+# constructor raises MemoryError for an edge list whose dense n x n block
+# (80 PB and more) exceeds physical memory
 @pytest.mark.parametrize(
     "graph, size",
     [

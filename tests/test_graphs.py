@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -28,7 +29,7 @@ def laplacian_eigenvalues(graph):
 class TestPath:
     def test_adjacency_n3(self):
         g = gs.build_path(3)
-        assert np.array_equal(g.adjacency, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_laplacian_n2(self):
         assert np.array_equal(gs.laplacian(gs.build_path(2)).matrix, [[1, -1], [-1, 1]])
@@ -46,7 +47,7 @@ class TestPath:
 
 class TestRing:
     def test_degrees_n4(self):
-        assert np.array_equal(gs.build_ring(4).adjacency.sum(axis=1), [2, 2, 2, 2])
+        assert np.array_equal(gs.build_ring(4).adjacency.toarray().sum(axis=1), [2, 2, 2, 2])
 
     def test_circulant_eigenvalues_n8(self):
         lam = laplacian_eigenvalues(gs.build_ring(8))
@@ -72,14 +73,14 @@ class TestOtherGenerators:
 
     def test_grid_2x2_is_ring4(self):
         g = gs.build_grid(2, 2)
-        assert g.adjacency.sum(axis=1).tolist() == [2, 2, 2, 2]
-        assert np.count_nonzero(np.triu(g.adjacency)) == 4
+        assert g.adjacency.toarray().sum(axis=1).tolist() == [2, 2, 2, 2]
+        assert np.count_nonzero(np.triu(g.adjacency.toarray())) == 4
 
     def test_comet_32_12(self):
         g = gs.build_comet(32, 12)
         assert g.n == 32
-        assert np.count_nonzero(np.triu(g.adjacency)) == 31  # a tree
-        assert g.adjacency[0].sum() == 12
+        assert np.count_nonzero(np.triu(g.adjacency.toarray())) == 31  # a tree
+        assert g.adjacency.toarray()[0].sum() == 12
         assert g.is_connected()
 
     def test_comet_infeasible(self):
@@ -89,14 +90,14 @@ class TestOtherGenerators:
     def test_community_deterministic_and_connected(self):
         a = gs.build_community(64, 4, seed=1)
         b = gs.build_community(64, 4, seed=1)
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
         assert a.is_connected()
 
     def test_random_regular(self):
         g = gs.build_random_regular(100, 10, seed=0)
-        assert np.array_equal(g.adjacency.sum(axis=1), np.full(100, 10.0))
+        assert np.array_equal(g.adjacency.toarray().sum(axis=1), np.full(100, 10.0))
         g2 = gs.build_random_regular(100, 10, seed=0)
-        assert np.array_equal(g.adjacency, g2.adjacency)
+        assert np.array_equal(g.adjacency.toarray(), g2.adjacency.toarray())
 
     def test_random_regular_odd_product(self):
         with pytest.raises(InvalidParameterError):
@@ -109,7 +110,7 @@ class TestOtherGenerators:
     def test_sensor_deterministic(self):
         a = gs.build_random_sensor(64, seed=3)
         b = gs.build_random_sensor(64, seed=3)
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
         assert a.is_connected()
         assert a.coordinates.shape == (64, 2)
 
@@ -129,7 +130,7 @@ class TestOtherGenerators:
     ids=lambda g: g.structure,
 )
 def test_generator_invariants(graph):
-    a = graph.adjacency
+    a = graph.adjacency.toarray()
     assert np.array_equal(a, a.T)
     assert np.all(np.diag(a) == 0)
     assert np.all(a >= 0)
@@ -162,14 +163,45 @@ def test_generator_counts_must_be_integers(call, match):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gs.build_random_sensor(8, 3, seed=2.5),
+        lambda: gs.build_random_sensor(8, 3, seed=True),
+        lambda: gs.build_random_sensor(8, 3, seed=-1),
+        lambda: gs.build_community(8, 2, seed="1"),
+        lambda: gs.build_community(8, 2, seed=-1),
+        lambda: gs.build_random_regular(8, 2, seed=2.5),
+        lambda: gs.build_random_regular(8, 2, seed=-1),
+    ],
+    ids=["sensor-float", "sensor-bool", "sensor-negative", "community-string",
+         "community-negative", "regular-float", "regular-negative"],
+)
+def test_generator_seeds_must_be_nonnegative_integers(call):
+    # a float or string seed once ended in a TypeError or networkx's ValueError,
+    # True ran as seed 1 and -1 reached numpy's SeedSequence or networkx
+    with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0"):
+        call()
+
+
+def test_graphs_compare_by_identity():
+    # equality once compared the adjacency arrays and raised numpy's "truth
+    # value of an array is ambiguous"
+    g1, g2 = gs.build_path(3), gs.build_path(3)
+    assert (g1 == g2) is False and (g1 == g1) is True
+    assert (gs.laplacian(g1) == gs.laplacian(g2)) is False
+    assert (gs.laplacian(g1) == gs.laplacian(g1)) is True
+    assert len({g1, g2, g1}) == 2 and hash(gs.laplacian(g1)) == hash(gs.laplacian(g1))
+
+
 class TestEdgeList:
     def test_parse_simple(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("0,1,1.0\n1,2,2.5\n")
         g = gs.load_edge_list(p)
         assert g.n == 3
-        assert g.adjacency[0, 1] == 1.0
-        assert g.adjacency[1, 2] == 2.5
+        assert g.adjacency.toarray()[0, 1] == 1.0
+        assert g.adjacency.toarray()[1, 2] == 2.5
 
     def test_roundtrip(self, tmp_path):
         g = gs.build_grid(4, 4)
@@ -177,7 +209,7 @@ class TestEdgeList:
         c = tmp_path / "coords.csv"
         gs.save_edge_list(g, p, coordinates_path=c)
         g2 = gs.load_edge_list(p, coordinates_path=c)
-        assert np.array_equal(g.adjacency, g2.adjacency)
+        assert np.array_equal(g.adjacency.toarray(), g2.adjacency.toarray())
         assert np.array_equal(g.coordinates, g2.coordinates)
 
     def test_self_loop_rejected(self, tmp_path):
@@ -233,6 +265,62 @@ def test_graph_is_immutable():
     g = gs.build_path(4)
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        g.adjacency.data[0] = 5.0
+    dense = g.adjacency.toarray()  # a writable copy
+    dense[0, 1] = 5.0
+    assert g.adjacency[0, 1] == 1.0
+
+
+@pytest.mark.parametrize("form", [np.array, csr_array, coo_array], ids=["dense", "csr", "coo"])
+def test_adjacency_is_stored_as_canonical_csr(form):
+    # int weights, and in sparse input a stored 0.0 and -0.0 with no mirror: weights
+    # become float64, an edge is a nonzero weight, and the caller's array stays its own
+    a = np.array([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    given = form(a)
+    if form is not np.array:
+        c = given.tocoo()
+        given = coo_array((np.r_[c.data, 0.0, -0.0], (np.r_[c.row, 0, 1], np.r_[c.col, 2, 3])),
+                          shape=a.shape).asformat(given.format)
+    g = gs.Graph(given)
+    adj = g.adjacency
+    assert adj.format == "csr" and adj.dtype == np.float64 and adj.nnz == 4
+    assert adj.has_canonical_format and np.array_equal(adj.toarray(), a)
+    if form is not np.array:
+        assert given.data.flags.writeable and given.nnz == 6
+    summed = gs.Graph(coo_array(([1.0, 1.5, 2.5], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)))
+    assert summed.adjacency.toarray().tolist() == [[0.0, 2.5], [2.5, 0.0]]  # COO duplicates add
+
+
+def _path3_with(i, j, w):
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 0] = a[1, 2] = a[2, 1] = 1.0
+    a[i, j] = w
+    return a
+
+
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+@pytest.mark.parametrize(
+    "a, error, match",
+    [
+        (_path3_with(1, 2, 1.0 + 1.1e-12), InvalidParameterError, "adjacency must be symmetric"),
+        (_path3_with(2, 1, 1.0 - 1.1e-12), InvalidParameterError, "adjacency must be symmetric"),
+        (-_path3_with(0, 0, 0.0), InvalidParameterError, "edge weights must be nonnegative"),
+        (_path3_with(1, 2, np.nan), DataError, "edge weights must be finite"),
+        (_path3_with(1, 2, np.inf), DataError, "edge weights must be finite"),
+        (_path3_with(1, 1, 1.0), DataError, "self-loops are not allowed"),
+        (np.zeros((2, 3)), InvalidParameterError, "adjacency must be a nonempty square matrix"),
+        (np.zeros((0, 0)), InvalidParameterError, "adjacency must be a nonempty square matrix"),
+        (_path3_with(0, 0, 0.0) * (1 + 1j), InvalidParameterError, "cannot store complex128"),
+    ],
+    ids=["asymmetric", "asymmetric-below", "negative", "nan", "inf", "self-loop", "not-square",
+         "empty", "complex"],
+)
+def test_refusals_hold_for_dense_and_csr_input(form, a, error, match):
+    with pytest.raises(error, match=match):
+        gs.Graph(form(a))
+    if match == "adjacency must be symmetric":  # a skew within the tolerance passes
+        assert gs.Graph(form(_path3_with(1, 2, 1.0 + 0.9e-12))).n == 3
 
 
 @pytest.mark.parametrize("skew, ok", [(0.9e-12, True), (1.1e-12, False)])
@@ -242,30 +330,6 @@ def test_symmetry_tolerance_edge(skew, ok):
     a[1, 2] += skew
     if ok:
         assert gs.Graph(a).n == 3
-    else:
-        with pytest.raises(InvalidParameterError, match="adjacency must be symmetric"):
-            gs.Graph(a)
-
-
-def _symmetric_130(seed):
-    """A symmetric nonnegative 130 x 130 adjacency: two full 64-tiles and a partial one."""
-    rng = np.random.default_rng(seed)
-    upper = np.triu(rng.random((130, 130)), 1)
-    return upper + upper.T
-
-
-# (129, 65): the last, partial tile row against a full tile; (128, 129): inside
-# the partial diagonal tile; (3, 70): two full tiles
-_TILE_EDGE_POSITIONS = [(129, 65), (128, 129), (3, 70), (70, 3)]
-
-
-@pytest.mark.parametrize("i, j", _TILE_EDGE_POSITIONS)
-@pytest.mark.parametrize("skew, ok", [(0.9e-12, True), (1.1e-12, False), (-1.1e-12, False)])
-def test_symmetry_tolerance_edge_across_tiles(i, j, skew, ok):
-    a = _symmetric_130(0)
-    a[i, j] += skew
-    if ok:
-        assert gs.Graph(a).n == 130
     else:
         with pytest.raises(InvalidParameterError, match="adjacency must be symmetric"):
             gs.Graph(a)
@@ -291,8 +355,9 @@ class TestLaplacianStorage:
         g = gs.build_grid(3, 4)
         lap = gs.Laplacian(g)
         assert [f.name for f in dataclasses.fields(lap)] == ["graph"]
-        assert np.array_equal(lap.matrix, np.diag(g.adjacency.sum(axis=1)) - g.adjacency)
-        assert np.array_equal(np.signbit(lap.matrix), g.adjacency > 0)  # zeros are +0.0
+        a = g.adjacency.toarray()
+        assert np.array_equal(lap.matrix, np.diag(a.sum(axis=1)) - a)
+        assert np.array_equal(np.signbit(lap.matrix), a > 0)  # zeros are +0.0
         with pytest.raises(ValueError):
             lap.matrix[0, 1] = 5.0
 
@@ -310,7 +375,28 @@ class TestLaplacianStorage:
             tracemalloc.stop()
         assert kept < 0.1 * block
         assert peak <= 2.5 * block  # the block and eigh's eigenvectors, then their copy
-        assert "matrix" not in vars(lap) and np.array_equal(lap.degree, g.adjacency.sum(axis=1))
+        assert "matrix" not in vars(lap)
+        assert np.array_equal(lap.degree, g.adjacency.toarray().sum(axis=1))
+
+    def test_a_graph_and_its_laplacian_keep_no_dense_block(self):
+        # the adjacency was once a dense n x n array, and every generator filled one
+        n = 512
+        tracemalloc.start()
+        try:
+            g = gs.build_random_sensor(n, seed=0)
+            lap = gs.laplacian(g)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.1 * n * n * 8
+        assert lap.n == n and "matrix" not in vars(lap)
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 5])
+    def test_degrees_are_the_dense_row_sums(self, seed):
+        # 300 rows: four whole tiles of the degree pass and a partial one; the
+        # CSR's own row sums add in another order and differ in the last bits
+        g = gs.build_random_sensor(300, seed=seed)
+        assert np.array_equal(gs.laplacian(g).degree, g.adjacency.toarray().sum(axis=1))
 
     def test_overflowing_degree_raises(self):
         # finite weights whose sum overflows: the graph is valid, its Laplacian is not
@@ -367,7 +453,9 @@ def _exposed_arrays(graph, seed):
            "kron.targets": reduced.correspondence.targets, "level.targets":
            level.correspondence.targets}
     for name, g in (("graph", graph), ("kron", reduced.graph), ("level", level.lap.graph)):
-        out.update({f"{name}.adjacency": g.adjacency, f"{name}.coordinates": g.coordinates})
+        out.update({f"{name}.adjacency.{k}": getattr(g.adjacency, k)
+                    for k in ("data", "indices", "indptr")})
+        out[f"{name}.coordinates"] = g.coordinates
     for name, lp in (("lap", lap), ("level", level.lap)):  # ``matrix`` built here, on first use
         out.update({f"{name}.degree": lp.degree, f"{name}.matrix": lp.matrix,
                     f"{name}.sparse.data": lp.sparse.data,
@@ -501,7 +589,7 @@ def loop_edge_list(n, edges):
 
 def assert_same_bytes(got, want):
     assert got.adjacency.shape == want.adjacency.shape
-    assert got.adjacency.tobytes() == want.adjacency.tobytes()  # sign bits too
+    assert got.adjacency.toarray().tobytes() == want.adjacency.toarray().tobytes()
     assert (got.structure, got.grid_shape) == (want.structure, want.grid_shape)
     if want.coordinates is None:
         assert got.coordinates is None
@@ -577,36 +665,6 @@ _tile_values = np.array([0.0, -0.0, 0.0, 1.0, 0.5, 1e-300, 2.0])
 class TestTiledPasses:
     """Each tiled pass equals the whole-matrix numpy expression it replaces."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        n=_tile_sizes,
-        seed=st.integers(0, 2**32 - 1),
-        tol=st.sampled_from([1e-12, 1e-10]),
-        sparse=st.booleans(),  # mostly zeros, as an adjacency is: a skew of tol is exact
-        skews=st.lists(
-            st.tuples(
-                st.booleans(),  # in the last (often partial) tile row and column
-                st.floats(0, 1),
-                st.floats(0, 1),
-                st.sampled_from([0.5, 0.999, 1.0, 1.001, 3.0, -0.999, -1.001]),
-            ),
-            max_size=4,
-        ),
-    )
-    def test_symmetry_predicate(self, n, seed, tol, sparse, skews):
-        rng = np.random.default_rng(seed)
-        upper = np.triu(rng.random((n, n)) * (rng.random((n, n)) < (0.05 if sparse else 1)), 1)
-        a = upper + upper.T
-        last = max(n - 1, 0) // graphs._TILE * graphs._TILE
-        for in_last, x, y, factor in skews:
-            if n == 0:
-                break
-            lo = last if in_last else 0
-            i, j = lo + int(x * (n - lo - 1)), int(y * (n - 1))
-            a[i, j] += factor * tol
-        want = np.abs(a - a.T).max(initial=0.0) <= tol
-        assert graphs._is_symmetric(a, tol) == want
-
     @settings(max_examples=100, deadline=None)
     @given(n=_tile_sizes, seed=st.integers(0, 2**32 - 1))
     def test_mirror(self, n, seed):
@@ -654,8 +712,8 @@ def test_components_counts_every_nonzero_weight(n, data):
     # scipy's dense input path reads a weight <= 1e-8 as no edge, so the
     # reference counts on the 0/1 pattern of the edges
     want = connected_components((a != 0).astype(float), directed=False)[0]
-    assert graphs.components(a) == want
-    assert graphs.components(gs.laplacian(gs.Graph(a)).matrix) == want
+    assert graphs.components(gs.Graph(a).adjacency) == want
+    assert graphs.components(gs.laplacian(gs.Graph(a)).sparse) == want
     assert gs.Graph(a).is_connected() == (want == 1)
 
 

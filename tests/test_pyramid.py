@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import warnings
@@ -502,7 +503,8 @@ class TestSharedChain:
 
 
 class TestBoundaryErrors:
-    """Counts are ints, never bools or floats; operators get their rate and correspondence."""
+    """Counts are ints, never bools or floats; operators get their rate and correspondence;
+    reduction and I/O calls get the Graph, Laplacian or SpectralBasis they work on."""
 
     @pytest.fixture(scope="class")
     def chain(self):
@@ -538,12 +540,22 @@ class TestBoundaryErrors:
              "cutoff_lambda must be"),
             (lambda c: gs.ideal_lowpass_lambda(gs.gft(c[0].basis, np.ones(16)), True),
              "cutoff_lambda must be"),
+            (lambda c: gs.sparsify(c[0].lap.graph, "x"), "threshold_ratio must be"),
+            (lambda c: gs.sparsify(c[0].lap.graph, False), "threshold_ratio must be"),
+            (lambda c: gs.sparsify(None, 0.1), "sparsify needs a Graph"),
+            (lambda c: gs.kron_reduce(None, [0, 1]), "kron_reduce needs a Laplacian"),
+            (lambda c: gs.select_polarity(None, 2), "select_polarity needs a SpectralBasis"),
+            (lambda c: gs.select_every_other(None, 2), "select_every_other needs a Graph"),
+            (lambda c: gs.spectral_bisection(None), "spectral_bisection needs a SpectralBasis"),
+            (lambda c: gs.save_edge_list(None, os.devnull), "save_edge_list needs a Graph"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
              "empty-chain-decompose", "empty-chain-nla", "float-cutoff-index",
              "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda",
-             "bool-cutoff-lambda"],
+             "bool-cutoff-lambda", "string-sparsify-ratio", "bool-sparsify-ratio",
+             "sparsify-no-graph", "kron-no-laplacian", "polarity-no-basis",
+             "every-other-no-graph", "bisection-no-basis", "save-no-graph"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):
