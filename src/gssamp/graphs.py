@@ -27,6 +27,12 @@ _SYM_TOL = 1e-12
 # pass reads a new cache line on almost every element. The degree pass sums
 # dense tiles of as many rows.
 _TILE = 64
+# Spare float64s past the end of every dense block of D - A: the hole a freed block
+# leaves in the heap then fits a ``read_only`` copy of an array of the block's size,
+# whose ``bytes`` object is 48 bytes longer than a numpy buffer. Without them the
+# eigenvectors' copy could not reuse the hole of eigh's input block, and in some
+# processes it grew the heap by an n x n block.
+_SPARE = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +45,8 @@ class Graph:
         Symmetric nonnegative weights with zero diagonal, given dense or in any
         scipy sparse format and stored as CSR: sorted indices, no duplicate and
         no zero entry (an edge is a nonzero weight), and read-only ``data``,
-        ``indices`` and ``indptr``. ``adjacency.toarray()`` is a dense copy.
+        ``indices`` and ``indptr`` that cannot be rebound (InvalidParameterError).
+        ``adjacency.toarray()`` is a dense copy.
     coordinates : (n, d) ndarray, optional
         Vertex positions for generators that have geometry.
     structure : str, optional
@@ -127,10 +134,12 @@ class Laplacian:
 
     def _block(self, rows=None, cols=None, order="C") -> np.ndarray:
         """A fresh, writable ``order``-ordered block (D - A)[rows][:, cols] for index
-        arrays ``rows`` and ``cols`` (``None``: all vertices); a principal block
-        (``cols is rows``) holds the degrees on its diagonal."""
-        a = self.graph.adjacency
-        b = (a if rows is None else a[rows][:, cols]).toarray(order=order)
+        arrays ``rows`` and ``cols`` (``None``: all vertices), over a buffer ``_SPARE``
+        entries longer; a principal block (``cols is rows``) holds the degrees on its
+        diagonal."""
+        a = self.graph.adjacency if rows is None else self.graph.adjacency[rows][:, cols]
+        b = np.empty(a.shape[0] * a.shape[1] + _SPARE)[:-_SPARE].reshape(a.shape, order=order)
+        a.toarray(out=b)
         np.subtract(0.0, b, out=b)  # not -b: a zero weight stays +0.0, as in D - A
         if cols is rows:
             np.fill_diagonal(b, self.degree if rows is None else self.degree[rows])
@@ -159,9 +168,26 @@ def read_only(a, dtype=None) -> np.ndarray:
     return np.frombuffer(a.astype(dtype, copy=False).tobytes(order="C"), dtype).reshape(a.shape)
 
 
+class _SealedCSR(csr_array):
+    """A csr_array whose ``data``, ``indices``, ``indptr`` and shape cannot be rebound
+    once ``_freeze`` has sealed it, so no scipy method can edit it in place (``setdiag``,
+    ``resize``, an inserting ``__setitem__``). Every derived array (a slice, ``.T``,
+    an arithmetic result) is a new object, and not sealed."""
+
+    _LOCKED = frozenset(("data", "indices", "indptr", "_shape", "__dict__"))
+
+    def __setattr__(self, name, value):
+        if name in self._LOCKED and self.__dict__.get("_sealed", False):
+            raise InvalidParameterError(f"a frozen sparse array's {name} cannot be rebound")
+        super().__setattr__(name, value)
+
+
 def _freeze(a: csr_array) -> csr_array:
-    """``a`` with its ``data`` (as float64), ``indices`` and ``indptr`` read-only."""
+    """``a``'s arrays as a sealed CSR array, with read-only ``data`` (as float64),
+    ``indices`` and ``indptr``."""
+    a = _SealedCSR(a)  # shares a's arrays
     a.data, a.indices, a.indptr = read_only(a.data, float), read_only(a.indices), read_only(a.indptr)
+    a._sealed = True
     return a
 
 

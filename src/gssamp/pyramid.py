@@ -11,6 +11,7 @@ evaluated on the eigenvalues.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 
 from .errors import DataError, GssampError, InvalidParameterError
-from .graphs import Graph, Laplacian, check_count, laplacian
+from .graphs import Graph, Laplacian, check_count, check_type, laplacian
 from .reduction import kron_reduce, select_polarity, sparsify
 from .sampling import SamplingContext, VertexCorrespondence, apply_operator
 from .spectral import SpectralBasis, check_signal, eigendecompose
@@ -102,8 +103,13 @@ def filter_signal(
     Exact mode multiplies in the eigenbasis. Chebyshev mode runs the
     recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
     it evaluates the same polynomial on the eigenvalues, in O(n^2). A
-    response that is not finite where it is sampled raises DataError.
+    response that is not finite where it is sampled raises DataError, and a
+    ``lap`` that is not a Laplacian of the basis's size InvalidParameterError.
     """
+    check_type(basis, SpectralBasis, "filter_signal")
+    check_type(spec, FilterSpec, "filter_signal")
+    if lap is not None and check_type(lap, Laplacian, "filter_signal").n != basis.n:
+        raise InvalidParameterError(f"Laplacian size {lap.n} does not match basis size {basis.n}")
     f = check_signal(f, basis.n)
     if spec.mode == "exact":
         response = spec.response(basis.eigenvalues)
@@ -132,6 +138,7 @@ class PyramidConfig:
     def __post_init__(self):
         if self.sampling not in ("vertex", "index", "spectrum"):
             raise InvalidParameterError(f"unknown sampling {self.sampling!r}")
+        check_type(self.folded, bool, "folded")
 
     @property
     def operator(self) -> str:
@@ -168,6 +175,9 @@ class PyramidDecomposition:
     def __post_init__(self):
         if len(self.details) != len(self.chain):
             raise InvalidParameterError("need one detail per chain level")
+        for lvl in self.chain:
+            check_type(lvl, ChainLevel, "a PyramidDecomposition")
+        check_type(self.config, PyramidConfig, "a PyramidDecomposition")
 
     def detail_sizes(self) -> list[int]:
         return [y.size for y in self.details]
@@ -180,6 +190,8 @@ def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[
     to them and sparsifies, reusing the previous level's reduced Laplacian and
     basis: ``num_levels`` eigendecompositions on top of the caller's ``basis``.
     """
+    check_type(lap, Laplacian, "build_chain")
+    check_type(basis, SpectralBasis, "build_chain")
     check_count(num_levels, "num_levels", 1)
     levels = []
     for level in range(num_levels):
@@ -215,6 +227,9 @@ def decompose(
     count at every level; an empty chain is refused."""
     if not chain:
         raise InvalidParameterError("a pyramid chain needs at least one level")
+    for lvl in chain:
+        check_type(lvl, ChainLevel, "decompose")
+    check_type(config, PyramidConfig, "decompose")
     current = check_signal(np.asarray(f, dtype=float), chain[0].lap.n)
     details = []
     for level, lvl in enumerate(chain):
@@ -246,7 +261,7 @@ def analyze(
 
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     """Invert ``decompose`` (or ``analyze``); exact when coefficients are unmodified."""
-    current = dec.coarse
+    current = check_type(dec, PyramidDecomposition, "synthesize").coarse
     for lvl, detail in zip(dec.chain[::-1], dec.details[::-1]):
         current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.lap.n, "detail")
     return current
@@ -258,7 +273,7 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
     Details from all levels are pooled; ties at the threshold are broken by
     (level, index) order, so the result is deterministic.
     """
-    sizes = dec.detail_sizes()
+    sizes = check_type(dec, PyramidDecomposition, "nonlinear_approximate").detail_sizes()
     total = sum(sizes)
     n_kept = check_count(n_kept, "n_kept", 0, total)
     values = np.concatenate(dec.details)
@@ -283,8 +298,16 @@ def nla_error_curve(
     over N: it keeps the round(fraction * N) largest details, capped at the
     total detail count, so 1.0 keeps N details, not all of a pyramid's
     (about 1.75 N at three levels). Returns (budget over N, error) pairs. A
-    zero signal has no normalized error and raises InvalidParameterError.
+    zero signal has no normalized error and raises InvalidParameterError, and so
+    does a fraction that is not a real number in [0, 1] or is a bool.
     """
+    try:
+        fractions = list(fractions)
+    except TypeError as exc:
+        raise InvalidParameterError("fractions must be a sequence of numbers") from exc
+    for frac in fractions:
+        if not isinstance(frac, numbers.Real) or isinstance(frac, bool) or not 0.0 <= frac <= 1.0:
+            raise InvalidParameterError("fractions must be real numbers in [0, 1], not bools")
     dec = decompose(f, chain, config)  # refuses an empty chain and a wrong signal
     f = np.asarray(f, dtype=float)
     n = f.size
@@ -294,8 +317,6 @@ def nla_error_curve(
     total = sum(dec.detail_sizes())
     out = []
     for frac in fractions:
-        if not 0.0 <= frac <= 1.0:
-            raise InvalidParameterError("fractions must lie in [0, 1]")
         n_kept = min(round(frac * n), total)
         rec = synthesize(nonlinear_approximate(dec, n_kept))
         out.append((float(frac), float(np.linalg.norm(f - rec) / norm)))

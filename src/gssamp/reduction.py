@@ -33,7 +33,8 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
 
     L1 = L_SS - L_{S,Sc} L_{Sc,Sc}^{-1} L_{Sc,S}. For a connected loopless
     graph the result is again a Laplacian; tiny negative off-diagonal
-    round-off is clamped to zero.
+    round-off is clamped to zero. Each block is built when it is consumed, so at
+    most three dense blocks of the eliminated set's size are alive at once.
     """
     check_type(lap, Laplacian, "kron_reduce")
     keep = np.asarray(keep)
@@ -51,11 +52,12 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     mask = np.zeros(n, dtype=bool)
     mask[keep] = True
     elim = np.nonzero(~mask)[0]
-    l_ss = lap._block(keep, keep)
-    l_se = lap._block(keep, elim)
-    l_ee = lap._block(elim, elim)
     try:
-        solved = scipy.linalg.solve(l_ee, lap._block(elim, keep), assume_a="sym")
+        # LAPACK factors the throwaway Fortran-ordered L_ee and overwrites L_es with
+        # the solution, so solve copies neither; both are finite (``Graph``, ``Laplacian``)
+        solved = scipy.linalg.solve(
+            lap._block(elim, elim, order="F"), lap._block(elim, keep, order="F"),
+            assume_a="sym", overwrite_a=True, overwrite_b=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         # a block of a connected graph's Laplacian is nonsingular, so look
         # for the usual cause only on this failure path
@@ -63,7 +65,14 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
         if ncomp > 1:
             raise DataError(f"graph is disconnected ({ncomp} components)") from exc
         raise NumericError(f"eliminated block is singular: {exc}") from exc
-    l1 = l_ss - l_se @ solved
+    # C order, as the GEMM's operand layouts pick OpenBLAS's kernel (its small-matrix
+    # kernels sum in another order for a transposed operand), and so the rounding
+    solved = np.ascontiguousarray(solved)  # L_ee and the Fortran-ordered L_es are freed
+    product = lap._block(keep, elim) @ solved
+    del solved
+    l1 = lap._block(keep, keep)
+    np.subtract(l1, product, out=l1)  # l1 - product, with no third block
+    del product
     _mirror(l1, lambda x, y: 0.5 * (x + y))  # 0.5 * (l1 + l1.T), exactly symmetric
     w = np.negative(l1, out=l1)
     np.fill_diagonal(w, 0.0)
@@ -96,6 +105,12 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
         return graph
     rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))  # with a.indices, row-major
     weak = a.data < threshold_ratio * a.data.max()  # every stored weight is positive
+    # an edge is judged once, on its upper entry: its two orientations may differ by
+    # up to _SYM_TOL and straddle the cutoff. key ascends, the CSR being canonical
+    key, mirror = rows * graph.n + a.indices, a.indices * np.int64(graph.n) + rows
+    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+    lower = (rows > a.indices) & (key[at] == mirror)  # a lower entry whose upper is stored
+    weak[lower] = weak[at[lower]]
     if components(_entries(a, rows, ~weak)) > 1:
         upper = np.flatnonzero(weak & (rows < a.indices))
         upper = upper[np.lexsort((-a.indices[upper], -rows[upper], -a.data[upper]))]
@@ -109,7 +124,6 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
         tree = minimum_spanning_tree(coo_array((ranks, edges), shape=a.shape))
         k = int(tree.max()) - 1 if tree.nnz == graph.n - 1 else upper.size
         # restore both orientations of each edge of the prefix
-        key, mirror = rows * graph.n + a.indices, a.indices * np.int64(graph.n) + rows
         weak &= ~np.isin(key, np.r_[key[upper[:k]], mirror[upper[:k]]])
     return Graph(_entries(a, rows, ~weak), coordinates=graph.coordinates,
                  structure=graph.structure, grid_shape=graph.grid_shape)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
-from .graphs import check_count, read_only
+from .graphs import check_count, check_type, read_only
 from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_signal
 
 
@@ -88,7 +88,9 @@ class SamplingContext:
         return float(self.lambdas0[-1] / self.lambdas1[-1])
 
     def _apply(self, f, family: str, folded: bool, up: bool) -> np.ndarray:
-        """u1 @ (S @ u0^H f) with the map S of (family, folded, up), built on first use."""
+        """u1 @ (S @ u0^H f) with the map S of (family, folded, up), built on first use;
+        ``folded`` must be a bool."""
+        check_type(folded, bool, "folded")
         coeffs = self._analysis0(check_signal(f, self.n0))
         key = (family, folded, up)
         if key not in self._maps:

@@ -93,7 +93,7 @@ def _canonicalize_signs(u: np.ndarray) -> np.ndarray:
     lead = u[np.argmax(np.abs(u) > 1e-10, axis=0), np.arange(u.shape[1])]
     # an all-tiny column has argmax 0 and a lead below 1e-10: never flipped
     flip = (lead < 0) & (np.abs(lead) > 1e-10)
-    u[:, flip] = -u[:, flip]
+    u *= np.where(flip, -1.0, 1.0)  # exact, -0.0 included, with no copy of the flipped columns
     return u
 
 

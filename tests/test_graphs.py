@@ -1,13 +1,15 @@
 import dataclasses
 import os
+import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_array, csr_array
+from scipy.sparse import SparseEfficiencyWarning, coo_array, csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -263,13 +265,32 @@ def test_coordinates_need_one_row_per_vertex(coordinates):
 
 def test_graph_is_immutable():
     g = gs.build_path(4)
+    a = g.adjacency
     with pytest.raises(ValueError):
-        g.adjacency[0, 1] = 5.0
+        a[0, 1] = 5.0
     with pytest.raises(ValueError):
-        g.adjacency.data[0] = 5.0
-    dense = g.adjacency.toarray()  # a writable copy
+        a.data[0] = 5.0
+    # scipy methods that rebuild and rebind the arrays once edited a checked graph:
+    # setdiag added self-loops, and the Laplacian then read degrees [2, 3, 3, 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SparseEfficiencyWarning)
+        for edit in (lambda: a.setdiag(1.0), lambda: a.resize((5, 5)),
+                     lambda: setattr(a, "data", np.full(6, 5.0)),
+                     lambda: setattr(a, "indices", a.indices[::-1].copy()),
+                     lambda: setattr(a, "indptr", np.zeros(5, dtype=a.indptr.dtype)),
+                     lambda: setattr(a, "_shape", (2, 8)), lambda: setattr(a, "__dict__", {})):
+            with pytest.raises(InvalidParameterError, match="cannot be rebound"):
+                edit()
+    assert a.shape == (4, 4) and a.nnz == 6
+    assert np.array_equal(gs.laplacian(g).degree, [1.0, 2.0, 2.0, 1.0])
+    dense = a.toarray()  # a writable copy
     dense[0, 1] = 5.0
-    assert g.adjacency[0, 1] == 1.0
+    assert a[0, 1] == 1.0
+    # every read builds a new object that is not sealed
+    for derived in (a[1:3], a[[0, 2]][:, [1, 3]], a.T, a @ a, a.maximum(a.T), a - a.T, a.copy()):
+        assert derived is not a
+        derived.data = derived.data * 2.0
+    assert np.array_equal(a.toarray(), gs.build_path(4).adjacency.toarray())
 
 
 @pytest.mark.parametrize("form", [np.array, csr_array, coo_array], ids=["dense", "csr", "coo"])
@@ -377,6 +398,14 @@ class TestLaplacianStorage:
         assert peak <= 2.5 * block  # the block and eigh's eigenvectors, then their copy
         assert "matrix" not in vars(lap)
         assert np.array_equal(lap.degree, g.adjacency.toarray().sum(axis=1))
+
+    def test_a_freed_block_fits_a_frozen_copy_of_its_size(self):
+        # eigh frees its input block just before SpectralBasis freezes the eigenvectors
+        # into a bytes object, which is longer than a numpy buffer of the same entries:
+        # without spare room its copy could not reuse the block's hole in the heap
+        lap = gs.laplacian(gs.build_random_sensor(64, seed=0))
+        for block in (lap._block(order="F"), lap._block(np.arange(0, 64, 2), np.arange(32))):
+            assert block.base.nbytes >= sys.getsizeof(graphs.read_only(block).base)
 
     def test_a_graph_and_its_laplacian_keep_no_dense_block(self):
         # the adjacency was once a dense n x n array, and every generator filled one

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -548,6 +549,46 @@ class TestBoundaryErrors:
             (lambda c: gs.select_every_other(None, 2), "select_every_other needs a Graph"),
             (lambda c: gs.spectral_bisection(None), "spectral_bisection needs a SpectralBasis"),
             (lambda c: gs.save_edge_list(None, os.devnull), "save_edge_list needs a Graph"),
+            (lambda c: gs.synthesize(None), "synthesize needs a PyramidDecomposition"),
+            (lambda c: gs.nonlinear_approximate(None, 1),
+             "nonlinear_approximate needs a PyramidDecomposition"),
+            (lambda c: gs.decompose(np.ones(16), c, None), "decompose needs a PyramidConfig"),
+            (lambda c: gs.decompose(np.ones(16), (None,), gs.PyramidConfig()),
+             "decompose needs a ChainLevel"),
+            (lambda c: gs.filter_signal(c[0].basis, np.ones(16), None),
+             "filter_signal needs a FilterSpec"),
+            (lambda c: gs.filter_signal(None, np.ones(16), gs.FilterSpec()),
+             "filter_signal needs a SpectralBasis"),
+            (lambda c: gs.filter_signal(c[0].basis, np.ones(16), gs.FilterSpec(), np.eye(16)),
+             "filter_signal needs a Laplacian"),
+            (lambda c: gs.filter_signal(c[0].basis, np.ones(16), gs.FilterSpec(mode="chebyshev"),
+                                        gs.laplacian(gs.build_path(8))),
+             "Laplacian size 8 does not match basis size 16"),
+            (lambda c: gs.synthesize(replace(gs.decompose(np.ones(16), c, CONFIGS["index"]),
+                                             config=None)),
+             "a PyramidDecomposition needs a PyramidConfig"),
+            (lambda c: gs.PyramidDecomposition((None,), (np.ones(16),), np.ones(8),
+                                               gs.PyramidConfig()),
+             "a PyramidDecomposition needs a ChainLevel"),
+            (lambda c: gs.build_chain(None, c[0].basis, 2), "build_chain needs a Laplacian"),
+            (lambda c: gs.build_chain(c[0].lap, None, 2), "build_chain needs a SpectralBasis"),
+            (lambda c: gs.nla_error_curve(np.ones(16), c, gs.PyramidConfig(), "ab"),
+             "fractions must be real numbers"),
+            (lambda c: gs.nla_error_curve(np.ones(16), c, gs.PyramidConfig(), 0.5),
+             "fractions must be a sequence"),
+            (lambda c: gs.nla_error_curve(np.ones(16), c, gs.PyramidConfig(), [True]),
+             "fractions must be real numbers"),
+            (lambda c: gs.nla_error_curve(np.ones(16), c, gs.PyramidConfig(), [np.nan]),
+             "fractions must be real numbers"),
+            (lambda c: gs.nla_error_curve(np.ones(16), c, gs.PyramidConfig(), [0.5, 1.5]),
+             "fractions must be real numbers"),
+            (lambda c: gs.PyramidConfig(folded="x"), "folded needs a bool"),
+            (lambda c: gs.spectral_downsample_index(c[0].ctx_down, np.ones(16), 2, folded="x"),
+             "folded needs a bool"),
+            (lambda c: gs.spectral_upsample_spectrum(c[0].ctx_up, np.ones(8), 2, folded=1),
+             "folded needs a bool"),
+            (lambda c: gs.fractional_downsample(c[0].ctx_down, np.ones(16), folded=None),
+             "folded needs a bool"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
@@ -555,7 +596,14 @@ class TestBoundaryErrors:
              "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda",
              "bool-cutoff-lambda", "string-sparsify-ratio", "bool-sparsify-ratio",
              "sparsify-no-graph", "kron-no-laplacian", "polarity-no-basis",
-             "every-other-no-graph", "bisection-no-basis", "save-no-graph"],
+             "every-other-no-graph", "bisection-no-basis", "save-no-graph",
+             "synthesize-no-decomposition", "nla-trim-no-decomposition", "decompose-no-config",
+             "decompose-no-chain-level", "filter-no-spec", "filter-no-basis",
+             "filter-lap-not-laplacian", "filter-lap-other-size", "decomposition-no-config",
+             "decomposition-no-chain-level",
+             "chain-no-laplacian", "chain-no-basis", "string-fractions", "scalar-fractions",
+             "bool-fraction", "nan-fraction", "fraction-above-one", "string-folded-config",
+             "string-folded-index", "int-folded-spectrum", "none-folded-fractional"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):
@@ -578,6 +626,21 @@ def test_pyramid_nla_preset_builds_one_chain(monkeypatch, tmp_path):
     cli.run_experiment(cli.PRESETS["pyramid-nla"](), tmp_path)
     # one basis for the signal, one per reduced level; one chain for all families
     assert counts == {"eigendecompose": 4, "kron_reduce": 3, "sparsify": 3}
+
+
+def test_a_pyramid_nla_run_peaks_at_the_eigensolver(tmp_path):
+    # kron_reduce once held six (n/2)^2 blocks and set the run's peak, 2.57 n x n
+    # blocks at n = 512; eigh needs about 2.14: its input block and the eigenvectors
+    n = 512
+    cfg = cli.PRESETS["pyramid-nla"]()
+    cfg["graph"]["params"]["n"] = n
+    tracemalloc.start()
+    try:
+        cli.run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * n * n * 8
 
 
 def test_pyramid_nla_preset_tests_connectivity_on_sparse_arrays(monkeypatch, tmp_path):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +87,50 @@ class TestKronReduce:
             gs.kron_reduce(lap, [0, 1])
 
 
+    def test_holds_at_most_three_half_size_blocks(self):
+        # the four blocks of D - A, solve's copies of two and the Schur product were
+        # once alive together: 6.0 (n/2)^2 blocks at n = 512
+        n = 512
+        lap = gs.laplacian(gs.build_random_sensor(n, seed=0))
+        keep = gs.select_polarity(gs.eigendecompose(lap), n // 2)
+        tracemalloc.start()
+        try:
+            gs.kron_reduce(lap, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * (n // 2) ** 2 * 8
+
+    @pytest.mark.parametrize("n", [128, 512])
+    @pytest.mark.parametrize("seed", [0, 3, 4, 5])
+    def test_matches_the_dense_formula_bit_for_bit(self, n, seed):
+        # the blocks are built and consumed in another order, and solved in place;
+        # LAPACK's input and the GEMM's operand layouts stay those of this formula
+        # (n = 128 runs OpenBLAS's small-matrix kernels, which sum a transposed
+        # operand in another order), so the weights may not move by a bit
+        lap = gs.laplacian(gs.build_random_sensor(n, seed=seed))
+        keep = gs.select_polarity(gs.eigendecompose(lap), n // 2)
+        for _ in range(2):  # the first level, then its sparsified graph's
+            level = gs.kron_reduce(lap, keep).graph
+            got, want = level.adjacency, dense_kron_reduce(lap, keep).adjacency
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert got.data.tobytes() == want.data.tobytes()
+            lap = gs.laplacian(gs.sparsify(level, 0.05))
+            keep = gs.select_polarity(gs.eigendecompose(lap), lap.n // 2)
+
+
+def dense_kron_reduce(lap, keep):
+    """The Schur complement from the four dense blocks of D - A, as first written."""
+    elim = np.setdiff1d(np.arange(lap.n), keep)
+    m = lap.matrix
+    solved = scipy.linalg.solve(m[np.ix_(elim, elim)], m[np.ix_(elim, keep)], assume_a="sym")
+    l1 = m[np.ix_(keep, keep)] - m[np.ix_(keep, elim)] @ solved
+    w = -(0.5 * (l1 + l1.T))
+    np.fill_diagonal(w, 0.0)
+    return gs.Graph(np.maximum(w, 0.0))
+
+
 class TestSparsify:
     def test_zero_ratio_is_identity(self):
         g = gs.build_random_sensor(20, seed=2)
@@ -121,6 +168,19 @@ class TestSparsify:
         level = reduced_sensor(300, seed)
         for g in (level, gs.sparsify(level, 0.1)):
             assert np.array_equal(gs.laplacian(g).degree, g.adjacency.toarray().sum(axis=1))
+
+    @pytest.mark.parametrize("triangle", [False, True], ids=["bridge", "cycle"])
+    def test_an_edge_is_judged_once(self, triangle):
+        # the orientations of edge (0, 1) differ by 1e-13 and straddle the cutoff:
+        # each was once judged on its own, and dropping one of them broke symmetry
+        a = np.zeros((3, 3))
+        a[0, 1], a[1, 0] = 0.5, 0.5 + 1e-13
+        a[1, 2] = a[2, 1] = 1.0
+        a[0, 2] = a[2, 0] = 1.0 if triangle else 0.0
+        out = gs.sparsify(gs.Graph(a), 0.5 + 0.5e-13).adjacency.toarray()
+        if triangle:  # dropped both ways, and 0 stays connected through 2
+            a[0, 1] = a[1, 0] = 0.0
+        assert np.array_equal(out, a)  # else restored both ways, as the bridge
 
     def test_invalid_ratio(self):
         g = gs.build_path(4)
