@@ -18,7 +18,6 @@ from .errors import (
     InvalidParameterError,
     NumericError,
     ParseError,
-    RangeError,
 )
 from .graphs import (
     Graph,
@@ -41,7 +40,6 @@ from .spectral import (
     eigendecompose,
     gft,
     igft,
-    interpolate_spectrum,
 )
 from .classical import (
     downsample_dft,

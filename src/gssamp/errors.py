@@ -29,7 +29,3 @@ class ParseError(GssampError, ValueError):
 
 class DataError(GssampError, ValueError):
     """Parsed data violates a structural invariant (self-loop, conflict, ...)."""
-
-
-class RangeError(GssampError, ValueError):
-    """A spectral query lies outside the interpolation range."""

@@ -6,6 +6,7 @@ edge weights. Randomized generators are deterministic given their seed.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -22,10 +23,8 @@ from .errors import (
 )
 
 _SYM_TOL = 1e-12
-# Side of the square tiles that ``_mirror`` works in: a tile and its mirror
-# (2 x 32 KiB of float64) stay in cache together, where a whole-matrix ``a.T``
-# pass reads a new cache line on almost every element. The degree pass sums
-# dense tiles of as many rows.
+# Rows per dense tile of the degree pass: a tile holds 64 n float64s (1 MiB at
+# n = 2048), where a dense copy of the adjacency would hold n x n.
 _TILE = 64
 # Spare float64s past the end of every dense block of D - A: the hole a freed block
 # leaves in the heap then fits a ``read_only`` copy of an array of the block's size,
@@ -95,10 +94,10 @@ class Graph:
 
 @dataclass(frozen=True)
 class Laplacian:
-    """Combinatorial Laplacian D - A of ``graph``, which keeps only the degrees,
-    read-only; ``matrix``, the dense D - A, and ``sparse``, its CSR form, are built
-    on first use and kept. ``Graph`` checked the adjacency; anything but a Graph
-    raises InvalidParameterError, and a degree that overflows to inf DataError."""
+    """Combinatorial Laplacian D - A of ``graph``, which keeps the degrees, read-only;
+    ``sparse``, the CSR form of D - A, is built on first use and kept, and every dense
+    block is cut from it. ``Graph`` checked the adjacency; anything but a Graph raises
+    InvalidParameterError, and a degree that overflows to inf DataError."""
 
     graph: Graph
 
@@ -120,11 +119,6 @@ class Laplacian:
         return self.degree.shape[0]
 
     @functools.cached_property
-    def matrix(self) -> np.ndarray:
-        """D - A, built on first use and kept, read-only."""
-        return read_only(self._block())
-
-    @functools.cached_property
     def sparse(self) -> csr_array:
         """CSR form of D - A, built on first use and kept, with read-only arrays."""
         n = self.n
@@ -133,16 +127,12 @@ class Laplacian:
                        - self.graph.adjacency)
 
     def _block(self, rows=None, cols=None, order="C") -> np.ndarray:
-        """A fresh, writable ``order``-ordered block (D - A)[rows][:, cols] for index
-        arrays ``rows`` and ``cols`` (``None``: all vertices), over a buffer ``_SPARE``
-        entries longer; a principal block (``cols is rows``) holds the degrees on its
-        diagonal."""
-        a = self.graph.adjacency if rows is None else self.graph.adjacency[rows][:, cols]
-        b = np.empty(a.shape[0] * a.shape[1] + _SPARE)[:-_SPARE].reshape(a.shape, order=order)
-        a.toarray(out=b)
-        np.subtract(0.0, b, out=b)  # not -b: a zero weight stays +0.0, as in D - A
-        if cols is rows:
-            np.fill_diagonal(b, self.degree if rows is None else self.degree[rows])
+        """A fresh, writable ``order``-ordered block (D - A)[rows][:, cols] of ``sparse``
+        for index arrays ``rows`` and ``cols`` (``None``: all vertices), over a buffer
+        ``_SPARE`` entries longer."""
+        s = self.sparse if rows is None else self.sparse[rows][:, cols]
+        b = np.empty(s.shape[0] * s.shape[1] + _SPARE)[:-_SPARE].reshape(s.shape, order=order)
+        s.toarray(out=b)  # an entry not stored is +0.0, as in D - A
         return b
 
 
@@ -205,19 +195,6 @@ def check_type(value, cls, what: str):
     if not isinstance(value, cls):
         raise InvalidParameterError(f"{what} needs a {cls.__name__}")
     return value
-
-
-def _mirror(a: np.ndarray, op) -> None:
-    """``a[...] = op(a, a.T)`` for a square ``a`` and an elementwise ``op``, in place and
-    tile pair by tile pair, with no second n x n array."""
-    for i in range(0, a.shape[0], _TILE):
-        for j in range(i, a.shape[0], _TILE):
-            upper, lower = a[i:i + _TILE, j:j + _TILE], a[j:j + _TILE, i:i + _TILE].T
-            # both argument orders (np.maximum keeps its first argument on a 0.0 / -0.0
-            # tie), both before either write: on a diagonal tile upper and lower share memory
-            high, low = op(upper, lower), op(lower, upper)
-            upper[...] = high
-            lower[...] = low
 
 
 def components(a) -> int:
@@ -342,8 +319,9 @@ def build_community(
     n, k_communities = check_count(n, "n"), check_count(k_communities, "k_communities")
     if n < 2 or k_communities < 1 or k_communities > n:
         raise InvalidParameterError("infeasible community parameters")
-    if not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0):
-        raise InvalidParameterError("probabilities must lie in [0, 1]")
+    if (any(not isinstance(p, numbers.Real) or isinstance(p, bool) for p in (p_in, p_out))
+            or not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0)):
+        raise InvalidParameterError("probabilities must be real numbers in [0, 1], not bools")
     labels = np.arange(n) * k_communities // n  # equal-size blocks
     p = np.where(labels[:, None] == labels[None, :], p_in, p_out)
 

@@ -15,7 +15,7 @@ from scipy.sparse import coo_array, csr_array
 from scipy.sparse.csgraph import minimum_spanning_tree
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Graph, Laplacian, _mirror, check_count, check_type, components
+from .graphs import Graph, Laplacian, check_count, check_type, components
 from .sampling import VertexCorrespondence
 from .spectral import SpectralBasis
 
@@ -73,7 +73,8 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     l1 = lap._block(keep, keep)
     np.subtract(l1, product, out=l1)  # l1 - product, with no third block
     del product
-    _mirror(l1, lambda x, y: 0.5 * (x + y))  # 0.5 * (l1 + l1.T), exactly symmetric
+    np.add(l1, l1.T, out=l1)  # numpy copies the overlapping l1.T first
+    l1 *= 0.5  # 0.5 * (l1 + l1.T) bit for bit, exactly symmetric
     w = np.negative(l1, out=l1)
     np.fill_diagonal(w, 0.0)
     if np.any(w < -_NEG_WEIGHT_TOL):

@@ -104,6 +104,7 @@ class SamplingContext:
 
 def vertex_downsample(f: np.ndarray, corr: VertexCorrespondence) -> np.ndarray:
     """Retain the samples sitting on the kept vertices."""
+    check_type(corr, VertexCorrespondence, "vertex_downsample")
     f = check_signal(f, np.size(f))  # any length; the targets bound it below
     if corr.targets.size and corr.targets.max() >= f.shape[0]:
         raise InvalidParameterError("correspondence targets exceed signal length")
@@ -112,6 +113,7 @@ def vertex_downsample(f: np.ndarray, corr: VertexCorrespondence) -> np.ndarray:
 
 def vertex_upsample(f: np.ndarray, corr: VertexCorrespondence, n0: int) -> np.ndarray:
     """Place samples on their corresponding vertices, zeros elsewhere."""
+    check_type(corr, VertexCorrespondence, "vertex_upsample")
     f = check_signal(f, corr.n_reduced)
     n0 = check_count(n0, "n0")
     if corr.targets.size and corr.targets.max() >= n0:
@@ -160,6 +162,7 @@ def _coefficient_map(ctx: SamplingContext, family: str, folded: bool, up: bool):
 
 def _check_rate(ctx: SamplingContext, rate: int, up: bool) -> None:
     """Require the larger graph to hold exactly ``rate`` times the smaller one."""
+    check_type(ctx, SamplingContext, "a spectral operator")
     rate = check_count(rate, "rate", 1)
     big, small = (ctx.n1, ctx.n0) if up else (ctx.n0, ctx.n1)
     if big != rate * small:
@@ -228,6 +231,7 @@ def spectral_upsample_spectrum(
 
 def ideal_lowpass_index(spectrum: Spectrum, cutoff_index: int) -> Spectrum:
     """Zero all coefficients with index k > cutoff_index."""
+    check_type(spectrum, Spectrum, "ideal_lowpass_index")
     cutoff_index = check_count(cutoff_index, "cutoff index")
     c = spectrum.coefficients.copy()
     c[cutoff_index + 1 :] = 0.0
@@ -237,6 +241,7 @@ def ideal_lowpass_index(spectrum: Spectrum, cutoff_index: int) -> Spectrum:
 def ideal_lowpass_lambda(spectrum: Spectrum, cutoff_lambda: float) -> Spectrum:
     """Zero all coefficients whose eigenvalue exceeds cutoff_lambda, a real number but
     neither a bool nor NaN."""
+    check_type(spectrum, Spectrum, "ideal_lowpass_lambda")
     if (not isinstance(cutoff_lambda, numbers.Real) or isinstance(cutoff_lambda, bool)
             or np.isnan(cutoff_lambda)):
         raise InvalidParameterError("cutoff_lambda must be a real number, not a bool or NaN")
@@ -260,7 +265,7 @@ def fractional_downsample(
     when folded), dropping indices >= N0. At an integer ratio these are the
     integer-rate downsampling operators.
     """
-    if ctx.n1 > ctx.n0:
+    if check_type(ctx, SamplingContext, "fractional_downsample").n1 > ctx.n0:
         raise InvalidParameterError("fractional downsampling needs n1 <= n0")
     if mode not in ("index", "spectrum"):
         raise InvalidParameterError(f"unknown mode {mode!r}, expected 'index' or 'spectrum'")
@@ -293,9 +298,10 @@ def apply_operator(
 
     ``ctx`` runs from the input graph to the output graph. Integer-rate
     spectral operators take ``rate``, an int; the vertex operators take
-    ``corr``. A name outside the direction's table, or a missing ``rate`` or
-    ``corr``, raises InvalidParameterError.
+    ``corr``. A name outside the direction's table, a ``ctx`` that is not a
+    SamplingContext, or a missing ``rate`` or ``corr``, raises InvalidParameterError.
     """
+    check_type(ctx, SamplingContext, "apply_operator")
     names = OPERATORS.get(direction, ())
     if name not in names:
         raise InvalidParameterError(

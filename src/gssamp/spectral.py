@@ -12,8 +12,8 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_array
 
-from .errors import DataError, InvalidParameterError, NumericError, RangeError
-from .graphs import Laplacian, read_only
+from .errors import DataError, InvalidParameterError, NumericError
+from .graphs import Laplacian, check_type, read_only
 
 _GROUP_TOL_SCALE = 1e-8
 
@@ -131,6 +131,7 @@ def eigendecompose(lap: Laplacian) -> SpectralBasis:
     Eigenvalues ascend; columns are sign-canonicalized, then sorted
     lexicographically by their entries inside each repeated-eigenvalue group.
     """
+    check_type(lap, Laplacian, "eigendecompose")
     try:
         # LAPACK factors a throwaway Fortran-ordered D - A in place, so eigh copies
         # nothing and the block is freed on return; it is finite, and symmetric to
@@ -164,11 +165,13 @@ def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
 
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:
     """Forward graph Fourier transform U^H f, read-only and shared with the basis's other users."""
+    check_type(basis, SpectralBasis, "gft")
     return Spectrum(basis._analysis(check_signal(signal, basis.n)), basis.eigenvalues)
 
 
 def igft(basis: SpectralBasis, spectrum: Spectrum | np.ndarray) -> np.ndarray:
     """Inverse graph Fourier transform U @ coefficients."""
+    check_type(basis, SpectralBasis, "igft")
     c = spectrum.coefficients if isinstance(spectrum, Spectrum) else spectrum
     return basis.eigenvectors @ check_signal(c, basis.n, "coefficient")
 
@@ -217,16 +220,3 @@ def _interpolation_map(grid: np.ndarray, queries) -> csr_array:
 def sample_interpolant(spectrum: Spectrum, queries: np.ndarray) -> np.ndarray:
     """Vectorized piecewise-linear evaluation; queries are clamped to the grid range."""
     return _interpolation_map(spectrum.grid, queries) @ spectrum.coefficients
-
-
-def interpolate_spectrum(spectrum: Spectrum, lambda_query: float) -> float:
-    """Evaluate the piecewise-linear spectrum interpolant at one frequency.
-
-    Duplicate abscissae (repeated eigenvalues) are collapsed by averaging
-    before interpolation. Queries outside [0, lambda_max], and NaN, raise RangeError.
-    """
-    lam_max = float(spectrum.grid[-1])
-    tol = 1e-9 * max(1.0, lam_max)
-    if not -tol <= lambda_query <= lam_max + tol:
-        raise RangeError(f"query {lambda_query} outside spectrum range [0, {lam_max}]")
-    return float(sample_interpolant(spectrum, [lambda_query])[0])

@@ -205,4 +205,5 @@ def test_criterion_11_kron_hand_case():
     with report(11, "three-vertex path reduces to the hand-computed Laplacian"):
         red = gs.kron_reduce(gs.laplacian(gs.build_path(3)), [0, 2])
         expected = np.array([[0.5, -0.5], [-0.5, 0.5]])
-        assert np.abs(gs.laplacian(red.graph).matrix - expected).max() <= 1e-12
+        a = red.graph.adjacency.toarray()
+        assert np.abs(np.diag(a.sum(axis=1)) - a - expected).max() <= 1e-12

@@ -24,8 +24,14 @@ from gssamp.errors import (
 )
 
 
+def dense_laplacian(graph):
+    """D - A from the adjacency alone, independent of ``Laplacian``."""
+    a = graph.adjacency.toarray()
+    return np.diag(a.sum(axis=1)) - a
+
+
 def laplacian_eigenvalues(graph):
-    return np.linalg.eigvalsh(gs.laplacian(graph).matrix)
+    return np.linalg.eigvalsh(dense_laplacian(graph))
 
 
 class TestPath:
@@ -34,7 +40,7 @@ class TestPath:
         assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_laplacian_n2(self):
-        assert np.array_equal(gs.laplacian(gs.build_path(2)).matrix, [[1, -1], [-1, 1]])
+        assert np.array_equal(gs.laplacian(gs.build_path(2))._block(), [[1, -1], [-1, 1]])
 
     def test_closed_form_eigenvalues_n100(self):
         # path Laplacian eigenvalues are 2 - 2 cos(pi k / n)
@@ -136,7 +142,7 @@ def test_generator_invariants(graph):
     assert np.array_equal(a, a.T)
     assert np.all(np.diag(a) == 0)
     assert np.all(a >= 0)
-    lap = gs.laplacian(graph).matrix
+    lap = dense_laplacian(graph)
     assert np.abs(lap.sum(axis=1)).max() < 1e-12
     lam = np.linalg.eigvalsh(lap)
     assert lam[0] > -1e-9
@@ -364,25 +370,35 @@ class TestLaplacianStorage:
          gs.Graph(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))],
         ids=["path", "grid", "complete", "sensor", "isolated-vertex"],
     )
-    def test_sparse_equals_matrix_and_is_cached(self, graph):
+    def test_sparse_is_d_minus_a_and_is_cached(self, graph):
         lap = gs.laplacian(graph)
-        s = lap.sparse
-        assert s.format == "csr" and s.shape == lap.matrix.shape
-        assert s.nnz == np.count_nonzero(lap.matrix)  # no stored zeros
-        assert np.array_equal(s.toarray(), lap.matrix)
+        s, want = lap.sparse, dense_laplacian(graph)
+        assert s.format == "csr" and s.shape == want.shape
+        assert s.nnz == np.count_nonzero(want)  # no stored zeros
+        assert np.array_equal(s.toarray(), want)
         assert lap.sparse is s
 
-    def test_matrix_is_derived_from_the_graph_and_frozen(self):
+    def test_every_block_is_cut_from_d_minus_a(self):
         g = gs.build_grid(3, 4)
         lap = gs.Laplacian(g)
         assert [f.name for f in dataclasses.fields(lap)] == ["graph"]
-        a = g.adjacency.toarray()
-        assert np.array_equal(lap.matrix, np.diag(a.sum(axis=1)) - a)
-        assert np.array_equal(np.signbit(lap.matrix), a > 0)  # zeros are +0.0
-        with pytest.raises(ValueError):
-            lap.matrix[0, 1] = 5.0
+        assert not hasattr(lap, "matrix")
+        want = dense_laplacian(g)  # its zeros are +0.0, and so are a block's
+        r, c = np.array([0, 2, 5, 7]), np.array([1, 2, 6])
+        for block, part in ((lap._block(), want), (lap._block(order="F"), want),
+                            (lap._block(r, c, order="F"), want[np.ix_(r, c)])):
+            assert block.tobytes() == part.tobytes() and block.flags.writeable
 
-    def test_only_the_degrees_are_kept_until_matrix_is_asked_for(self):
+    def test_a_principal_block_holds_the_degrees_however_its_columns_are_given(self):
+        # the degrees were once filled in only when ``cols is rows``
+        g = gs.build_random_sensor(40, seed=1)
+        lap = gs.laplacian(g)
+        r = np.arange(3, 40, 3)
+        want = dense_laplacian(g)[np.ix_(r, r)]
+        for cols in (r, r.copy(), list(r)):
+            assert lap._block(r, cols).tobytes() == want.tobytes()
+
+    def test_no_dense_d_minus_a_is_kept(self):
         # D - A was once stored dense: an n x n copy that only tests read
         g = gs.build_random_sensor(512, seed=0)
         block = g.n * g.n * 8  # one n x n float64 array
@@ -396,7 +412,7 @@ class TestLaplacianStorage:
             tracemalloc.stop()
         assert kept < 0.1 * block
         assert peak <= 2.5 * block  # the block and eigh's eigenvectors, then their copy
-        assert "matrix" not in vars(lap)
+        assert set(vars(lap)) == {"graph", "degree", "sparse"}
         assert np.array_equal(lap.degree, g.adjacency.toarray().sum(axis=1))
 
     def test_a_freed_block_fits_a_frozen_copy_of_its_size(self):
@@ -418,7 +434,7 @@ class TestLaplacianStorage:
         finally:
             tracemalloc.stop()
         assert kept < 0.1 * n * n * 8
-        assert lap.n == n and "matrix" not in vars(lap)
+        assert lap.n == n and set(vars(lap)) == {"graph", "degree"}
 
     @pytest.mark.parametrize("seed", [0, 3, 4, 5])
     def test_degrees_are_the_dense_row_sums(self, seed):
@@ -485,8 +501,8 @@ def _exposed_arrays(graph, seed):
         out.update({f"{name}.adjacency.{k}": getattr(g.adjacency, k)
                     for k in ("data", "indices", "indptr")})
         out[f"{name}.coordinates"] = g.coordinates
-    for name, lp in (("lap", lap), ("level", level.lap)):  # ``matrix`` built here, on first use
-        out.update({f"{name}.degree": lp.degree, f"{name}.matrix": lp.matrix,
+    for name, lp in (("lap", lap), ("level", level.lap)):
+        out.update({f"{name}.degree": lp.degree,
                     f"{name}.sparse.data": lp.sparse.data,
                     f"{name}.sparse.indices": lp.sparse.indices,
                     f"{name}.sparse.indptr": lp.sparse.indptr})
@@ -684,51 +700,32 @@ class TestSharedEdgeConstructor:
             assert_same_bytes(gs.load_edge_list(path), loop_edge_list(n, edges))
 
 
-# Sizes for the tiled n x n passes: any size up to 200, and the sizes around
-# whole multiples of graphs._TILE (64) more often than a uniform draw gives.
-_tile_sizes = st.one_of(st.integers(0, 200), st.sampled_from([1, 63, 64, 65, 127, 128, 129, 130]))
-# Entries with exact ties and signed zeros, so max and sum see both orders.
-_tile_values = np.array([0.0, -0.0, 0.0, 1.0, 0.5, 1e-300, 2.0])
+# Array sides: any size up to 200, and the sizes around whole multiples of 64
+# more often than a uniform draw gives.
+_sides = st.one_of(st.integers(0, 200), st.sampled_from([1, 63, 64, 65, 127, 128, 129, 130]))
 
 
-class TestTiledPasses:
-    """Each tiled pass equals the whole-matrix numpy expression it replaces."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=_tile_sizes, seed=st.integers(0, 2**32 - 1))
-    def test_mirror(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.choice(_tile_values, size=(n, n)) * rng.integers(1, 3, size=(n, n))
-        for op, want in (
-            (np.maximum, np.maximum(a, a.T)),
-            (np.add, a + a.T),
-            (lambda x, y: 0.5 * (x + y), 0.5 * (a + a.T)),  # kron_reduce's symmetrization
-        ):
-            got = a.copy()
-            graphs._mirror(got, op)
-            assert got.tobytes() == want.tobytes()  # sign bits too
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        rows=_tile_sizes,
-        cols=_tile_sizes,
-        seed=st.integers(0, 2**32 - 1),
-        dtype=st.sampled_from([np.float64, np.complex128, np.int64]),
-        layout=st.sampled_from(["F", "transposed", "strided"]),
-    )
-    def test_read_only_copies_into_c_order(self, rows, cols, seed, dtype, layout):
-        base = np.random.default_rng(seed).standard_normal((2 * rows, 2 * cols)).astype(dtype)
-        a = {
-            "F": np.asfortranarray(base[:rows, :cols]),
-            "transposed": base[:rows, :cols].copy().T,
-            "strided": base[::2, ::2],
-        }[layout]
-        got = graphs.read_only(a)
-        assert got.tobytes() == a.copy().tobytes() and got.dtype == a.dtype
-        assert got.flags.c_contiguous and not got.flags.writeable
-        assert a.flags.writeable and not np.shares_memory(got, a)
-        top = got[: rows // 2]  # a C-ordered view of the bytes-backed copy: kept as is
-        assert graphs.read_only(got) is got and graphs.read_only(top, dtype) is top
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=_sides,
+    cols=_sides,
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from([np.float64, np.complex128, np.int64]),
+    layout=st.sampled_from(["F", "transposed", "strided"]),
+)
+def test_read_only_copies_into_c_order(rows, cols, seed, dtype, layout):
+    base = np.random.default_rng(seed).standard_normal((2 * rows, 2 * cols)).astype(dtype)
+    a = {
+        "F": np.asfortranarray(base[:rows, :cols]),
+        "transposed": base[:rows, :cols].copy().T,
+        "strided": base[::2, ::2],
+    }[layout]
+    got = graphs.read_only(a)
+    assert got.tobytes() == a.copy().tobytes() and got.dtype == a.dtype
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert a.flags.writeable and not np.shares_memory(got, a)
+    top = got[: rows // 2]  # a C-ordered view of the bytes-backed copy: kept as is
+    assert graphs.read_only(got) is got and graphs.read_only(top, dtype) is top
 
 
 @settings(max_examples=150, deadline=None)

@@ -18,6 +18,12 @@ from gssamp.errors import DataError, GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
 
 
+def dense_laplacian(graph):
+    """D - A from the adjacency alone, independent of ``Laplacian``."""
+    a = graph.adjacency.toarray()
+    return np.diag(a.sum(axis=1)) - a
+
+
 def basis_of(graph):
     return gs.eigendecompose(gs.laplacian(graph))
 
@@ -117,7 +123,7 @@ class TestFilters:
         poly = lambda lam: 1.0 + 0.5 * lam - 0.25 * lam**2
         coeffs = chebyshev_coefficients(poly, b.lambda_max, order=8)
         f = np.random.default_rng(3).standard_normal(12)
-        got = chebyshev_apply(lap.matrix, f, coeffs, b.lambda_max)
+        got = chebyshev_apply(dense_laplacian(g), f, coeffs, b.lambda_max)
         expected = gs.igft(b, poly(b.eigenvalues) * gs.gft(b, f).coefficients)
         assert np.abs(got - expected).max() < 1e-9
 
@@ -186,7 +192,7 @@ class TestSparseChebyshev:
         b = gs.eigendecompose(lap)
         f = np.random.default_rng(5).standard_normal(lap.n)
         coeffs = chebyshev_coefficients(gs.halving_lowpass, b.lambda_max, 30)
-        dense = chebyshev_apply(lap.matrix, f, coeffs, b.lambda_max)
+        dense = chebyshev_apply(dense_laplacian(lap.graph), f, coeffs, b.lambda_max)
         sparse = chebyshev_apply(lap.sparse, f, coeffs, b.lambda_max)
         assert isinstance(sparse, np.ndarray) and sparse.shape == f.shape
         assert np.linalg.norm(sparse - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -589,6 +595,24 @@ class TestBoundaryErrors:
              "folded needs a bool"),
             (lambda c: gs.fractional_downsample(c[0].ctx_down, np.ones(16), folded=None),
              "folded needs a bool"),
+            (lambda c: gs.eigendecompose(None), "eigendecompose needs a Laplacian"),
+            (lambda c: gs.gft(None, np.ones(16)), "gft needs a SpectralBasis"),
+            (lambda c: gs.igft(None, np.ones(16)), "igft needs a SpectralBasis"),
+            (lambda c: gs.ideal_lowpass_index(None, 2), "ideal_lowpass_index needs a Spectrum"),
+            (lambda c: gs.ideal_lowpass_lambda(None, 0.5), "ideal_lowpass_lambda needs a Spectrum"),
+            (lambda c: gs.vertex_downsample(np.ones(16), None),
+             "vertex_downsample needs a VertexCorrespondence"),
+            (lambda c: gs.vertex_upsample(np.ones(8), None, 8),
+             "vertex_upsample needs a VertexCorrespondence"),
+            (lambda c: gs.apply_operator("index", "down", None, np.ones(16), 2),
+             "apply_operator needs a SamplingContext"),
+            (lambda c: gs.spectral_upsample_spectrum(None, np.ones(8), 2),
+             "a spectral operator needs a SamplingContext"),
+            (lambda c: gs.fractional_downsample(None, np.ones(16)),
+             "fractional_downsample needs a SamplingContext"),
+            (lambda c: gs.build_community(16, 2, p_in="x"), "probabilities must be real numbers"),
+            (lambda c: gs.build_community(16, 2, p_in=True), "probabilities must be real numbers"),
+            (lambda c: gs.build_community(16, 2, p_out="x"), "probabilities must be real numbers"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
@@ -603,7 +627,12 @@ class TestBoundaryErrors:
              "decomposition-no-chain-level",
              "chain-no-laplacian", "chain-no-basis", "string-fractions", "scalar-fractions",
              "bool-fraction", "nan-fraction", "fraction-above-one", "string-folded-config",
-             "string-folded-index", "int-folded-spectrum", "none-folded-fractional"],
+             "string-folded-index", "int-folded-spectrum", "none-folded-fractional",
+             "eigendecompose-no-laplacian", "gft-no-basis", "igft-no-basis",
+             "lowpass-index-no-spectrum", "lowpass-lambda-no-spectrum", "vertex-down-no-corr-type",
+             "vertex-up-no-corr-type", "apply-no-context", "spectral-op-no-context",
+             "fractional-no-context", "string-p-in", "bool-p-in",
+             "string-p-out"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gssamp as gs
 from gssamp import sampling, spectral
-from gssamp.errors import DataError, InvalidParameterError, RangeError
+from gssamp.errors import DataError, InvalidParameterError
 
 
 def operator_matrix(op, n_in: int) -> np.ndarray:
@@ -254,15 +254,10 @@ class TestIdealFilters:
         assert np.array_equal(out.coefficients[mask], spec.coefficients[mask])
         assert np.all(out.coefficients[~mask] == 0)
 
-    @pytest.mark.parametrize(
-        "call, error",
-        [(gs.interpolate_spectrum, RangeError), (gs.ideal_lowpass_lambda, InvalidParameterError)],
-        ids=["interpolate_spectrum", "ideal_lowpass_lambda"],
-    )
-    def test_nan_frequency_rejected(self, call, error):
+    def test_nan_cutoff_rejected(self):
         spec = gs.gft(basis_of(gs.build_path(8)), np.random.default_rng(0).standard_normal(8))
-        with pytest.raises(error, match="NaN|outside spectrum range"):
-            call(spec, np.nan)
+        with pytest.raises(InvalidParameterError, match="NaN"):
+            gs.ideal_lowpass_lambda(spec, np.nan)
 
 
 class TestRingEquivalences:
