@@ -10,12 +10,12 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .graphs import check_count
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, check_signal
 
 
 def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
     """(D1) retain every m-th sample; m must divide len(f)."""
-    f = np.asarray(f)
+    f = check_signal(f, np.size(f))
     n = f.shape[0]
     m = check_count(m, "rate", 1)
     if n % m != 0:
@@ -25,7 +25,7 @@ def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
 
 def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
     """(D2) fold the DFT spectrum: F_d[k] = (1/m) sum_p F[p N/m + k]."""
-    f = np.asarray(f)
+    f = check_signal(f, np.size(f))
     n = f.shape[0]
     m = check_count(m, "rate", 1)
     if n % m != 0:
@@ -38,7 +38,7 @@ def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
 
 def upsample_time(f: np.ndarray, l: int) -> np.ndarray:
     """(U1) insert l-1 zeros between samples."""
-    f = np.asarray(f)
+    f = check_signal(f, np.size(f))
     l = check_count(l, "rate", 1)
     out = np.zeros(f.shape[0] * l, dtype=f.dtype)
     out[::l] = f
@@ -47,7 +47,7 @@ def upsample_time(f: np.ndarray, l: int) -> np.ndarray:
 
 def upsample_dft(f: np.ndarray, l: int) -> np.ndarray:
     """(U2) repeat the DFT spectrum l times: F_u[p N + k] = F[k]."""
-    f = np.asarray(f)
+    f = check_signal(f, np.size(f))
     l = check_count(l, "rate", 1)
     spec = np.tile(np.fft.fft(f), l)
     out = np.fft.ifft(spec)
@@ -56,6 +56,7 @@ def upsample_dft(f: np.ndarray, l: int) -> np.ndarray:
 
 def dft_matrix(n: int) -> np.ndarray:
     """Unitary synthesis DFT matrix; column k is exp(2j pi k t / n) / sqrt(n)."""
+    n = check_count(n, "n", 1)
     t = np.arange(n)
     return np.exp(2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)
 

@@ -42,8 +42,9 @@ class Graph:
     ----------
     adjacency : (n, n) csr_array
         Symmetric nonnegative weights with zero diagonal, given dense or in any
-        scipy sparse format and stored as CSR: sorted indices, no duplicate and
-        no zero entry (an edge is a nonzero weight), and read-only ``data``,
+        scipy sparse format and stored as CSR: one weight per edge (the larger of
+        two orientations, which may differ by 1e-12), sorted indices, no duplicate
+        and no zero entry (an edge is a nonzero weight), and read-only ``data``,
         ``indices`` and ``indptr`` that cannot be rebound (InvalidParameterError).
         ``adjacency.toarray()`` is a dense copy.
     coordinates : (n, d) ndarray, optional
@@ -77,7 +78,8 @@ class Graph:
             raise DataError("self-loops are not allowed (nonzero diagonal)")
         if (a.data < 0.0).any():
             raise InvalidParameterError("edge weights must be nonnegative")
-        object.__setattr__(self, "adjacency", _freeze(a))
+        # one weight per edge, the larger of its two orientations (as ``_from_edges``)
+        object.__setattr__(self, "adjacency", _freeze(a.maximum(a.T)))
         if self.coordinates is not None:
             c = read_only(self.coordinates, float)
             if c.shape[:1] != a.shape[:1]:

@@ -30,8 +30,8 @@ _SPARSIFY_RATIO = 0.05
 
 
 def halving_lowpass(lam):
-    """Default pyramid filter 1/(1 + 2 lambda)."""
-    return 1.0 / (1.0 + 2.0 * np.asarray(lam))
+    """Default pyramid filter 1/(1 + 2 lambda) on a 1-D eigenvalue array."""
+    return 1.0 / (1.0 + 2.0 * check_signal(lam, np.size(lam), "eigenvalue"))
 
 
 @dataclass(frozen=True)

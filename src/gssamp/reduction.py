@@ -7,6 +7,7 @@ two-cluster band-limited test-signal construction.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,9 @@ def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
     if threshold_ratio == 0.0 or a.nnz == 0:
         return graph
     rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))  # with a.indices, row-major
-    weak = a.data < threshold_ratio * a.data.max()  # every stored weight is positive
-    # an edge is judged once, on its upper entry: its two orientations may differ by
-    # up to _SYM_TOL and straddle the cutoff. key ascends, the CSR being canonical
+    # every stored weight is positive, and the same both ways (``Graph``)
+    weak = a.data < threshold_ratio * a.data.max()
     key, mirror = rows * graph.n + a.indices, a.indices * np.int64(graph.n) + rows
-    at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
-    lower = (rows > a.indices) & (key[at] == mirror)  # a lower entry whose upper is stored
-    weak[lower] = weak[at[lower]]
     if components(_entries(a, rows, ~weak)) > 1:
         upper = np.flatnonzero(weak & (rows < a.indices))
         upper = upper[np.lexsort((-a.indices[upper], -rows[upper], -a.data[upper]))]
@@ -195,7 +192,8 @@ def make_cluster_band_signal(
     f_j[n] = 1{n in cluster j} * sum_k u_k[n] 1{band_j contains lambda_k};
     the result is f_1/||f_1||_inf + f_2/||f_2||_inf.
     """
-    if len(clusters) != 2 or len(bands) != 2:
+    check_type(basis, SpectralBasis, "make_cluster_band_signal")
+    if not all(isinstance(pair, Sized) and len(pair) == 2 for pair in (clusters, bands)):
         raise InvalidParameterError("need exactly two clusters and two bands")
     out = np.zeros(basis.n)
     for cluster, (lo, hi) in zip(clusters, bands):

@@ -13,7 +13,7 @@ import scipy.linalg
 from scipy.sparse import csr_array
 
 from .errors import DataError, InvalidParameterError, NumericError
-from .graphs import Laplacian, check_type, read_only
+from .graphs import Laplacian, check_count, check_type, read_only
 
 _GROUP_TOL_SCALE = 1e-8
 
@@ -102,27 +102,16 @@ def eigenvalue_groups(eigenvalues: np.ndarray) -> np.ndarray:
 
     Index i joins the group started at s when both lam[i] - lam[i-1] and
     lam[i] - lam[s] are within the tolerance; group g spans
-    ``starts[g]:starts[g + 1]``.
+    ``starts[g]:starts[g + 1]``. The eigenvalues must be a nonempty finite 1-D array.
     """
-    lam = np.asarray(eigenvalues, dtype=float)
-    tol = _GROUP_TOL_SCALE * max(1.0, float(lam[-1]))
-    # a step above tol always starts a group; a run of small steps is one
-    # group unless it drifts more than tol from its first value
-    starts = np.flatnonzero(np.diff(lam) > tol) + 1
-    starts = np.concatenate(([0], starts))
-    drift = np.maximum.reduceat(lam, starts) - lam[starts]
-    long_runs = np.flatnonzero(~(drift <= tol))
-    if long_runs.size == 0:
-        return starts
-    ends = np.append(starts[1:], lam.size)
-    extra = []
-    for r in long_runs:
-        s = starts[r]
-        for i in range(s + 1, ends[r]):
-            if not lam[i] - lam[s] <= tol:
-                extra.append(i)
-                s = i
-    return np.sort(np.concatenate((starts, np.asarray(extra, dtype=starts.dtype))))
+    lam = check_signal(eigenvalues, np.size(eigenvalues), "eigenvalue").astype(float).tolist()
+    check_count(len(lam), "eigenvalue count", 1)
+    tol = _GROUP_TOL_SCALE * max(1.0, lam[-1])
+    starts = [0]
+    for i in range(1, len(lam)):
+        if not (lam[i] - lam[i - 1] <= tol and lam[i] - lam[starts[-1]] <= tol):
+            starts.append(i)
+    return np.asarray(starts)
 
 
 def eigendecompose(lap: Laplacian) -> SpectralBasis:
@@ -151,13 +140,16 @@ def eigendecompose(lap: Laplacian) -> SpectralBasis:
 
 
 def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
-    """Return ``f`` as an array of shape (n,), which must hold no NaN or inf.
+    """Return ``f`` as an array of shape (n,), which must hold numbers and no NaN or inf.
 
-    A wrong shape raises InvalidParameterError, a non-finite entry DataError.
+    A wrong shape or a non-numeric entry raises InvalidParameterError, a
+    non-finite entry DataError.
     """
     f = np.asarray(f)
     if f.shape != (n,):
         raise InvalidParameterError(f"{what} length {f.shape} does not match basis size {n}")
+    if f.dtype.kind not in "biufc":
+        raise InvalidParameterError(f"{what} entries must be numbers, not {f.dtype}")
     if not np.isfinite(f).all():
         raise DataError(f"{what} entries must be finite")
     return f
@@ -176,37 +168,32 @@ def igft(basis: SpectralBasis, spectrum: Spectrum | np.ndarray) -> np.ndarray:
     return basis.eigenvectors @ check_signal(c, basis.n, "coefficient")
 
 
+def _group_average(grid: np.ndarray) -> csr_array:
+    """Sparse (groups, n) map averaging the values of each ``eigenvalue_groups``
+    group of ``grid``: 1/k on each node of a group of k."""
+    bounds = np.append(eigenvalue_groups(grid), np.size(grid))  # group g: bounds[g]:bounds[g + 1]
+    sizes = np.diff(bounds)
+    return csr_array((np.repeat(1.0 / sizes, sizes), np.arange(bounds[-1]), bounds))
+
+
 def collapse_duplicate_nodes(
     grid: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average values sharing an abscissa within the grouping tolerance."""
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    starts = eigenvalue_groups(grid)
-    sizes = np.diff(np.append(starts, grid.size))
-    xs, ys = np.empty(starts.size), np.empty(starts.size)
-    # one row sum per group size: a row adds in the order ndarray.mean does,
-    # which np.add.reduceat does not
-    for k in np.unique(sizes):
-        sel = sizes == k
-        rows = starts[sel, None] + np.arange(k)
-        xs[sel] = grid[rows].sum(axis=1) / k
-        ys[sel] = values[rows].sum(axis=1) / k
-    return xs, ys
+    """Average the abscissae and the values of each group of ``grid`` sharing an
+    abscissa within the grouping tolerance."""
+    average = _group_average(grid)
+    values = check_signal(values, average.shape[1], "value")
+    return average @ np.asarray(grid, dtype=float), average @ values.astype(float)
 
 
 def _interpolation_map(grid: np.ndarray, queries) -> csr_array:
     """Sparse (queries, n) map from values on ``grid`` to their interpolant at ``queries``.
 
-    Duplicate averaging as in ``collapse_duplicate_nodes`` (1/k on each node of
-    a group of k), then linear weights on the two group means around each
-    query, which is clamped to the grid range.
+    Duplicate averaging as in ``collapse_duplicate_nodes``, then linear weights on
+    the two group means around each query, which is clamped to the grid range.
     """
-    grid = np.asarray(grid, dtype=float)
-    bounds = np.append(eigenvalue_groups(grid), grid.size)  # group g: bounds[g]:bounds[g + 1]
-    sizes = np.diff(bounds)
-    average = csr_array((np.repeat(1.0 / sizes, sizes), np.arange(grid.size), bounds))
-    xs, _ = collapse_duplicate_nodes(grid, grid)
+    average = _group_average(grid)
+    xs = average @ np.asarray(grid, dtype=float)
     q = np.clip(np.asarray(queries, dtype=float), xs[0], xs[-1])
     right = np.minimum(np.searchsorted(xs, q, side="right"), xs.size - 1)
     left = np.maximum(right - 1, 0)
@@ -218,5 +205,8 @@ def _interpolation_map(grid: np.ndarray, queries) -> csr_array:
 
 
 def sample_interpolant(spectrum: Spectrum, queries: np.ndarray) -> np.ndarray:
-    """Vectorized piecewise-linear evaluation; queries are clamped to the grid range."""
+    """Vectorized piecewise-linear evaluation at the 1-D ``queries``, each clamped to
+    the grid range."""
+    check_type(spectrum, Spectrum, "sample_interpolant")
+    queries = check_signal(queries, np.size(queries), "query")
     return _interpolation_map(spectrum.grid, queries) @ spectrum.coefficients

@@ -362,6 +362,18 @@ def test_symmetry_tolerance_edge(skew, ok):
             gs.Graph(a)
 
 
+@pytest.mark.parametrize("form", [np.array, csr_array], ids=["dense", "csr"])
+def test_a_skew_within_the_tolerance_is_stored_as_one_weight(form):
+    # both weights were once kept: D - A was then not symmetric, and eigh, kron_reduce's
+    # solve and Chebyshev filtering each read another triangle of it
+    a = _path3_with(0, 1, 1.0 + 9e-13)
+    g = gs.Graph(form(a))
+    assert g.adjacency.has_canonical_format
+    assert np.array_equal(g.adjacency.toarray(), np.maximum(a, a.T))
+    s = gs.laplacian(g).sparse
+    assert (s != s.T).nnz == 0
+
+
 class TestLaplacianStorage:
     @pytest.mark.parametrize(
         "graph",

@@ -613,6 +613,28 @@ class TestBoundaryErrors:
             (lambda c: gs.build_community(16, 2, p_in="x"), "probabilities must be real numbers"),
             (lambda c: gs.build_community(16, 2, p_in=True), "probabilities must be real numbers"),
             (lambda c: gs.build_community(16, 2, p_out="x"), "probabilities must be real numbers"),
+            (lambda c: spectral.sample_interpolant(None, [0.5]),
+             "sample_interpolant needs a Spectrum"),
+            (lambda c: spectral.sample_interpolant(gs.gft(c[0].basis, np.ones(16)), "x"),
+             "query length"),
+            (lambda c: spectral.sample_interpolant(gs.gft(c[0].basis, np.ones(16)), ["x"]),
+             "query entries must be numbers"),
+            (lambda c: gs.gft(c[0].basis, ["x"] * 16), "signal entries must be numbers"),
+            (lambda c: spectral.collapse_duplicate_nodes(None, np.ones(2)), "eigenvalue length"),
+            (lambda c: spectral.eigenvalue_groups(None), "eigenvalue length"),
+            (lambda c: spectral.eigenvalue_groups([]), "eigenvalue count must be"),
+            (lambda c: gs.make_cluster_band_signal(None, gs.spectral_bisection(c[0].basis),
+                                                   [(0.0, 1.0)] * 2),
+             "make_cluster_band_signal needs a SpectralBasis"),
+            (lambda c: gs.make_cluster_band_signal(c[0].basis, None, [(0.0, 1.0)] * 2),
+             "need exactly two clusters"),
+            (lambda c: gs.halving_lowpass(None), "eigenvalue length"),
+            (lambda c: gs.downsample_time(None, 2), "signal length"),
+            (lambda c: gs.downsample_dft(None, 2), "signal length"),
+            (lambda c: gs.upsample_time(None, 2), "signal length"),
+            (lambda c: gs.upsample_dft(None, 2), "signal length"),
+            (lambda c: gs.dft_matrix(None), "n must be an integer"),
+            (lambda c: gs.dft_matrix(2.5), "n must be an integer"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
@@ -632,7 +654,12 @@ class TestBoundaryErrors:
              "lowpass-index-no-spectrum", "lowpass-lambda-no-spectrum", "vertex-down-no-corr-type",
              "vertex-up-no-corr-type", "apply-no-context", "spectral-op-no-context",
              "fractional-no-context", "string-p-in", "bool-p-in",
-             "string-p-out"],
+             "string-p-out", "interpolant-no-spectrum", "interpolant-string-queries",
+             "interpolant-string-query", "gft-string-entries",
+             "collapse-no-grid", "groups-no-grid", "groups-empty-grid", "band-signal-no-basis",
+             "band-signal-no-clusters", "lowpass-no-eigenvalues", "downsample-time-no-signal",
+             "downsample-dft-no-signal", "upsample-time-no-signal", "upsample-dft-no-signal",
+             "dft-no-size", "dft-float-size"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):

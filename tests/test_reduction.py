@@ -178,15 +178,15 @@ class TestSparsify:
     @pytest.mark.parametrize("triangle", [False, True], ids=["bridge", "cycle"])
     def test_an_edge_is_judged_once(self, triangle):
         # the orientations of edge (0, 1) differ by 1e-13 and straddle the cutoff:
-        # each was once judged on its own, and dropping one of them broke symmetry
+        # each was once judged on its own, and dropping one of them broke symmetry;
+        # the graph now stores the larger weight both ways, which the cutoff keeps
         a = np.zeros((3, 3))
         a[0, 1], a[1, 0] = 0.5, 0.5 + 1e-13
         a[1, 2] = a[2, 1] = 1.0
         a[0, 2] = a[2, 0] = 1.0 if triangle else 0.0
         out = gs.sparsify(gs.Graph(a), 0.5 + 0.5e-13).adjacency.toarray()
-        if triangle:  # dropped both ways, and 0 stays connected through 2
-            a[0, 1] = a[1, 0] = 0.0
-        assert np.array_equal(out, a)  # else restored both ways, as the bridge
+        a[0, 1] = a[1, 0]
+        assert np.array_equal(out, a) and np.array_equal(out, out.T)
 
     def test_invalid_ratio(self):
         g = gs.build_path(4)
