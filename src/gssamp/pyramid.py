@@ -3,11 +3,16 @@
 Analysis per level: coarse = DOWN(H f), prediction error y = f - G UP(coarse),
 where G is the analysis filter H. Synthesis adds y back to the same prediction,
 so reconstruction from unmodified coefficients is exact for any operator/filter
-choice. Filters are applied either exactly through the eigenbasis or with a
-Chebyshev polynomial expansion (Hammond, Vandergheynst & Gribonval 2011) that
-only touches the Laplacian: its three-term recurrence runs on the Laplacian's
-cached CSR form, O(order nnz). Without a Laplacian the same polynomial is
-evaluated on the eigenvalues.
+choice. The pyramid runs on GFT coefficients: H is the filter's response h on
+the level's eigenvalues, so a spectral family goes down with S_down (h o U^T f)
+and predicts U (h o S_up U1^T coarse), with the maps its ``SamplingContext``
+keeps, and the vertex family samples U (h o U^T f) on its kept vertices.
+
+``filter_signal`` filters one vertex signal, exactly through the eigenbasis or
+with a Chebyshev polynomial expansion (Hammond, Vandergheynst & Gribonval 2011)
+that only touches the Laplacian: its three-term recurrence runs on the
+Laplacian's cached CSR form, O(order nnz). Without a Laplacian, and in the
+pyramid, the same polynomial is evaluated on the eigenvalues.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from numpy.polynomial.chebyshev import chebval
 from .errors import DataError, GssampError, InvalidParameterError
 from .graphs import Graph, Laplacian, check_count, check_type, laplacian
 from .reduction import kron_reduce, select_polarity, sparsify
-from .sampling import SamplingContext, VertexCorrespondence, apply_operator
+from .sampling import SamplingContext, VertexCorrespondence
 from .spectral import SpectralBasis, check_signal, eigendecompose
 
 # Each level's Kron-reduced graph drops its edges lighter than this share of
@@ -95,6 +100,29 @@ def chebyshev_apply(
     return out
 
 
+def _chebyshev(basis: SpectralBasis, spec: FilterSpec) -> np.ndarray:
+    """``spec``'s Chebyshev coefficients on [0, lambda_max]; a basis whose largest
+    eigenvalue is not positive has no such interval and raises InvalidParameterError."""
+    if not basis.lambda_max > 0:
+        raise InvalidParameterError(
+            f"a Chebyshev filter needs a positive largest eigenvalue, got {basis.lambda_max}"
+        )
+    return chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
+
+
+def _filter_coefficients(basis: SpectralBasis, spec: FilterSpec, c: np.ndarray) -> np.ndarray:
+    """h o c for GFT coefficients c on ``basis``, (n,) or an (n, k) stack: h is ``spec``'s
+    response on the eigenvalues, or in Chebyshev mode its polynomial there."""
+    if spec.mode == "exact":
+        h = spec.response(basis.eigenvalues)
+        if not np.isfinite(h).all():
+            raise DataError("filter response must be finite")
+    else:
+        coeffs = _chebyshev(basis, spec)
+        h = chebval(basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0, coeffs)
+    return (h * c.T).T  # h scales the rows of a stack
+
+
 def filter_signal(
     basis: SpectralBasis, f: np.ndarray, spec: FilterSpec, lap: Laplacian | None = None
 ) -> np.ndarray:
@@ -103,24 +131,19 @@ def filter_signal(
     Exact mode multiplies in the eigenbasis. Chebyshev mode runs the
     recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
     it evaluates the same polynomial on the eigenvalues, in O(n^2). A
-    response that is not finite where it is sampled raises DataError, and a
-    ``lap`` that is not a Laplacian of the basis's size InvalidParameterError.
+    response that is not finite where it is sampled raises DataError; a
+    ``lap`` that is not a Laplacian of the basis's size, and a Chebyshev
+    filter on a basis whose largest eigenvalue is not positive, raise
+    InvalidParameterError.
     """
     check_type(basis, SpectralBasis, "filter_signal")
     check_type(spec, FilterSpec, "filter_signal")
     if lap is not None and check_type(lap, Laplacian, "filter_signal").n != basis.n:
         raise InvalidParameterError(f"Laplacian size {lap.n} does not match basis size {basis.n}")
     f = check_signal(f, basis.n)
-    if spec.mode == "exact":
-        response = spec.response(basis.eigenvalues)
-        if not np.isfinite(response).all():
-            raise DataError("filter response must be finite")
-    else:
-        coeffs = chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
-        if lap is not None:
-            return chebyshev_apply(lap.sparse, f, coeffs, basis.lambda_max)
-        response = chebval(basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0, coeffs)
-    return basis.eigenvectors @ (response * basis._analysis(f))
+    if spec.mode == "chebyshev" and lap is not None:
+        return chebyshev_apply(lap.sparse, f, _chebyshev(basis, spec), basis.lambda_max)
+    return basis.eigenvectors @ _filter_coefficients(basis, spec, basis._analysis(f))
 
 
 @dataclass(frozen=True)
@@ -139,13 +162,6 @@ class PyramidConfig:
         if self.sampling not in ("vertex", "index", "spectrum"):
             raise InvalidParameterError(f"unknown sampling {self.sampling!r}")
         check_type(self.folded, bool, "folded")
-
-    @property
-    def operator(self) -> str:
-        """Name of the sampling operator in ``sampling.OPERATORS``."""
-        if self.sampling == "vertex" or not self.folded:
-            return self.sampling
-        return f"{self.sampling}-folded"
 
 
 @dataclass(frozen=True)
@@ -173,6 +189,8 @@ class PyramidDecomposition:
     config: PyramidConfig
 
     def __post_init__(self):
+        if not self.chain:
+            raise InvalidParameterError("a pyramid chain needs at least one level")
         if len(self.details) != len(self.chain):
             raise InvalidParameterError("need one detail per chain level")
         for lvl in self.chain:
@@ -214,9 +232,16 @@ def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[
 
 
 def _predict(lvl: ChainLevel, coarse: np.ndarray, config: PyramidConfig) -> np.ndarray:
-    """G UP(coarse) on ``lvl``'s graph: analysis subtracts it, synthesis adds it back."""
-    upsampled = apply_operator(config.operator, "up", lvl.ctx_up, coarse, 2, lvl.correspondence)
-    return filter_signal(lvl.basis, upsampled, config.analysis_filter, lvl.lap)
+    """G UP(coarse) on ``lvl``'s graph, for an (n1,) coarse band or an (n1, k) stack of
+    them: analysis subtracts it, synthesis adds it back."""
+    if config.sampling == "vertex":
+        upsampled = np.zeros((lvl.lap.n, *coarse.shape[1:]))
+        upsampled[lvl.correspondence.targets] = coarse
+        c = lvl.basis.eigenvectors.T @ upsampled
+    else:  # U1^T coarse is the next level's kept analysis, which decompose reads again
+        up = lvl.ctx_up._map(config.sampling, config.folded, up=True)
+        c = up @ lvl.ctx_up._analysis0(coarse)
+    return lvl.basis.eigenvectors @ _filter_coefficients(lvl.basis, config.analysis_filter, c)
 
 
 def decompose(
@@ -237,10 +262,14 @@ def decompose(
             raise InvalidParameterError(
                 f"level {level}: spectral sampling needs an even vertex count"
             )
-        filtered = filter_signal(lvl.basis, current, config.analysis_filter, lvl.lap)
-        coarse = apply_operator(
-            config.operator, "down", lvl.ctx_down, filtered, 2, lvl.correspondence
+        filtered = _filter_coefficients(
+            lvl.basis, config.analysis_filter, lvl.basis._analysis(current)
         )
+        if config.sampling == "vertex":
+            coarse = (lvl.basis.eigenvectors @ filtered)[lvl.correspondence.targets]
+        else:
+            down = lvl.ctx_down._map(config.sampling, config.folded, up=False)
+            coarse = lvl.ctx_down.u1 @ (down @ filtered)
         details.append(current - _predict(lvl, coarse, config))
         current = coarse
     return PyramidDecomposition(chain, tuple(details), current, config)
@@ -259,12 +288,33 @@ def analyze(
     return decompose(f, chain, config or PyramidConfig())
 
 
+def _synthesize(chain, details, coarse: np.ndarray, config: PyramidConfig) -> np.ndarray:
+    """The synthesis of checked details and coarse band, each (n,) or an (n, k) stack."""
+    current = coarse
+    for lvl, detail in zip(chain[::-1], details[::-1]):
+        current = _predict(lvl, current, config) + detail
+    return current
+
+
 def synthesize(dec: PyramidDecomposition) -> np.ndarray:
     """Invert ``decompose`` (or ``analyze``); exact when coefficients are unmodified."""
-    current = check_type(dec, PyramidDecomposition, "synthesize").coarse
-    for lvl, detail in zip(dec.chain[::-1], dec.details[::-1]):
-        current = _predict(lvl, current, dec.config) + check_signal(detail, lvl.lap.n, "detail")
-    return current
+    chain = check_type(dec, PyramidDecomposition, "synthesize").chain
+    details = [check_signal(y, lvl.lap.n, "detail") for lvl, y in zip(chain, dec.details)]
+    coarse = check_signal(dec.coarse, chain[-1].correspondence.n_reduced)
+    return _synthesize(chain, details, coarse, dec.config)
+
+
+def _keep_largest(details, counts) -> list[np.ndarray]:
+    """Per level, an (n_level, len(counts)) stack whose column j keeps the counts[j]
+    largest magnitudes of all levels' details pooled, ties to the lower (level, index),
+    and zeroes the rest."""
+    values = np.concatenate(details)
+    # pooled positions run in (level, index) order, so a stable sort on
+    # magnitude alone breaks its ties the documented way
+    rank = np.empty(values.size, dtype=int)
+    rank[np.argsort(-np.abs(values), kind="stable")] = np.arange(values.size)
+    kept = np.where(rank[:, None] < np.asarray(counts, dtype=int), values[:, None], 0.0)
+    return np.split(kept, np.cumsum([y.size for y in details])[:-1])
 
 
 def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDecomposition:
@@ -273,16 +323,9 @@ def nonlinear_approximate(dec: PyramidDecomposition, n_kept: int) -> PyramidDeco
     Details from all levels are pooled; ties at the threshold are broken by
     (level, index) order, so the result is deterministic.
     """
-    sizes = check_type(dec, PyramidDecomposition, "nonlinear_approximate").detail_sizes()
-    total = sum(sizes)
+    total = sum(check_type(dec, PyramidDecomposition, "nonlinear_approximate").detail_sizes())
     n_kept = check_count(n_kept, "n_kept", 0, total)
-    values = np.concatenate(dec.details)
-    # pooled positions run in (level, index) order, so a stable sort on
-    # magnitude alone breaks its ties the documented way
-    kept = np.zeros(total, dtype=bool)
-    kept[np.argsort(-np.abs(values), kind="stable")[:n_kept]] = True
-    trimmed = np.split(np.where(kept, values, 0.0), np.cumsum(sizes)[:-1])
-    return replace(dec, details=tuple(trimmed))
+    return replace(dec, details=tuple(y[:, 0] for y in _keep_largest(dec.details, [n_kept])))
 
 
 def nla_error_curve(
@@ -294,7 +337,8 @@ def nla_error_curve(
     """Normalized reconstruction error vs detail budget over N, the original graph size.
 
     Decomposes ``f`` once over ``chain`` (from ``build_chain``) with the
-    sampling family of ``config``. Each entry of ``fractions`` is a budget
+    sampling family of ``config``, and synthesizes every budget's trimmed
+    details in one stack. Each entry of ``fractions`` is a budget
     over N: it keeps the round(fraction * N) largest details, capped at the
     total detail count, so 1.0 keeps N details, not all of a pyramid's
     (about 1.75 N at three levels). Returns (budget over N, error) pairs. A
@@ -315,9 +359,8 @@ def nla_error_curve(
     if norm == 0:
         raise InvalidParameterError("the NLA error curve needs a nonzero signal")
     total = sum(dec.detail_sizes())
-    out = []
-    for frac in fractions:
-        n_kept = min(round(frac * n), total)
-        rec = synthesize(nonlinear_approximate(dec, n_kept))
-        out.append((float(frac), float(np.linalg.norm(f - rec) / norm)))
-    return out
+    details = _keep_largest(dec.details, [min(round(frac * n), total) for frac in fractions])
+    # one coarse column, predicted once, broadcasts over the budgets; column j is fractions[j]
+    rec = _synthesize(chain, details, dec.coarse[:, None], config)
+    return [(float(frac), float(np.linalg.norm(f - rec[:, j]) / norm))
+            for j, frac in enumerate(fractions)]

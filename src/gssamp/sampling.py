@@ -87,15 +87,19 @@ class SamplingContext:
             raise InvalidParameterError("reduced graph has zero maximum eigenvalue")
         return float(self.lambdas0[-1] / self.lambdas1[-1])
 
-    def _apply(self, f, family: str, folded: bool, up: bool) -> np.ndarray:
-        """u1 @ (S @ u0^H f) with the map S of (family, folded, up), built on first use;
-        ``folded`` must be a bool."""
-        check_type(folded, bool, "folded")
-        coeffs = self._analysis0(check_signal(f, self.n0))
+    def _map(self, family: str, folded: bool, up: bool):
+        """The sparse map S of (family, folded, up) on GFT coefficients, built on first use."""
         key = (family, folded, up)
         if key not in self._maps:
             self._maps[key] = _coefficient_map(self, *key)
-        return self.u1 @ (self._maps[key] @ (coeffs.real if family == "spectrum" else coeffs))
+        return self._maps[key]
+
+    def _apply(self, f, family: str, folded: bool, up: bool) -> np.ndarray:
+        """u1 @ (S @ u0^H f) with the map S of (family, folded, up); ``folded`` must be a bool."""
+        check_type(folded, bool, "folded")
+        coeffs = self._analysis0(check_signal(f, self.n0))
+        s = self._map(family, folded, up)
+        return self.u1 @ (s @ (coeffs.real if family == "spectrum" else coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,13 @@ class Spectrum:
 
 def _canonicalize_signs(u: np.ndarray) -> np.ndarray:
     """Flip columns in place so the first entry with magnitude > 1e-10 is positive."""
-    lead = u[np.argmax(np.abs(u) > 1e-10, axis=0), np.arange(u.shape[1])]
+    lead = u[0].copy()
+    tiny = np.flatnonzero(np.abs(lead) <= 1e-10)  # only these columns lead further down
+    block = u[:, tiny]
     # an all-tiny column has argmax 0 and a lead below 1e-10: never flipped
-    flip = (lead < 0) & (np.abs(lead) > 1e-10)
-    u *= np.where(flip, -1.0, 1.0)  # exact, -0.0 included, with no copy of the flipped columns
+    lead[tiny] = block[np.argmax(np.abs(block) > 1e-10, axis=0), np.arange(tiny.size)]
+    for j in np.flatnonzero(lead < -1e-10):
+        u[:, j] *= -1.0  # exact, -0.0 included, and no n x n temporary
     return u
 
 

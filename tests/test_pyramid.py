@@ -278,21 +278,6 @@ class TestPerfectReconstruction:
         rec = gs.synthesize(gs.analyze(f, g, num_levels=2, config=config))
         assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-9
 
-    @pytest.mark.parametrize(
-        "sampling, folded, name",
-        [
-            ("vertex", True, "vertex"),
-            ("vertex", False, "vertex"),
-            ("index", True, "index-folded"),
-            ("index", False, "index"),
-            ("spectrum", True, "spectrum-folded"),
-            ("spectrum", False, "spectrum"),
-        ],
-    )
-    def test_config_names_a_table_operator(self, sampling, folded, name):
-        assert gs.PyramidConfig(sampling=sampling, folded=folded).operator == name
-        assert name in gs.OPERATORS["down"] and name in gs.OPERATORS["up"]
-
     def test_level_sizes_halve(self):
         g = gs.build_random_sensor(64, seed=7)
         f = np.zeros(64)
@@ -361,6 +346,42 @@ def test_synthesis_inverts_decomposition(case, seed):
     assert np.linalg.norm(rec - f) <= 1e-9 * np.linalg.norm(f)
 
 
+@settings(max_examples=50, deadline=None)
+@given(case=_pyramid_cases(), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_stacked_synthesis_equals_column_syntheses(case, k, seed):
+    # nla_error_curve synthesizes all its budgets as one (n, k) stack
+    graph, levels, config = case
+    chain = chain_of(graph, levels)
+    rng = np.random.default_rng(seed)
+    details = [rng.standard_normal((lvl.lap.n, k)) for lvl in chain]
+    coarse = rng.standard_normal((chain[-1].correspondence.n_reduced, k))
+    stacked = pyramid._synthesize(chain, details, coarse, config)
+    assert stacked.shape == (graph.n, k)
+    for j in range(k):
+        dec = gs.PyramidDecomposition(chain, tuple(y[:, j] for y in details), coarse[:, j], config)
+        want = gs.synthesize(dec)
+        assert np.linalg.norm(stacked[:, j] - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+@pytest.mark.parametrize("folded", [True, False])
+@pytest.mark.parametrize("sampling", ["vertex", "index", "spectrum"])
+def test_coefficient_path_matches_the_public_operators(sampling, folded, mode):
+    # reconstruction holds for any operator, so only this pins the maps the pyramid applies
+    chain = chain_of(gs.build_random_sensor(64, seed=7), 1)
+    lvl = chain[0]
+    spec = gs.FilterSpec(mode=mode, order=12)
+    f = np.random.default_rng(3).standard_normal(64)
+    dec = gs.decompose(f, chain, gs.PyramidConfig(sampling, folded, spec))
+    name = sampling if sampling == "vertex" or not folded else f"{sampling}-folded"
+    filtered = gs.filter_signal(lvl.basis, f, spec)
+    coarse = gs.apply_operator(name, "down", lvl.ctx_down, filtered, 2, lvl.correspondence)
+    upsampled = gs.apply_operator(name, "up", lvl.ctx_up, coarse, 2, lvl.correspondence)
+    detail = f - gs.filter_signal(lvl.basis, upsampled, spec)
+    assert np.linalg.norm(dec.coarse - coarse) <= 1e-12 * np.linalg.norm(coarse)
+    assert np.linalg.norm(dec.details[0] - detail) <= 1e-12 * np.linalg.norm(detail)
+
+
 class TestNonlinearApproximation:
     def _dec(self):
         g = gs.build_random_sensor(64, seed=7)
@@ -392,16 +413,26 @@ class TestNonlinearApproximation:
         # a budget over N, the graph size: at 1.0 a 3-level pyramid keeps N
         # of its N + N/2 + N/4 details
         f, g = self._dec()
-        approximate, kept = pyramid.nonlinear_approximate, []
+        chain = chain_of(g, 3)
+        keep_largest, stacks = pyramid._keep_largest, []
 
-        def counting(dec, n_kept):
-            trimmed = approximate(dec, n_kept)
-            kept.append(sum(np.count_nonzero(d) for d in trimmed.details))
-            return trimmed
+        def spy(details, counts):
+            stacks.append(keep_largest(details, counts))
+            return stacks[-1]
 
-        monkeypatch.setattr(pyramid, "nonlinear_approximate", counting)
-        gs.nla_error_curve(f, chain_of(g, 3), CONFIGS["index"], [1.0])
-        assert kept == [g.n]
+        monkeypatch.setattr(pyramid, "_keep_largest", spy)
+        gs.nla_error_curve(f, chain, CONFIGS["index"], [1.0, 0.3, 0.0])
+        (stack,) = stacks
+        assert [sum(np.count_nonzero(y[:, j]) for y in stack) for j in range(3)] == [g.n, 19, 0]
+        dec = gs.decompose(f, chain, CONFIGS["index"])
+        for j, n_kept in enumerate([g.n, 19, 0]):
+            trimmed = gs.nonlinear_approximate(dec, n_kept).details
+            for y, want in zip(stack, trimmed, strict=True):
+                assert np.array_equal(y[:, j], want)
+
+    def test_no_fractions_give_an_empty_curve(self):
+        f, g = self._dec()
+        assert gs.nla_error_curve(f, chain_of(g, 2), CONFIGS["spectrum"], []) == []
 
     def test_zero_signal_refused(self):
         # its normalized error would be 0 / 0
@@ -471,7 +502,9 @@ class TestSharedChain:
         for frac in self.FRACTIONS:
             rec = gs.synthesize(gs.nonlinear_approximate(dec, round(frac * g.n)))
             want.append((frac, float(np.linalg.norm(f - rec) / np.linalg.norm(f))))
-        assert got == want
+        # the curve synthesizes its budgets as one stack, whose products round differently
+        assert [frac for frac, _ in got] == self.FRACTIONS
+        assert np.allclose([err for _, err in got], [err for _, err in want], rtol=1e-12, atol=0)
 
     def test_levels_reuse_the_previous_reduced_basis(self):
         g = gs.build_random_sensor(64, seed=7)
@@ -538,6 +571,8 @@ class TestBoundaryErrors:
              "needs at least one level"),
             (lambda c: gs.nla_error_curve(np.ones(4), (), gs.PyramidConfig(), [0.5]),
              "needs at least one level"),
+            (lambda c: gs.PyramidDecomposition((), (), np.ones(4), gs.PyramidConfig()),
+             "needs at least one level"),
             (lambda c: gs.ideal_lowpass_index(gs.gft(c[0].basis, np.ones(16)), 2.5),
              "cutoff index must be"),
             (lambda c: gs.ideal_lowpass_index(gs.gft(c[0].basis, np.ones(16)), True),
@@ -570,6 +605,13 @@ class TestBoundaryErrors:
             (lambda c: gs.filter_signal(c[0].basis, np.ones(16), gs.FilterSpec(mode="chebyshev"),
                                         gs.laplacian(gs.build_path(8))),
              "Laplacian size 8 does not match basis size 16"),
+            (lambda c: gs.filter_signal(basis_of(gs.Graph(np.zeros((4, 4)))), np.ones(4),
+                                        gs.FilterSpec(mode="chebyshev")),
+             "needs a positive largest eigenvalue"),
+            (lambda c: gs.filter_signal(basis_of(gs.Graph(np.zeros((4, 4)))), np.ones(4),
+                                        gs.FilterSpec(mode="chebyshev"),
+                                        gs.laplacian(gs.Graph(np.zeros((4, 4))))),
+             "needs a positive largest eigenvalue"),
             (lambda c: gs.synthesize(replace(gs.decompose(np.ones(16), c, CONFIGS["index"]),
                                              config=None)),
              "a PyramidDecomposition needs a PyramidConfig"),
@@ -638,14 +680,16 @@ class TestBoundaryErrors:
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
-             "empty-chain-decompose", "empty-chain-nla", "float-cutoff-index",
+             "empty-chain-decompose", "empty-chain-nla",
+             "empty-chain-decomposition", "float-cutoff-index",
              "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda",
              "bool-cutoff-lambda", "string-sparsify-ratio", "bool-sparsify-ratio",
              "sparsify-no-graph", "kron-no-laplacian", "polarity-no-basis",
              "every-other-no-graph", "bisection-no-basis", "save-no-graph",
              "synthesize-no-decomposition", "nla-trim-no-decomposition", "decompose-no-config",
              "decompose-no-chain-level", "filter-no-spec", "filter-no-basis",
-             "filter-lap-not-laplacian", "filter-lap-other-size", "decomposition-no-config",
+             "filter-lap-not-laplacian", "filter-lap-other-size", "chebyshev-zero-spectrum",
+             "chebyshev-zero-spectrum-lap", "decomposition-no-config",
              "decomposition-no-chain-level",
              "chain-no-laplacian", "chain-no-basis", "string-fractions", "scalar-fractions",
              "bool-fraction", "nan-fraction", "fraction-above-one", "string-folded-config",
