@@ -13,25 +13,25 @@ from .graphs import check_count
 from .spectral import SpectralBasis, check_signal
 
 
+def _decimation(f, m) -> tuple[np.ndarray, int]:
+    """``check_signal``'s 1-D f and a rate m >= 1, which must divide len(f)."""
+    f, m = check_signal(f, np.size(f)), check_count(m, "rate", 1)
+    if f.shape[0] % m != 0:
+        raise InvalidParameterError(f"rate {m} must divide signal length {f.shape[0]}")
+    return f, m
+
+
 def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
     """(D1) retain every m-th sample; m must divide len(f)."""
-    f = check_signal(f, np.size(f))
-    n = f.shape[0]
-    m = check_count(m, "rate", 1)
-    if n % m != 0:
-        raise InvalidParameterError(f"rate {m} must divide signal length {n}")
+    f, m = _decimation(f, m)
     return f[::m].copy()
 
 
 def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
     """(D2) fold the DFT spectrum: F_d[k] = (1/m) sum_p F[p N/m + k]."""
-    f = check_signal(f, np.size(f))
-    n = f.shape[0]
-    m = check_count(m, "rate", 1)
-    if n % m != 0:
-        raise InvalidParameterError(f"rate {m} must divide signal length {n}")
+    f, m = _decimation(f, m)
     spec = np.fft.fft(f)
-    folded = spec.reshape(m, n // m).sum(axis=0) / m
+    folded = spec.reshape(m, -1).sum(axis=0) / m
     out = np.fft.ifft(folded)
     return out.real if np.isrealobj(f) else out
 

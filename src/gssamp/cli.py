@@ -473,8 +473,7 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
 
 def _reduce(lap, basis, keep, size):
     """Kron-reduce to ``keep``, or to the ``size`` vertices polarity picks if it is None."""
-    result = kron_reduce(lap, select_polarity(basis, size) if keep is None else keep)
-    return result.graph, result.correspondence
+    return kron_reduce(lap, select_polarity(basis, size) if keep is None else keep)
 
 
 def _permute_within_groups(basis: SpectralBasis, seed: int) -> SpectralBasis:

@@ -48,6 +48,8 @@ class FilterSpec:
     order: int = 30
 
     def __post_init__(self):
+        if not callable(self.response):
+            raise InvalidParameterError("filter response must be callable")
         if self.mode not in ("exact", "chebyshev"):
             raise InvalidParameterError(f"unknown filter mode {self.mode!r}")
         check_count(self.order, "chebyshev order", 1)
@@ -162,6 +164,7 @@ class PyramidConfig:
         if self.sampling not in ("vertex", "index", "spectrum"):
             raise InvalidParameterError(f"unknown sampling {self.sampling!r}")
         check_type(self.folded, bool, "folded")
+        check_type(self.analysis_filter, FilterSpec, "analysis_filter")
 
 
 @dataclass(frozen=True)
@@ -179,6 +182,16 @@ class ChainLevel:
     ctx_up: SamplingContext
 
 
+def _check_chain(chain, config, what: str) -> None:
+    """Refuse an empty chain, a level that is not a ChainLevel and a config that is
+    not a PyramidConfig, naming ``what`` refused them."""
+    if not chain:
+        raise InvalidParameterError("a pyramid chain needs at least one level")
+    for lvl in chain:
+        check_type(lvl, ChainLevel, what)
+    check_type(config, PyramidConfig, what)
+
+
 @dataclass(frozen=True)
 class PyramidDecomposition:
     """A signal's pyramid over ``chain``: one prediction error per level, then the coarse band."""
@@ -189,13 +202,9 @@ class PyramidDecomposition:
     config: PyramidConfig
 
     def __post_init__(self):
-        if not self.chain:
-            raise InvalidParameterError("a pyramid chain needs at least one level")
+        _check_chain(self.chain, self.config, "a PyramidDecomposition")
         if len(self.details) != len(self.chain):
             raise InvalidParameterError("need one detail per chain level")
-        for lvl in self.chain:
-            check_type(lvl, ChainLevel, "a PyramidDecomposition")
-        check_type(self.config, PyramidConfig, "a PyramidDecomposition")
 
     def detail_sizes(self) -> list[int]:
         return [y.size for y in self.details]
@@ -217,14 +226,14 @@ def build_chain(lap: Laplacian, basis: SpectralBasis, num_levels: int) -> tuple[
         try:
             if n1 < 2:
                 raise InvalidParameterError(f"graph too small to halve (n={lap.n})")
-            result = kron_reduce(lap, select_polarity(basis, n1))
-            reduced = sparsify(result.graph, _SPARSIFY_RATIO)
+            graph, correspondence = kron_reduce(lap, select_polarity(basis, n1))
+            reduced = sparsify(graph, _SPARSIFY_RATIO)
         except GssampError as exc:
             raise type(exc)(f"level {level}: {exc}") from exc
         reduced_lap = laplacian(reduced)
         reduced_basis = eigendecompose(reduced_lap)
         levels.append(ChainLevel(
-            lap, basis, result.correspondence,
+            lap, basis, correspondence,
             SamplingContext(basis, reduced_basis), SamplingContext(reduced_basis, basis),
         ))
         lap, basis = reduced_lap, reduced_basis
@@ -249,13 +258,9 @@ def decompose(
 ) -> PyramidDecomposition:
     """Analyse a signal over a ``build_chain`` chain into one prediction error
     per level plus the coarse band. Spectral sampling needs an even vertex
-    count at every level; an empty chain is refused."""
-    if not chain:
-        raise InvalidParameterError("a pyramid chain needs at least one level")
-    for lvl in chain:
-        check_type(lvl, ChainLevel, "decompose")
-    check_type(config, PyramidConfig, "decompose")
-    current = check_signal(np.asarray(f, dtype=float), chain[0].lap.n)
+    count at every level; an empty chain and a complex signal are refused."""
+    _check_chain(chain, config, "decompose")
+    current = _real_signal(f, chain[0].lap.n)
     details = []
     for level, lvl in enumerate(chain):
         if config.sampling != "vertex" and lvl.lap.n % 2 != 0:
@@ -273,6 +278,14 @@ def decompose(
         details.append(current - _predict(lvl, coarse, config))
         current = coarse
     return PyramidDecomposition(chain, tuple(details), current, config)
+
+
+def _real_signal(f, n: int) -> np.ndarray:
+    """``check_signal``'s (n,) signal as floats; a complex one raises InvalidParameterError."""
+    f = check_signal(f, n)
+    if np.iscomplexobj(f):
+        raise InvalidParameterError("a pyramid signal must be real")
+    return f.astype(float, copy=False)
 
 
 def analyze(
@@ -352,8 +365,9 @@ def nla_error_curve(
     for frac in fractions:
         if not isinstance(frac, numbers.Real) or isinstance(frac, bool) or not 0.0 <= frac <= 1.0:
             raise InvalidParameterError("fractions must be real numbers in [0, 1], not bools")
-    dec = decompose(f, chain, config)  # refuses an empty chain and a wrong signal
-    f = np.asarray(f, dtype=float)
+    _check_chain(chain, config, "nla_error_curve")
+    f = _real_signal(f, chain[0].lap.n)
+    dec = decompose(f, chain, config)
     n = f.size
     norm = np.linalg.norm(f)
     if norm == 0:

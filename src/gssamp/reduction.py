@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Sized
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -23,8 +23,7 @@ from .spectral import SpectralBasis
 _NEG_WEIGHT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     graph: Graph
     correspondence: VertexCorrespondence
 
@@ -39,17 +38,13 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     """
     check_type(lap, Laplacian, "kron_reduce")
     keep = np.asarray(keep)
-    if keep.ndim != 1:
+    if keep.ndim != 1:  # before np.unique, which flattens
         raise InvalidParameterError("keep set must be a 1-D array of vertex indices")
-    keep = np.unique(keep)
-    n = lap.n
-    if keep.size == 0 or keep.size >= n:
-        raise InvalidParameterError("keep set must be a nonempty proper subset")
-    if not np.issubdtype(keep.dtype, np.integer):
-        raise InvalidParameterError(f"keep set indices must be integers, got {keep.dtype}")
-    keep = keep.astype(int)
-    if keep.min() < 0 or keep.max() >= n:
-        raise InvalidParameterError("keep set indices out of range")
+    # integer, injective and nonnegative: the correspondence's rules
+    correspondence = VertexCorrespondence(np.unique(keep))
+    keep, n = correspondence.targets, lap.n
+    if not 0 < keep.size < n or keep[-1] >= n:
+        raise InvalidParameterError(f"keep set must be a nonempty proper subset of range({n})")
     mask = np.zeros(n, dtype=bool)
     mask[keep] = True
     elim = np.nonzero(~mask)[0]
@@ -87,8 +82,7 @@ def kron_reduce(lap: Laplacian, keep) -> ReductionResult:
     coords = None
     if lap.graph.coordinates is not None:
         coords = lap.graph.coordinates[keep]
-    graph = Graph(csr_array(w), coordinates=coords)
-    return ReductionResult(graph=graph, correspondence=VertexCorrespondence(keep))
+    return ReductionResult(Graph(csr_array(w), coordinates=coords), correspondence)
 
 
 def sparsify(graph: Graph, threshold_ratio: float) -> Graph:
@@ -202,8 +196,11 @@ def make_cluster_band_signal(
         in_band = (basis.eigenvalues >= lo) & (basis.eigenvalues <= hi)
         if not np.any(in_band):
             raise InvalidParameterError(f"band [{lo}, {hi}] contains no eigenvalue")
+        idx = VertexCorrespondence(cluster).targets  # distinct nonnegative integers
+        if idx.size and idx.max() >= basis.n:
+            raise InvalidParameterError(
+                f"cluster vertex {idx.max()} out of range for graph size {basis.n}")
         comp = np.zeros(basis.n)
-        idx = np.asarray(cluster, dtype=int)
         comp[idx] = basis.eigenvectors[np.ix_(idx, np.nonzero(in_band)[0])].sum(axis=1)
         peak = np.abs(comp).max()
         if peak == 0.0:

@@ -105,7 +105,9 @@ def eigenvalue_groups(eigenvalues: np.ndarray) -> np.ndarray:
 
     Index i joins the group started at s when both lam[i] - lam[i-1] and
     lam[i] - lam[s] are within the tolerance; group g spans
-    ``starts[g]:starts[g + 1]``. The eigenvalues must be a nonempty finite 1-D array.
+    ``starts[g]:starts[g + 1]``, and the last group runs to the end of the array
+    (``np.append(starts, lam.size)`` bounds every group). The eigenvalues must be a
+    nonempty finite 1-D array.
     """
     lam = check_signal(eigenvalues, np.size(eigenvalues), "eigenvalue").astype(float).tolist()
     check_count(len(lam), "eigenvalue count", 1)

@@ -135,6 +135,11 @@ def _set(key, value):
     return edit
 
 
+def _whole(value):
+    """An edit that replaces the whole config with ``value``."""
+    return lambda cfg: value
+
+
 def _delta(index):
     return _set("signal", {"kind": "delta-spectrum", "index": index})
 
@@ -215,6 +220,9 @@ class TestIncompleteConfig:
             ("pyramid-nla", _params(seed=-1), "graph.params.seed must be an integer"),
             ("path-downsample", _set("graph", {"generator": "path", "edge_list": "x.csv"}),
              "graph needs exactly one of"),
+            ("path-downsample", _set("graph", {"edge_list": "x.csv", "coordinates": 7}),
+             "graph.coordinates must be a path"),
+            ("path-downsample", _whole(["path-downsample"]), "config must be a JSON object"),
             ("path-downsample", _set("seed", "x"), "seed must be an integer"),
             ("path-downsample", _drop("seed"), "seed must be an integer"),
             ("path-downsample", _set("seed", None), "seed must be an integer"),
@@ -300,7 +308,7 @@ class TestIncompleteConfig:
 
         monkeypatch.setattr(cli, "eigendecompose", eigendecompose)
         cfg = PRESETS[preset]()
-        edit(cfg)
+        cfg = edit(cfg) or cfg  # an edit changes the config in place or replaces it
         assert any(match in e for e in validate_config(cfg)), validate_config(cfg)
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
@@ -344,9 +352,11 @@ _DOWNSAMPLE = {"reduction": "polarity", "rate": 2, "operators": ["vertex"]}
         ("pyramid-nla", 20, {"signal": {"kind": "constant"}},
          {"extras": {"levels": 3}}, {"extras": {"levels": 2}},
          "extras.levels 3 halves graph size 20 unevenly or below 2"),
+        ("downsample", 9, dict(_DOWNSAMPLE, signal={"kind": "constant"}),
+         {"rate": 2}, {"rate": 3}, "rate 2 does not divide graph size 9"),
     ],
     ids=["delta-index", "downsample-cutoff", "cutoff", "keep-first", "upsample", "fractional",
-         "pyramid-levels"],
+         "pyramid-levels", "downsample-rate"],
 )
 def test_size_rules_checked_on_built_graphs(
     kind, edges, extra, bad, fitting, match, tmp_path, capsys

@@ -762,12 +762,27 @@ class TestReaderErrors:
             ("0,1,1.0\n\n# note\n1,2\n", "line 4: expected 'src,dst,weight'"),
             ("0,1,1.0\n1,x,1.0\n", "line 2: invalid literal for int"),
             ("0,1,heavy\n", "line 1: could not convert string to float"),
+            ("0,1,1.0\n-1,1,1.0\n", "line 2: vertex indices must be nonnegative"),
         ],
     )
     def test_edge_file(self, text, match, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text(text)
         with pytest.raises(ParseError, match=match):
+            gs.load_edge_list(p)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("0,1,1.0\n1,2,-0.5\n", "negative weight on line 2"),
+            ("# src,dst,weight\n", "edge list defines fewer than two vertices"),
+        ],
+        ids=["negative-weight", "no-edges"],
+    )
+    def test_edge_data(self, text, match, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text(text)
+        with pytest.raises(DataError, match=match):
             gs.load_edge_list(p)
 
     @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ import gssamp as gs
 from gssamp import cli, graphs, pyramid, reduction, spectral
 from gssamp.errors import DataError, GssampError, InvalidParameterError
 from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
+from small_graphs import small_graph
 
 
 def dense_laplacian(graph):
@@ -306,22 +307,6 @@ class TestPerfectReconstruction:
             gs.analyze(f, g, num_levels=1, config=CONFIGS["index"])
 
 
-def _rows(n):
-    """The largest divisor of n up to sqrt(n)."""
-    return max(d for d in range(1, int(n**0.5) + 1) if n % d == 0)
-
-
-# Small connected graphs of n vertices, one builder per generator.
-_SMALL_GRAPHS = {
-    "path": lambda n, seed: gs.build_path(n),
-    "ring": lambda n, seed: gs.build_ring(n),
-    "grid": lambda n, seed: gs.build_grid(n // _rows(n), _rows(n)),
-    "comet": lambda n, seed: gs.build_comet(n, 1 + seed % (n - 1)),
-    "sensor": lambda n, seed: gs.build_random_sensor(n, k_nearest=4, seed=seed),
-    "community": lambda n, seed: gs.build_community(n, 2, p_in=0.5, p_out=0.1, seed=seed),
-}
-
-
 @st.composite
 def _pyramid_cases(draw):
     """(graph, levels, config): the spectral families need an even size at every level."""
@@ -329,8 +314,7 @@ def _pyramid_cases(draw):
     levels = draw(st.integers(1, 3))
     step = 1 if sampling == "vertex" else 2**levels  # n // 2**levels >= 2 in both cases
     n = draw(st.sampled_from(range(max(8, 2 ** (levels + 1)) // step * step, 65, step)))
-    kind = draw(st.sampled_from(sorted(_SMALL_GRAPHS)))
-    graph = _SMALL_GRAPHS[kind](n, draw(st.integers(0, 2**16)))
+    graph = draw(small_graph(n))
     spec = draw(st.sampled_from([gs.FilterSpec(), gs.FilterSpec(mode="chebyshev", order=12)]))
     config = gs.PyramidConfig(sampling=sampling, folded=draw(st.booleans()), analysis_filter=spec)
     return graph, levels, config
@@ -677,6 +661,59 @@ class TestBoundaryErrors:
             (lambda c: gs.upsample_dft(None, 2), "signal length"),
             (lambda c: gs.dft_matrix(None), "n must be an integer"),
             (lambda c: gs.dft_matrix(2.5), "n must be an integer"),
+            # a complex or non-numeric signal was once cast to floats first: the
+            # imaginary part dropped with only a ComplexWarning, or numpy's ValueError
+            (lambda c: gs.decompose(np.ones(16) + 1j * np.ones(16), c, gs.PyramidConfig()),
+             "a pyramid signal must be real"),
+            (lambda c: gs.decompose(["x"] * 16, c, gs.PyramidConfig()),
+             "signal entries must be numbers"),
+            (lambda c: gs.analyze(np.ones(16) + 1j * np.ones(16), c[0].lap.graph, 1),
+             "a pyramid signal must be real"),
+            (lambda c: gs.nla_error_curve(1j * np.ones(16), c, gs.PyramidConfig(), [0.5]),
+             "a pyramid signal must be real"),
+            (lambda c: gs.nla_error_curve(["x"] * 16, c, gs.PyramidConfig(), [0.5]),
+             "signal entries must be numbers"),
+            # a field of the wrong type once failed later, in decompose or filter_signal
+            (lambda c: gs.PyramidConfig(analysis_filter=None),
+             "analysis_filter needs a FilterSpec"),
+            (lambda c: gs.FilterSpec(response=None), "filter response must be callable"),
+            # a cluster was once cast to ints: 1.7 read as 1, -1 as the last vertex,
+            # and a vertex past n ended in IndexError
+            (lambda c: gs.make_cluster_band_signal(c[0].basis, ([0, 1.7, 2], [3, 4]),
+                                                   [(0.0, c[0].basis.lambda_max)] * 2),
+             "targets must be integers"),
+            (lambda c: gs.make_cluster_band_signal(c[0].basis, ([0, -1], [3, 4]),
+                                                   [(0.0, c[0].basis.lambda_max)] * 2),
+             "targets must be nonnegative"),
+            (lambda c: gs.make_cluster_band_signal(c[0].basis, ([0, 100], [3, 4]),
+                                                   [(0.0, c[0].basis.lambda_max)] * 2),
+             "cluster vertex 100 out of range for graph size 16"),
+            # refusals no other test reached
+            (lambda c: gs.build_complete(1), "complete graph needs n >= 2"),
+            (lambda c: gs.build_community(4, 5), "infeasible community parameters"),
+            (lambda c: gs.build_random_sensor(8, 8), "need 1 <= k_nearest < n"),
+            (lambda c: gs.save_edge_list(gs.Graph(1.0 - np.eye(3)), os.devnull, os.devnull),
+             "graph has no coordinates to save"),
+            (lambda c: gs.PyramidConfig(sampling="x"), "unknown sampling 'x'"),
+            (lambda c: gs.build_chain(c[0].lap, c[0].basis, 4),
+             r"level 3: graph too small to halve \(n=2\)"),
+            (lambda c: gs.make_cluster_band_signal(c[0].basis, ([], [3, 4]),
+                                                   [(0.0, c[0].basis.lambda_max)] * 2),
+             "band signal vanishes on its cluster"),
+            (lambda c: gs.VertexCorrespondence(np.zeros((2, 2), dtype=int)),
+             "targets must be a 1-D index array"),
+            (lambda c: gs.VertexCorrespondence([2, -1]), "targets must be nonnegative"),
+            (lambda c: gs.spectral_downsample_spectrum(
+                gs.SamplingContext(c[0].basis, basis_of(gs.Graph(np.zeros((8, 8))))),
+                np.ones(16), 2),
+             "reduced graph has zero maximum eigenvalue"),
+            (lambda c: gs.vertex_downsample(np.ones(4), c[0].correspondence),
+             "correspondence targets exceed signal length"),
+            (lambda c: gs.vertex_upsample(np.ones(8), c[0].correspondence, 4),
+             "correspondence targets exceed target size"),
+            (lambda c: gs.fractional_downsample(c[0].ctx_down, np.ones(16), mode="x"),
+             "unknown mode 'x'"),
+            (lambda c: gs.Spectrum(np.ones(3), np.ones(4)), "coefficients and grid sizes differ"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
              "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
@@ -703,7 +740,15 @@ class TestBoundaryErrors:
              "collapse-no-grid", "groups-no-grid", "groups-empty-grid", "band-signal-no-basis",
              "band-signal-no-clusters", "lowpass-no-eigenvalues", "downsample-time-no-signal",
              "downsample-dft-no-signal", "upsample-time-no-signal", "upsample-dft-no-signal",
-             "dft-no-size", "dft-float-size"],
+             "dft-no-size", "dft-float-size", "decompose-complex-signal",
+             "decompose-string-signal", "analyze-complex-signal", "nla-complex-signal",
+             "nla-string-signal", "config-no-filter-spec", "filter-response-not-callable",
+             "band-signal-float-cluster", "band-signal-negative-cluster",
+             "band-signal-cluster-past-n", "complete-too-small", "community-infeasible",
+             "sensor-k-nearest", "save-no-coordinates", "unknown-sampling", "chain-too-deep",
+             "band-signal-empty-cluster", "correspondence-2d", "correspondence-negative",
+             "rho-zero-spectrum", "vertex-down-short-signal", "vertex-up-small-size",
+             "fractional-unknown-mode", "spectrum-size-mismatch"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):

@@ -62,7 +62,7 @@ class TestKronReduce:
     )
     def test_keep_set_must_be_integers(self, keep):
         lap = gs.laplacian(gs.build_path(6))
-        with pytest.raises(InvalidParameterError, match="keep set indices must be integers"):
+        with pytest.raises(InvalidParameterError, match="targets must be integers"):
             gs.kron_reduce(lap, keep)
         with pytest.raises(InvalidParameterError, match="nonempty proper subset"):
             gs.kron_reduce(lap, np.array([], dtype=float))

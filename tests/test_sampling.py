@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import gssamp as gs
 from gssamp import sampling, spectral
 from gssamp.errors import DataError, InvalidParameterError
+from small_graphs import small_graph
 
 
 def operator_matrix(op, n_in: int) -> np.ndarray:
@@ -69,7 +70,34 @@ class TestVertexOps:
             gs.vertex_downsample(np.ones((4, 1)), corr)
 
 
+@st.composite
+def _rate_pairs(draw):
+    """(rate M, graph of n0 = M n1 vertices, graph of n1 vertices), 8 <= n0 <= 64."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    n1 = draw(st.integers(-(-8 // m), 64 // m))
+    return m, draw(small_graph(m * n1)), draw(small_graph(n1))
+
+
 class TestSpectralDownsampleIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_rate_pairs(), seed=st.integers(0, 2**16))
+    def test_low_band_comes_out_verbatim(self, case, seed):
+        # the paper's law: a signal bandlimited to the first n1 coefficients keeps
+        # exactly those when downsampled, folded or not, and an ideal lowpass after
+        # upsampling gives them back
+        m, g0, g1 = case
+        b0, b1 = basis_of(g0), basis_of(g1)
+        c = np.zeros(g0.n)
+        c[: g1.n] = np.random.default_rng(seed).standard_normal(g1.n)
+        f = gs.igft(b0, c)
+        tol = 1e-9 * np.linalg.norm(f)
+        down, up = gs.SamplingContext(b0, b1), gs.SamplingContext(b1, b0)
+        for folded in (False, True):
+            coarse = gs.spectral_downsample_index(down, f, m, folded=folded)
+            assert np.abs(gs.gft(b1, coarse).coefficients - c[: g1.n]).max() <= tol
+            fine = gs.gft(b0, gs.spectral_upsample_index(up, coarse, m, folded=folded))
+            assert np.abs(gs.ideal_lowpass_index(fine, g1.n - 1).coefficients - c).max() <= tol
+
     def test_bandlimited_passthrough_both_variants(self):
         ctx = path_context(16, 8)
         f = bandlimited(ctx_basis0(ctx), 8, seed=4)
