@@ -30,6 +30,8 @@ def downsample_time(f: np.ndarray, m: int) -> np.ndarray:
 def downsample_dft(f: np.ndarray, m: int) -> np.ndarray:
     """(D2) fold the DFT spectrum: F_d[k] = (1/m) sum_p F[p N/m + k]."""
     f, m = _decimation(f, m)
+    if f.size == 0:  # numpy's FFT takes no empty input; the time route gives an empty array
+        return f.copy()
     spec = np.fft.fft(f)
     folded = spec.reshape(m, -1).sum(axis=0) / m
     out = np.fft.ifft(folded)
@@ -49,6 +51,8 @@ def upsample_dft(f: np.ndarray, l: int) -> np.ndarray:
     """(U2) repeat the DFT spectrum l times: F_u[p N + k] = F[k]."""
     f = check_signal(f, np.size(f))
     l = check_count(l, "rate", 1)
+    if f.size == 0:  # as in downsample_dft
+        return f.copy()
     spec = np.tile(np.fft.fft(f), l)
     out = np.fft.ifft(spec)
     return out.real if np.isrealobj(f) else out

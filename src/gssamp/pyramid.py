@@ -8,11 +8,9 @@ the level's eigenvalues, so a spectral family goes down with S_down (h o U^T f)
 and predicts U (h o S_up U1^T coarse), with the maps its ``SamplingContext``
 keeps, and the vertex family samples U (h o U^T f) on its kept vertices.
 
-``filter_signal`` filters one vertex signal, exactly through the eigenbasis or
-with a Chebyshev polynomial expansion (Hammond, Vandergheynst & Gribonval 2011)
-that only touches the Laplacian: its three-term recurrence runs on the
-Laplacian's cached CSR form, O(order nnz). Without a Laplacian, and in the
-pyramid, the same polynomial is evaluated on the eigenvalues.
+``filter_signal`` filters one vertex signal the same way, U (h o U^T f): h is
+the filter's response on the eigenvalues, exactly or as its Chebyshev
+polynomial expansion (Hammond, Vandergheynst & Gribonval 2011) evaluated there.
 """
 from __future__ import annotations
 
@@ -33,6 +31,10 @@ from .spectral import SpectralBasis, check_signal, eigendecompose
 # its heaviest, keeping connectivity (``sparsify``)
 _SPARSIFY_RATIO = 0.05
 
+# Chebyshev-Gauss nodes of ``chebyshev_coefficients``: only orders below N have their
+# own coefficients (at N every cosine sum vanishes, past it they alias), so N and up are refused
+_CHEBYSHEV_NODES = 2048
+
 
 def halving_lowpass(lam):
     """Default pyramid filter 1/(1 + 2 lambda) on a 1-D eigenvalue array."""
@@ -52,99 +54,72 @@ class FilterSpec:
             raise InvalidParameterError("filter response must be callable")
         if self.mode not in ("exact", "chebyshev"):
             raise InvalidParameterError(f"unknown filter mode {self.mode!r}")
-        check_count(self.order, "chebyshev order", 1)
+        check_count(self.order, "chebyshev order", 1, _CHEBYSHEV_NODES - 1)
 
 
-def chebyshev_coefficients(
-    response: Callable, lam_max: float, order: int, grid_size: int = 2048
-) -> np.ndarray:
+def chebyshev_coefficients(response: Callable, lam_max: float, order: int) -> np.ndarray:
     """Chebyshev expansion coefficients of ``response`` on [0, lam_max].
 
-    Uses Chebyshev-Gauss quadrature on the shifted interval; c[0] carries the
-    conventional 1/2 factor already applied. The quadrature sums
-    sum_j h_j cos(k theta_j) are one DCT-II of the node samples h_j.
+    Uses Chebyshev-Gauss quadrature on ``_CHEBYSHEV_NODES`` nodes of the shifted
+    interval; c[0] carries the conventional 1/2 factor already applied. The
+    quadrature sums sum_j h_j cos(k theta_j) are one DCT-II of the node samples
+    h_j. An order outside [0, _CHEBYSHEV_NODES - 1] raises InvalidParameterError.
     """
-    theta = np.pi * (np.arange(grid_size) + 0.5) / grid_size
+    k = np.arange(check_count(order, "chebyshev order", 0, _CHEBYSHEV_NODES - 1) + 1)
+    n = _CHEBYSHEV_NODES
+    theta = np.pi * (np.arange(n) + 0.5) / n
     x = np.cos(theta)  # nodes in [-1, 1]
     lam = 0.5 * lam_max * (x + 1.0)
     h = np.asarray(response(lam), dtype=float)
     if not np.isfinite(h).all():
         raise DataError("filter response must be finite")
-    k = np.arange(order + 1)
     # DCT-II through the FFT of the even extension [h, h reversed] (period
-    # 2N): sum_j h_j cos(k theta_j) = Re(exp(-i pi k / 2N) Y_k) / 2 for every
-    # integer k, and Y_k = conj(Y_{2N - k}) past the rfft's last bin N
+    # 2N): sum_j h_j cos(k theta_j) = Re(exp(-i pi k / 2N) Y_k) / 2 for k <= N
     y = np.fft.rfft(np.concatenate([h, h[::-1]]))
-    m = k % (2 * grid_size)
-    y_k = y[np.minimum(m, 2 * grid_size - m)]
-    y_k = np.where(m > grid_size, y_k.conj(), y_k)
-    c = (1.0 / grid_size) * np.real(np.exp(-0.5j * np.pi * k / grid_size) * y_k)
+    c = (1.0 / n) * np.real(np.exp(-0.5j * np.pi * k / n) * y[k])
     c[0] *= 0.5
     return c
 
 
-def chebyshev_apply(
-    lap_matrix, f: np.ndarray, coeffs: np.ndarray, lam_max: float
-) -> np.ndarray:
-    """Evaluate the Chebyshev filter via the three-term recurrence on L.
-
-    ``lap_matrix`` is anything with ``@``: a dense array or a sparse matrix.
-    """
-    alpha = lam_max / 2.0
-    # shifted operator (L - alpha I) / alpha has spectrum in [-1, 1]
-    t_prev = f
-    t_curr = (lap_matrix @ f) / alpha - f
-    out = coeffs[0] * t_prev + (coeffs[1] * t_curr if len(coeffs) > 1 else 0.0)
-    for c in coeffs[2:]:
-        t_next = 2.0 * ((lap_matrix @ t_curr) / alpha - t_curr) - t_prev
-        out = out + c * t_next
-        t_prev, t_curr = t_curr, t_next
-    return out
-
-
-def _chebyshev(basis: SpectralBasis, spec: FilterSpec) -> np.ndarray:
-    """``spec``'s Chebyshev coefficients on [0, lambda_max]; a basis whose largest
-    eigenvalue is not positive has no such interval and raises InvalidParameterError."""
-    if not basis.lambda_max > 0:
-        raise InvalidParameterError(
-            f"a Chebyshev filter needs a positive largest eigenvalue, got {basis.lambda_max}"
-        )
-    return chebyshev_coefficients(spec.response, basis.lambda_max, spec.order)
-
-
 def _filter_coefficients(basis: SpectralBasis, spec: FilterSpec, c: np.ndarray) -> np.ndarray:
     """h o c for GFT coefficients c on ``basis``, (n,) or an (n, k) stack: h is ``spec``'s
-    response on the eigenvalues, or in Chebyshev mode its polynomial there."""
+    response on the eigenvalues, or in Chebyshev mode its polynomial there on
+    [0, lambda_max]; a basis whose largest eigenvalue is not positive has no such
+    interval and raises InvalidParameterError."""
+    lam, lam_max = basis.eigenvalues, basis.lambda_max
     if spec.mode == "exact":
-        h = spec.response(basis.eigenvalues)
+        h = spec.response(lam)
         if not np.isfinite(h).all():
             raise DataError("filter response must be finite")
+    elif not lam_max > 0:
+        raise InvalidParameterError(
+            f"a Chebyshev filter needs a positive largest eigenvalue, got {lam_max}"
+        )
     else:
-        coeffs = _chebyshev(basis, spec)
-        h = chebval(basis.eigenvalues / (basis.lambda_max / 2.0) - 1.0, coeffs)
+        coeffs = chebyshev_coefficients(spec.response, lam_max, spec.order)
+        h = chebval(lam / (lam_max / 2.0) - 1.0, coeffs)
     return (h * c.T).T  # h scales the rows of a stack
 
 
 def filter_signal(
     basis: SpectralBasis, f: np.ndarray, spec: FilterSpec, lap: Laplacian | None = None
 ) -> np.ndarray:
-    """Apply a spectral filter to a vertex signal.
+    """Apply a spectral filter to a vertex signal: U (h o U^T f), in O(n^2).
 
-    Exact mode multiplies in the eigenbasis. Chebyshev mode runs the
-    recurrence on ``lap.sparse``, the Laplacian's CSR form; without ``lap``
-    it evaluates the same polynomial on the eigenvalues, in O(n^2). A
-    response that is not finite where it is sampled raises DataError; a
-    ``lap`` that is not a Laplacian of the basis's size, and a Chebyshev
-    filter on a basis whose largest eigenvalue is not positive, raise
-    InvalidParameterError.
+    h is ``spec``'s response on the eigenvalues (exact mode) or its Chebyshev
+    expansion evaluated there. A response that is not finite where it is
+    sampled raises DataError; a Chebyshev filter on a basis whose largest
+    eigenvalue is not positive raises InvalidParameterError. ``lap`` selects
+    nothing: it is only checked, and one that is not a Laplacian of the basis's
+    size raises InvalidParameterError. It stays because perfbench's
+    ``resample`` workload passes it; removing it waits for the next change
+    to perfbench.
     """
     check_type(basis, SpectralBasis, "filter_signal")
     check_type(spec, FilterSpec, "filter_signal")
     if lap is not None and check_type(lap, Laplacian, "filter_signal").n != basis.n:
         raise InvalidParameterError(f"Laplacian size {lap.n} does not match basis size {basis.n}")
     f = check_signal(f, basis.n)
-    if spec.mode == "chebyshev" and lap is not None:
-        return chebyshev_apply(lap.sparse, f, _chebyshev(basis, spec), basis.lambda_max)
     return basis.eigenvectors @ _filter_coefficients(basis, spec, basis._analysis(f))
 
 

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from .errors import DataError, InvalidParameterError, NumericError
 from .graphs import Graph, Laplacian, check_count, check_type, components
 from .sampling import VertexCorrespondence
-from .spectral import SpectralBasis
+from .spectral import SpectralBasis, _check_ascending
 
 _NEG_WEIGHT_TOL = 1e-10
 
@@ -151,9 +151,10 @@ def select_polarity(basis: SpectralBasis, target_size: int) -> np.ndarray:
 
     Start with the vertices where the largest-eigenvalue eigenvector is
     positive, then grow/shrink to ``target_size`` by |entry| ranking
-    (ties broken by index). Deterministic given the basis.
+    (ties broken by index). Deterministic given the basis, whose eigenvalues
+    must ascend.
     """
-    check_type(basis, SpectralBasis, "select_polarity")
+    _check_ascending(check_type(basis, SpectralBasis, "select_polarity").eigenvalues)
     target_size = check_count(target_size, "target_size", 1, basis.n - 1)
     u = basis.eigenvectors[:, -1]
     mag_order = np.lexsort((np.arange(basis.n), -np.abs(u)))
@@ -166,10 +167,10 @@ def select_polarity(basis: SpectralBasis, target_size: int) -> np.ndarray:
 def spectral_bisection(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
     """Split vertices by the sign of the Fiedler vector.
 
-    Zero entries join the nonnegative cluster. Requires a connected graph
-    (positive second eigenvalue).
+    Zero entries join the nonnegative cluster. Requires ascending eigenvalues
+    and a connected graph (positive second eigenvalue).
     """
-    check_type(basis, SpectralBasis, "spectral_bisection")
+    _check_ascending(check_type(basis, SpectralBasis, "spectral_bisection").eigenvalues)
     if basis.n < 2 or basis.eigenvalues[1] <= 1e-10:
         raise InvalidParameterError("spectral bisection needs a connected graph")
     fiedler = basis.eigenvectors[:, 1]

@@ -30,7 +30,7 @@ from scipy.sparse import csr_array
 
 from .errors import InvalidParameterError
 from .graphs import check_count, check_type, read_only
-from .spectral import SpectralBasis, Spectrum, _interpolation_map, check_signal
+from .spectral import SpectralBasis, Spectrum, _check_ascending, _interpolation_map, check_signal
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,8 @@ class SamplingContext:
     @property
     def rho(self) -> float:
         """Ratio of maximum eigenvalues, lambda_{0,max} / lambda_{1,max}, of two ascending grids."""
-        if np.any(np.diff(self.lambdas0) < 0) or np.any(np.diff(self.lambdas1) < 0):
-            raise InvalidParameterError("eigenvalue grid must be in ascending order")
+        _check_ascending(self.lambdas0)
+        _check_ascending(self.lambdas1)
         if self.lambdas1[-1] <= 0:
             raise InvalidParameterError("reduced graph has zero maximum eigenvalue")
         return float(self.lambdas0[-1] / self.lambdas1[-1])
@@ -99,7 +99,7 @@ class SamplingContext:
         check_type(folded, bool, "folded")
         coeffs = self._analysis0(check_signal(f, self.n0))
         s = self._map(family, folded, up)
-        return self.u1 @ (s @ (coeffs.real if family == "spectrum" else coeffs))
+        return self.u1 @ (s @ coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class SpectralBasis:
 
     @property
     def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
+        return float(self.eigenvalues.max())
 
 
 @dataclass(frozen=True)
@@ -158,6 +158,13 @@ def check_signal(f, n: int, what: str = "signal") -> np.ndarray:
     if not np.isfinite(f).all():
         raise DataError(f"{what} entries must be finite")
     return f
+
+
+def _check_ascending(eigenvalues: np.ndarray) -> None:
+    """Refuse an eigenvalue grid that does not ascend (InvalidParameterError), for a
+    caller that reads the top or the second eigenpair by its column."""
+    if np.any(np.diff(eigenvalues) < 0):
+        raise InvalidParameterError("eigenvalue grid must be in ascending order")
 
 
 def gft(basis: SpectralBasis, signal: np.ndarray) -> Spectrum:

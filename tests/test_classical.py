@@ -36,6 +36,15 @@ def test_rate_must_be_an_integer(resample, rate):
         resample(np.ones(4), rate)
 
 
+@pytest.mark.parametrize(
+    "resample", [gs.downsample_time, gs.downsample_dft, gs.upsample_time, gs.upsample_dft]
+)
+def test_empty_signal_gives_an_empty_signal(resample):
+    # the DFT routes once ended in numpy's "Invalid number of FFT data points (0)"
+    out = resample(np.ones(0), 2)
+    assert out.shape == (0,) and out.dtype == float
+
+
 class TestUpsample:
     def test_time_simple(self):
         assert gs.upsample_time(np.array([1.0, 2.0]), 2).tolist() == [1, 0, 2, 0]
@@ -91,6 +100,8 @@ def test_ring_sampling_bases_are_spectral_bases():
         assert np.array_equal(b.eigenvalues, 2 - 2 * np.cos(2 * np.pi * np.arange(b.n) / b.n))
     assert np.array_equal(u0.eigenvectors, gs.dft_matrix(8))
     assert np.array_equal(u1.eigenvectors, gs.dft_matrix(4) / np.sqrt(2))
+    # the top eigenvalue sits mid-grid in DFT order, not in the last column
+    assert (u0.lambda_max, u1.lambda_max) == (4.0, 4.0)
 
 
 @pytest.mark.parametrize("sizes", [(2.5, 5), (4.0, 2), (True, 1), (0, 4), (8, 3)])

@@ -15,14 +15,9 @@ from hypothesis import strategies as st
 import gssamp as gs
 from gssamp import cli, graphs, pyramid, reduction, spectral
 from gssamp.errors import DataError, GssampError, InvalidParameterError
-from gssamp.pyramid import chebyshev_apply, chebyshev_coefficients
+from gssamp.pyramid import chebyshev_coefficients
 from small_graphs import small_graph
-
-
-def dense_laplacian(graph):
-    """D - A from the adjacency alone, independent of ``Laplacian``."""
-    a = graph.adjacency.toarray()
-    return np.diag(a.sum(axis=1)) - a
+from test_sampling import unmemoized_filter
 
 
 def basis_of(graph):
@@ -116,15 +111,12 @@ class TestFilters:
         for lo, hi in zip(errs[1:], errs[:-1]):
             assert lo <= hi * 1.10
 
-    def test_chebyshev_apply_matches_polynomial(self):
-        # applying the expansion of an exact low-order polynomial reproduces it
-        g = gs.build_path(12)
-        lap = gs.laplacian(g)
-        b = gs.eigendecompose(lap)
+    def test_chebyshev_reproduces_a_polynomial(self):
+        # the expansion of an exact low-order polynomial is that polynomial
+        b = basis_of(gs.build_path(12))
         poly = lambda lam: 1.0 + 0.5 * lam - 0.25 * lam**2
-        coeffs = chebyshev_coefficients(poly, b.lambda_max, order=8)
         f = np.random.default_rng(3).standard_normal(12)
-        got = chebyshev_apply(dense_laplacian(g), f, coeffs, b.lambda_max)
+        got = gs.filter_signal(b, f, gs.FilterSpec(response=poly, mode="chebyshev", order=8))
         expected = gs.igft(b, poly(b.eigenvalues) * gs.gft(b, f).coefficients)
         assert np.abs(got - expected).max() < 1e-9
 
@@ -133,13 +125,14 @@ class TestFilters:
             gs.FilterSpec(mode="butterworth")
 
 
-def cosine_sum_coefficients(response, lam_max, order, grid_size=2048, reduce_angle=False):
-    """The cosine sum ``chebyshev_coefficients`` evaluated before it used the FFT.
+def cosine_sum_coefficients(response, lam_max, order, reduce_angle=False):
+    """The cosine sum ``chebyshev_coefficients`` evaluated before it used the FFT,
+    on its N = 2048 Chebyshev-Gauss nodes.
 
-    k theta_j carries k rounding errors of theta_j, about 1e-14 at k = 50
-    on a small grid; ``reduce_angle`` forms it exactly as
-    pi (k (2j + 1) mod 4N) / 2N instead.
+    k theta_j carries k rounding errors of theta_j; ``reduce_angle`` forms it
+    exactly as pi (k (2j + 1) mod 4N) / 2N instead.
     """
+    grid_size = 2048
     j = np.arange(grid_size)
     theta = np.pi * (j + 0.5) / grid_size
     h = np.asarray(response(0.5 * lam_max * (np.cos(theta) + 1.0)), dtype=float)
@@ -160,15 +153,17 @@ class TestChebyshevCoefficients:
     @pytest.mark.parametrize("response", list(RESPONSES))
     @pytest.mark.parametrize("lam_max", [0.5, 12.0])
     @pytest.mark.parametrize("order", [1, 8, 30, 50])
-    @pytest.mark.parametrize("grid_size", [1, 7, 16, 2048])
-    def test_dct_matches_cosine_sum(self, response, lam_max, order, grid_size):
-        # grid sizes on both sides of order + 1: past bin N the DCT reads
-        # the conjugate bin 2N - k, and past 2N it wraps
-        got = chebyshev_coefficients(RESPONSES[response], lam_max, order, grid_size)
-        want = cosine_sum_coefficients(
-            RESPONSES[response], lam_max, order, grid_size, reduce_angle=True
-        )
+    def test_dct_matches_cosine_sum(self, response, lam_max, order):
+        got = chebyshev_coefficients(RESPONSES[response], lam_max, order)
+        want = cosine_sum_coefficients(RESPONSES[response], lam_max, order, reduce_angle=True)
         assert got.shape == (order + 1,)
+        assert np.abs(got - want).max() <= 1e-15
+
+    def test_highest_order_matches_cosine_sum(self):
+        # order 2047 reads the DCT's last bin below N; 2048 is refused
+        got = chebyshev_coefficients(gs.halving_lowpass, 3.7, 2047)
+        want = cosine_sum_coefficients(gs.halving_lowpass, 3.7, 2047, reduce_angle=True)
+        assert got.shape == (2048,)
         assert np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("order", [1, 8, 30, 50])
@@ -179,49 +174,19 @@ class TestChebyshevCoefficients:
             assert np.abs(got - want).max() <= 1e-15
 
 
-SPARSE_GRAPHS = {
-    "sensor": lambda: gs.build_random_sensor(96, seed=3),
-    "grid": lambda: gs.build_grid(8, 12),
-    "complete": lambda: gs.build_complete(40),
-}
-
-
-class TestSparseChebyshev:
-    @pytest.mark.parametrize("name", list(SPARSE_GRAPHS))
-    def test_csr_recurrence_matches_dense(self, name):
-        lap = gs.laplacian(SPARSE_GRAPHS[name]())
-        b = gs.eigendecompose(lap)
-        f = np.random.default_rng(5).standard_normal(lap.n)
-        coeffs = chebyshev_coefficients(gs.halving_lowpass, b.lambda_max, 30)
-        dense = chebyshev_apply(dense_laplacian(lap.graph), f, coeffs, b.lambda_max)
-        sparse = chebyshev_apply(lap.sparse, f, coeffs, b.lambda_max)
-        assert isinstance(sparse, np.ndarray) and sparse.shape == f.shape
-        assert np.linalg.norm(sparse - dense) <= 1e-12 * np.linalg.norm(dense)
-
-    def test_filter_signal_runs_on_the_cached_csr(self, monkeypatch):
-        lap = gs.laplacian(gs.build_random_sensor(64, seed=5))
-        b = gs.eigendecompose(lap)
-        seen = []
-        original = pyramid.chebyshev_apply
-
-        def spy(matrix, *args):
-            seen.append(matrix)
-            return original(matrix, *args)
-
-        monkeypatch.setattr(pyramid, "chebyshev_apply", spy)
-        gs.filter_signal(b, np.ones(64), gs.FilterSpec(mode="chebyshev"), lap)
-        assert len(seen) == 1 and seen[0] is lap.sparse
-
+class TestChebyshevFilter:
     @pytest.mark.parametrize("order", [1, 10, 30])
-    def test_without_laplacian_matches_recurrence(self, order):
-        # lap=None evaluates the polynomial on the eigenvalues instead
+    def test_laplacian_selects_nothing(self, order):
+        # a Laplacian is checked, then the polynomial is evaluated on the eigenvalues
         lap = gs.laplacian(gs.build_random_sensor(128, seed=9))
         b = gs.eigendecompose(lap)
         f = np.random.default_rng(6).standard_normal(128)
         spec = gs.FilterSpec(mode="chebyshev", order=order)
-        with_lap = gs.filter_signal(b, f, spec, lap=lap)
+        with_lap = gs.filter_signal(b, f, spec, lap)
         without = gs.filter_signal(b, f, spec)
-        assert np.linalg.norm(without - with_lap) <= 1e-12 * np.linalg.norm(with_lap)
+        assert with_lap.tobytes() == without.tobytes()
+        want = unmemoized_filter(b, f, spec)
+        assert np.linalg.norm(with_lap - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_import_does_not_load_scipy_fft():
@@ -547,6 +512,11 @@ class TestBoundaryErrors:
              "needs a vertex correspondence"),
             (lambda c: gs.FilterSpec(mode="chebyshev", order=2.5), "order must be"),
             (lambda c: gs.FilterSpec(order=True), "order must be"),
+            # orders at or past the 2048 quadrature nodes once read aliased DCT bins
+            (lambda c: gs.FilterSpec(mode="chebyshev", order=2048),
+             r"chebyshev order must be an integer in \[1, 2047\]"),
+            (lambda c: chebyshev_coefficients(gs.halving_lowpass, 4.0, 2048),
+             r"chebyshev order must be an integer in \[0, 2047\]"),
             (lambda c: gs.nonlinear_approximate(
                 gs.decompose(np.ones(16), c, CONFIGS["index"]), 3.7), "n_kept must be"),
             (lambda c: gs.build_chain(c[0].lap, c[0].basis, 2.0), "num_levels must be"),
@@ -714,9 +684,16 @@ class TestBoundaryErrors:
             (lambda c: gs.fractional_downsample(c[0].ctx_down, np.ones(16), mode="x"),
              "unknown mode 'x'"),
             (lambda c: gs.Spectrum(np.ones(3), np.ones(4)), "coefficients and grid sizes differ"),
+            # both once read a column of the DFT-ordered ring basis as if its
+            # eigenvalues ascended: the top one at 0.586, and a complex Fiedler vector
+            (lambda c: gs.select_polarity(gs.ring_sampling_bases(8, 4)[0], 4),
+             "eigenvalue grid must be in ascending order"),
+            (lambda c: gs.spectral_bisection(gs.ring_sampling_bases(8, 4)[0]),
+             "eigenvalue grid must be in ascending order"),
         ],
         ids=["no-rate", "float-rate", "vertex-down-no-corr", "vertex-up-no-corr",
-             "float-order", "bool-order", "float-n_kept", "float-levels", "bool-levels",
+             "float-order", "bool-order", "order-past-nodes", "coefficients-order-past-nodes",
+             "float-n_kept", "float-levels", "bool-levels",
              "empty-chain-decompose", "empty-chain-nla",
              "empty-chain-decomposition", "float-cutoff-index",
              "bool-cutoff-index", "float-upsample-size", "string-cutoff-lambda",
@@ -748,7 +725,8 @@ class TestBoundaryErrors:
              "sensor-k-nearest", "save-no-coordinates", "unknown-sampling", "chain-too-deep",
              "band-signal-empty-cluster", "correspondence-2d", "correspondence-negative",
              "rho-zero-spectrum", "vertex-down-short-signal", "vertex-up-small-size",
-             "fractional-unknown-mode", "spectrum-size-mismatch"],
+             "fractional-unknown-mode", "spectrum-size-mismatch", "polarity-unsorted-grid",
+             "bisection-unsorted-grid"],
     )
     def test_refused_at_the_call(self, chain, call, match):
         with pytest.raises(InvalidParameterError, match=match):

@@ -71,9 +71,9 @@ class TestVertexOps:
 
 
 @st.composite
-def _rate_pairs(draw):
-    """(rate M, graph of n0 = M n1 vertices, graph of n1 vertices), 8 <= n0 <= 64."""
-    m = draw(st.sampled_from([2, 3, 4]))
+def _rate_pairs(draw, rates=(2, 3, 4)):
+    """(rate M in ``rates``, graph of n0 = M n1 vertices, graph of n1 vertices), 8 <= n0 <= 64."""
+    m = draw(st.sampled_from(rates))
     n1 = draw(st.integers(-(-8 // m), 64 // m))
     return m, draw(small_graph(m * n1)), draw(small_graph(n1))
 
@@ -97,6 +97,24 @@ class TestSpectralDownsampleIndex:
             assert np.abs(gs.gft(b1, coarse).coefficients - c[: g1.n]).max() <= tol
             fine = gs.gft(b0, gs.spectral_upsample_index(up, coarse, m, folded=folded))
             assert np.abs(gs.ideal_lowpass_index(fine, g1.n - 1).coefficients - c).max() <= tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_rate_pairs(rates=(2,)), seed=st.integers(0, 2**16))
+    def test_folding_aliases_less(self, case, seed):
+        # the paper's law: with |c| nonincreasing, coefficient k <= (n1 - 1) / 2 of the
+        # alias part (output minus c[:n1]) is c[n0 - 1 - k] folded, no larger than the
+        # unfolded c[n1 + k]; the spectrum family breaks it (path(8) -> path(4),
+        # c = (-1)^i: 1.0 folded against 0.80 unfolded at k = 0)
+        _, g0, g1 = case
+        b0, b1 = basis_of(g0), basis_of(g1)
+        rng = np.random.default_rng(seed)
+        c = np.sort(rng.random(g0.n))[::-1] * rng.choice([-1.0, 1.0], g0.n)
+        f, ctx = gs.igft(b0, c), gs.SamplingContext(b0, b1)
+        unfolded, folded = (
+            gs.gft(b1, gs.spectral_downsample_index(ctx, f, 2, folded=fold)).coefficients
+            - c[: g1.n] for fold in (False, True))
+        low = np.arange(g1.n) <= (g1.n - 1) / 2
+        assert np.all(np.abs(folded[low]) <= np.abs(unfolded[low]) + 1e-9 * np.linalg.norm(c))
 
     def test_bandlimited_passthrough_both_variants(self):
         ctx = path_context(16, 8)
@@ -448,6 +466,19 @@ class TestApplyOperator:
         got = gs.apply_operator(name, direction, ctx, f, 2, corr)
         assert np.array_equal(got, DIRECT_CALLS[direction, name](ctx, f, corr))
 
+    @pytest.mark.parametrize("direction, name", sorted(DIRECT_CALLS))
+    def test_complex_signal_maps_linearly(self, direction, name):
+        # the spectrum family once returned the image of the real part alone
+        n0, n1 = {"down": (16, 8), "up": (8, 16), "frac": (16, 12)}[direction]
+        ctx = path_context(n0, n1)
+        corr = gs.VertexCorrespondence(np.arange(0, 16, 2))
+        f, g = np.random.default_rng(7).standard_normal((2, n0))
+
+        def op(x):
+            return gs.apply_operator(name, direction, ctx, x, 2, corr)
+
+        assert np.abs(op(f + 1j * g) - (op(f) + 1j * op(g))).max() <= 1e-12
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("direction, name", sorted(DIRECT_CALLS))
     def test_non_finite_signal_rejected(self, direction, name, value):
@@ -584,6 +615,9 @@ class TestCoefficientMaps:
 
 
 def reference_interpolant(grid, values, queries):
+    if np.iscomplexobj(values):  # the averaging takes real values: interpolate each part
+        return (reference_interpolant(grid, values.real, queries)
+                + 1j * reference_interpolant(grid, values.imag, queries))
     xs, ys = spectral.collapse_duplicate_nodes(grid, values)
     return np.interp(np.clip(queries, xs[0], xs[-1]), xs, ys)
 
@@ -604,20 +638,20 @@ def reference_operator(ctx, f, family, folded, up):
             valid = idx < ctx.n0
             total[valid] += coeffs[idx[valid]]
         return ctx.u1 @ total
-    base, lam0, lam1 = coeffs.real, ctx.lambdas0, ctx.lambdas1
+    lam0, lam1 = ctx.lambdas0, ctx.lambdas1
     if up:
         xs = np.concatenate([lam0 + p * float(lam0[-1]) for p in range(copies)])
         ys = np.concatenate(
-            [base if p % 2 == 0 or not folded else base[::-1] for p in range(copies)]
+            [coeffs if p % 2 == 0 or not folded else coeffs[::-1] for p in range(copies)]
         )
         return ctx.u1 @ reference_interpolant(xs, ys, ctx.rho * copies * lam1)
     lam_max = float(lam1[-1])
-    total = np.zeros(ctx.n1)
+    total = np.zeros(ctx.n1, dtype=coeffs.dtype)
     for p in range(math.ceil(ratio)):
         q = (p + 1) * lam_max - lam1 if folded and p % 2 else p * lam_max + lam1
         queries = ctx.rho / ratio * q
         in_range = queries <= float(lam0[-1]) * (1.0 + 1e-12) + 1e-12
-        total[in_range] += reference_interpolant(lam0, base, queries[in_range])
+        total[in_range] += reference_interpolant(lam0, coeffs, queries[in_range])
     return ctx.u1 @ total
 
 
@@ -701,7 +735,7 @@ def unmemoized_operator(ctx, f, family, folded, up):
     """A spectral operator from a fresh u0^H f and a freshly built map."""
     coeffs = ctx.u0.conj().T @ f
     s = sampling._coefficient_map(ctx, family, folded, up)
-    return ctx.u1 @ (s @ (coeffs.real if family == "spectrum" else coeffs))
+    return ctx.u1 @ (s @ coeffs)
 
 
 class TestSharedAnalysis:
