@@ -20,6 +20,20 @@ from small_graphs import small_graph
 from test_sampling import unmemoized_filter
 
 
+def dense_recurrence(graph, f, coeffs, lam_max):
+    """sum_k c_k T_k(2 L / lam_max - I) f by the three-term recurrence on the
+    dense D - A, built from the adjacency alone, independent of ``Laplacian``
+    and of any eigendecomposition."""
+    a = graph.adjacency.toarray()
+    shifted = (2.0 / lam_max) * (np.diag(a.sum(axis=1)) - a) - np.eye(len(a))
+    prev, cur = f, shifted @ f
+    out = coeffs[0] * prev + coeffs[1] * cur
+    for c in coeffs[2:]:
+        prev, cur = cur, 2.0 * (shifted @ cur) - prev
+        out = out + c * cur
+    return out
+
+
 def basis_of(graph):
     return gs.eigendecompose(gs.laplacian(graph))
 
@@ -152,7 +166,7 @@ RESPONSES = {"halving": gs.halving_lowpass, "cosine": np.cos}
 class TestChebyshevCoefficients:
     @pytest.mark.parametrize("response", list(RESPONSES))
     @pytest.mark.parametrize("lam_max", [0.5, 12.0])
-    @pytest.mark.parametrize("order", [1, 8, 30, 50])
+    @pytest.mark.parametrize("order", [1, 8, 30, 50, 300, 1000])
     def test_dct_matches_cosine_sum(self, response, lam_max, order):
         got = chebyshev_coefficients(RESPONSES[response], lam_max, order)
         want = cosine_sum_coefficients(RESPONSES[response], lam_max, order, reduce_angle=True)
@@ -166,6 +180,17 @@ class TestChebyshevCoefficients:
         assert got.shape == (2048,)
         assert np.abs(got - want).max() <= 1e-15
 
+    @pytest.mark.parametrize("order", [2048, 2049, 4096, 5000])
+    @pytest.mark.parametrize("make", [
+        lambda order: gs.FilterSpec(mode="chebyshev", order=order),
+        lambda order: chebyshev_coefficients(gs.halving_lowpass, 4.0, order),
+    ], ids=["spec", "coefficients"])
+    def test_orders_past_the_nodes_are_refused(self, make, order):
+        # these once read aliased DCT bins without a word: at order 4096 the
+        # filter sat up to 1.23 away from halving_lowpass
+        with pytest.raises(InvalidParameterError, match="chebyshev order must be an integer"):
+            make(order)
+
     @pytest.mark.parametrize("order", [1, 8, 30, 50])
     def test_default_grid_matches_unreduced_cosine_sum(self, order):
         for lam_max in (0.5, 3.7, 12.0):
@@ -174,7 +199,45 @@ class TestChebyshevCoefficients:
             assert np.abs(got - want).max() <= 1e-15
 
 
+SPARSE_GRAPHS = {
+    "sensor": lambda: gs.build_random_sensor(96, seed=3),
+    "grid": lambda: gs.build_grid(8, 12),
+    "complete": lambda: gs.build_complete(40),
+}
+
+
 class TestChebyshevFilter:
+    @pytest.mark.parametrize("order", [1, 10, 30])
+    @pytest.mark.parametrize("name", list(SPARSE_GRAPHS))
+    def test_matches_dense_recurrence(self, name, order):
+        # the expansion on the eigenvalues is the textbook recurrence on L
+        graph = SPARSE_GRAPHS[name]()
+        b = basis_of(graph)
+        f = np.random.default_rng(5).standard_normal(graph.n)
+        got = gs.filter_signal(b, f, gs.FilterSpec(mode="chebyshev", order=order))
+        coeffs = chebyshev_coefficients(gs.halving_lowpass, b.lambda_max, order)
+        want = dense_recurrence(graph, f, coeffs, b.lambda_max)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [8, 9, 12, 16])
+    def test_ring_basis_spans_its_top_eigenvalue(self, n):
+        # DFT column order puts the top eigenvalue mid-grid; an expansion on
+        # [0, last eigenvalue] once blew up there
+        b = gs.ring_sampling_bases(n, 1)[0]
+        f = np.random.default_rng(n).standard_normal(n)
+        exact = gs.filter_signal(b, f, gs.FilterSpec(response=np.cos))
+        cheb = gs.filter_signal(b, f, gs.FilterSpec(response=np.cos, mode="chebyshev"))
+        assert np.abs(cheb - exact).max() <= 1e-9
+
+    @pytest.mark.parametrize("mode", ["exact", "chebyshev"])
+    def test_complex_signal_maps_linearly(self, mode):
+        b = basis_of(gs.build_random_sensor(64, seed=4))
+        f, g = np.random.default_rng(8).standard_normal((2, 64))
+        spec = gs.FilterSpec(mode=mode)
+        got = gs.filter_signal(b, f + 1j * g, spec)
+        want = gs.filter_signal(b, f, spec) + 1j * gs.filter_signal(b, g, spec)
+        assert np.abs(got - want).max() <= 1e-12
+
     @pytest.mark.parametrize("order", [1, 10, 30])
     def test_laplacian_selects_nothing(self, order):
         # a Laplacian is checked, then the polynomial is evaluated on the eigenvalues
