@@ -40,10 +40,9 @@ def main():
     ctx = gs.SamplingContext(u0, u1)
     x = np.random.default_rng(1).standard_normal(32)
     spec_down = gs.spectral_downsample_index(ctx, x, 2, folded=False)
-    d1 = gs.downsample_time(x, 2)
     print("ring(32) with DFT bases, arbitrary signal:")
     print(f"  max |spectral downsample - every-other-sample| = "
-          f"{np.abs(spec_down - d1).max():.3e}")
+          f"{np.abs(spec_down - x[::2]).max():.3e}")
 
 
 if __name__ == "__main__":

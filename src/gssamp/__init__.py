@@ -4,8 +4,7 @@ Library layout:
 
 * :mod:`gssamp.graphs` — graph types, generators, edge-list I/O
 * :mod:`gssamp.spectral` — eigendecomposition, GFT, spectrum interpolation
-* :mod:`gssamp.classical` — time/DFT-domain sampling oracle
-* :mod:`gssamp.sampling` — vertex/index/spectrum sampling operators
+* :mod:`gssamp.sampling` — vertex/index/spectrum sampling operators, ring DFT bases
 * :mod:`gssamp.reduction` — Kron reduction, selection, spectral bisection
 * :mod:`gssamp.pyramid` — graph Laplacian pyramid and nonlinear approximation
 * :mod:`gssamp.cli` — experiment runner
@@ -41,14 +40,6 @@ from .spectral import (
     gft,
     igft,
 )
-from .classical import (
-    downsample_dft,
-    downsample_time,
-    dft_matrix,
-    ring_sampling_bases,
-    upsample_dft,
-    upsample_time,
-)
 from .sampling import (
     OPERATORS,
     SamplingContext,
@@ -57,6 +48,7 @@ from .sampling import (
     fractional_downsample,
     ideal_lowpass_index,
     ideal_lowpass_lambda,
+    ring_sampling_bases,
     spectral_downsample_index,
     spectral_downsample_spectrum,
     spectral_upsample_index,

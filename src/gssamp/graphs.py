@@ -237,9 +237,7 @@ def _check_dense_fits(n: int) -> None:
 
 def build_path(n: int) -> Graph:
     """Unit-weight chain 0-1-...-(n-1). Requires n >= 2."""
-    n = check_count(n, "n")
-    if n < 2:
-        raise InvalidParameterError("path graph needs n >= 2")
+    n = check_count(n, "path graph's n", 2)
     idx = np.arange(n - 1)
     coords = np.column_stack([np.linspace(0.0, 1.0, n), np.zeros(n)])
     return _from_edges(n, idx, idx + 1, coordinates=coords, structure="path")
@@ -247,9 +245,7 @@ def build_path(n: int) -> Graph:
 
 def build_ring(n: int) -> Graph:
     """Unit-weight cycle on n >= 3 vertices."""
-    n = check_count(n, "n")
-    if n < 3:
-        raise InvalidParameterError("ring graph needs n >= 3")
+    n = check_count(n, "ring graph's n", 3)
     idx = np.arange(n)
     theta = 2.0 * np.pi * idx / n
     coords = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -258,8 +254,8 @@ def build_ring(n: int) -> Graph:
 
 def build_grid(rows: int, cols: int) -> Graph:
     """4-connected 2-D grid with vertices in row-major order in [0, 1)^2."""
-    rows, cols = check_count(rows, "rows"), check_count(cols, "cols")
-    if rows < 1 or cols < 1 or rows * cols < 2:
+    rows, cols = check_count(rows, "grid's rows", 1), check_count(cols, "grid's cols", 1)
+    if rows * cols < 2:
         raise InvalidParameterError("grid needs at least two vertices")
     n = rows * cols
     rr, cc = np.divmod(np.arange(n), cols)
@@ -272,9 +268,7 @@ def build_grid(rows: int, cols: int) -> Graph:
 
 def build_complete(n: int) -> Graph:
     """Complete unit-weight graph K_n."""
-    n = check_count(n, "n")
-    if n < 2:
-        raise InvalidParameterError("complete graph needs n >= 2")
+    n = check_count(n, "complete graph's n", 2)
     a = np.ones((n, n)) - np.eye(n)
     return Graph(a, structure="complete")
 
@@ -286,9 +280,8 @@ def build_comet(n: int, center_degree: int) -> Graph:
     and the remaining n - center_degree - 1 vertices form a path appended to
     the last leaf, so the center keeps degree exactly ``center_degree``.
     """
-    n, center_degree = check_count(n, "n"), check_count(center_degree, "center_degree")
-    if center_degree < 1 or n < center_degree + 1:
-        raise InvalidParameterError("comet needs n >= center_degree + 1")
+    n = check_count(n, "comet's n", 2)
+    center_degree = check_count(center_degree, "comet's center_degree", 1, n - 1)
     # vertex v > 0 hangs from the center if it is a leaf, else from v - 1
     tail = np.arange(center_degree, n - 1)
     return _from_edges(n, np.r_[np.zeros(center_degree, dtype=int), tail], np.arange(1, n),
@@ -318,9 +311,8 @@ def build_community(
     and ``p_out`` across communities. If the sample is disconnected the
     generator retries with an incremented seed (bounded).
     """
-    n, k_communities = check_count(n, "n"), check_count(k_communities, "k_communities")
-    if n < 2 or k_communities < 1 or k_communities > n:
-        raise InvalidParameterError("infeasible community parameters")
+    n = check_count(n, "community graph's n", 2)
+    k_communities = check_count(k_communities, "community graph's k_communities", 1, n)
     if (any(not isinstance(p, numbers.Real) or isinstance(p, bool) for p in (p_in, p_out))
             or not (0.0 <= p_out <= 1.0 and 0.0 < p_in <= 1.0)):
         raise InvalidParameterError("probabilities must be real numbers in [0, 1], not bools")
@@ -340,9 +332,9 @@ def build_random_regular(n: int, degree: int, seed: int = 0) -> Graph:
     Delegates to networkx, which resamples conflicting stub pairs instead of
     rejecting whole pairings (plain rejection is hopeless already at d ~ 10).
     """
-    n, degree, seed = check_count(n, "n"), check_count(degree, "degree"), check_count(seed, "seed")
-    if degree < 1 or degree >= n:
-        raise InvalidParameterError("need 1 <= degree < n")
+    n = check_count(n, "random regular graph's n", 2)
+    degree = check_count(degree, "random regular graph's degree", 1, n - 1)
+    seed = check_count(seed, "seed")
     if (n * degree) % 2 != 0:
         raise InvalidParameterError("n * degree must be even")
     import networkx as nx
@@ -360,9 +352,8 @@ def build_random_sensor(n: int, k_nearest: int = 6, seed: int = 0) -> Graph:
     Edge weights are exp(-d^2 / (2 sigma^2)) with sigma the mean k-NN
     distance. Disconnected samples are regenerated with an incremented seed.
     """
-    n, k_nearest = check_count(n, "n"), check_count(k_nearest, "k_nearest")
-    if n < 2 or k_nearest < 1 or k_nearest >= n:
-        raise InvalidParameterError("need 1 <= k_nearest < n")
+    n = check_count(n, "random sensor graph's n", 2)
+    k_nearest = check_count(k_nearest, "random sensor graph's k_nearest", 1, n - 1)
 
     def sample(rng):
         pts = rng.random((n, 2))

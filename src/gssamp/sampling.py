@@ -17,7 +17,9 @@ adds linear-interpolation weights. Folding keeps mild aliasing near the band
 edge instead of at low frequencies; the folded variants are the defaults.
 Fractional downsampling runs either family at a non-integer ratio N0/N1 and
 needs no vertex correspondence. ``OPERATORS`` names every operator per
-direction and ``apply_operator`` runs one by name.
+direction and ``apply_operator`` runs one by name. ``ring_sampling_bases``
+gives two rings' DFT bases, on which the unfolded index operators are
+classical decimation and zero-insertion.
 """
 from __future__ import annotations
 
@@ -227,6 +229,37 @@ def spectral_upsample_spectrum(
     """
     _check_rate(ctx, l, up=True)
     return ctx._apply(f, "spectrum", folded, up=True)
+
+
+def _dft_matrix(n: int) -> np.ndarray:
+    """Unitary synthesis DFT matrix; column k is exp(2j pi k t / n) / sqrt(n)."""
+    t = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(t, t) / n) / np.sqrt(n)
+
+
+def ring_sampling_bases(n0: int, n1: int) -> tuple[SpectralBasis, SpectralBasis]:
+    """DFT bases (U0, U1) for a ring-graph sampling pair.
+
+    The DFT matrix diagonalizes the ring-graph Laplacian; column k pairs with
+    the eigenvalue 2 - 2 cos(2 pi k / n), in DFT column order, which does not
+    ascend, so the spectrum-family operators refuse these bases. U0 is the
+    unitary DFT basis of size n0; U1 is the size-n1 basis rescaled by
+    1/sqrt(rate) so that index-domain spectral sampling between the two rings
+    coincides numerically with classical time-domain sampling at rate
+    max/min(n0, n1).
+    """
+    n0, n1 = check_count(n0, "n0", 1), check_count(n1, "n1", 1)
+    big, small = max(n0, n1), min(n0, n1)
+    if big % small != 0:
+        raise InvalidParameterError("one size must divide the other")
+    rate = big // small
+    return _ring_basis(_dft_matrix(n0)), _ring_basis(_dft_matrix(n1) / np.sqrt(rate))
+
+
+def _ring_basis(u: np.ndarray) -> SpectralBasis:
+    """``u``'s columns, DFT-ordered, with the ring Laplacian's eigenvalues."""
+    n = u.shape[0]
+    return SpectralBasis(2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n), u)
 
 
 # ---------------------------------------------------------------------------

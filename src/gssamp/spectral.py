@@ -38,7 +38,7 @@ class SpectralBasis:
     """Eigenpairs of a Laplacian; from ``eigendecompose``, the eigenvalues ascend
     (first value 0 for a connected graph) and the eigenvectors are orthonormal.
 
-    eigenvalues : (n,) finite
+    eigenvalues : (n,) finite, n >= 1
     eigenvectors : (n, n), column i pairs with eigenvalues[i]
     Both are read-only, C-ordered copies (``read_only``); complex eigenvalues
     are refused. The basis keeps the last signal's U^H f for ``gft``,
@@ -51,8 +51,9 @@ class SpectralBasis:
     def __post_init__(self):
         lam = read_only(self.eigenvalues, float)
         u = read_only(self.eigenvectors)
-        if lam.ndim != 1 or u.shape != (lam.size, lam.size):
-            raise InvalidParameterError("eigenvectors must be an (n, n) array for n eigenvalues")
+        if lam.ndim != 1 or lam.size == 0 or u.shape != (lam.size, lam.size):
+            raise InvalidParameterError(
+                "eigenvectors must be an (n, n) array for n >= 1 eigenvalues")
         if not np.isfinite(lam).all():
             raise DataError("eigenvalue entries must be finite")
         object.__setattr__(self, "eigenvalues", lam)
@@ -192,10 +193,10 @@ def collapse_duplicate_nodes(
     grid: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average the abscissae and the values of each group of ``grid`` sharing an
-    abscissa within the grouping tolerance."""
+    abscissa within the grouping tolerance; complex values average as complex."""
     average = _group_average(grid)
     values = check_signal(values, average.shape[1], "value")
-    return average @ np.asarray(grid, dtype=float), average @ values.astype(float)
+    return average @ np.asarray(grid, dtype=float), average @ values
 
 
 def _interpolation_map(grid: np.ndarray, queries) -> csr_array:

@@ -21,7 +21,7 @@ SMALL_GRAPHS = {
 
 
 @st.composite
-def small_graph(draw, n):
-    """A connected graph on n vertices from one of the generators that build one."""
-    kind = draw(st.sampled_from(sorted(k for k, (least, _) in SMALL_GRAPHS.items() if n >= least)))
+def small_graph(draw, n, kinds=tuple(SMALL_GRAPHS)):
+    """A connected graph on n vertices from one of the ``kinds`` of generator that build one."""
+    kind = draw(st.sampled_from(sorted(k for k in kinds if n >= SMALL_GRAPHS[k][0])))
     return SMALL_GRAPHS[kind][1](n, draw(st.integers(0, 2**16)))

@@ -253,11 +253,11 @@ class TestIncompleteConfig:
              "reduction {'keep_first': 10} keeps 10 vertices, not n / rate = 50"),
             # the generator must be able to build the reduced graph
             ("path-downsample", _reduced("ring", 2, n=4),
-             "reduction 'generator': ring graph needs n >= 3"),
+             "reduction 'generator': ring graph's n must be an integer >= 3"),
             ("path-downsample", _reduced("ring", 3, n=6),
-             "reduction 'generator': ring graph needs n >= 3"),
+             "reduction 'generator': ring graph's n must be an integer >= 3"),
             ("path-downsample", _reduced("path", 2, n=2),
-             "reduction 'generator': path graph needs n >= 2"),
+             "reduction 'generator': path graph's n must be an integer >= 2"),
             ("path-downsample", _reduced("grid", 4, rows=2, cols=2),
              "reduction 'generator': grid needs at least two vertices"),
             # a key the kind does not read was once silently ignored

@@ -172,6 +172,28 @@ def test_generator_counts_must_be_integers(call, match):
 
 
 @pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gs.build_grid(0, 5), "grid's rows must be an integer >= 1"),
+        (lambda: gs.build_comet(1, 1), "comet's n must be an integer >= 2"),
+        (lambda: gs.build_comet(5, 5), r"comet's center_degree must be an integer in \[1, 4\]"),
+        (lambda: gs.build_community(1, 1), "community graph's n must be an integer >= 2"),
+        (lambda: gs.build_random_regular(1, 1),
+         "random regular graph's n must be an integer >= 2"),
+        (lambda: gs.build_random_regular(8, 8),
+         r"random regular graph's degree must be an integer in \[1, 7\]"),
+        (lambda: gs.build_random_sensor(1, 1), "random sensor graph's n must be an integer >= 2"),
+    ],
+    ids=["grid-rows", "comet-n", "comet-degree", "community-n", "regular-n", "regular-degree",
+         "sensor-n"],
+)
+def test_generator_bounds_name_the_generator(call, match):
+    # n is bounded first, so a range derived from it, such as [1, n - 1], is never empty
+    with pytest.raises(InvalidParameterError, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: gs.build_random_sensor(8, 3, seed=2.5),

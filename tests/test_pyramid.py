@@ -688,12 +688,6 @@ class TestBoundaryErrors:
             (lambda c: gs.make_cluster_band_signal(c[0].basis, None, [(0.0, 1.0)] * 2),
              "need exactly two clusters"),
             (lambda c: gs.halving_lowpass(None), "eigenvalue length"),
-            (lambda c: gs.downsample_time(None, 2), "signal length"),
-            (lambda c: gs.downsample_dft(None, 2), "signal length"),
-            (lambda c: gs.upsample_time(None, 2), "signal length"),
-            (lambda c: gs.upsample_dft(None, 2), "signal length"),
-            (lambda c: gs.dft_matrix(None), "n must be an integer"),
-            (lambda c: gs.dft_matrix(2.5), "n must be an integer"),
             # a complex or non-numeric signal was once cast to floats first: the
             # imaginary part dropped with only a ComplexWarning, or numpy's ValueError
             (lambda c: gs.decompose(np.ones(16) + 1j * np.ones(16), c, gs.PyramidConfig()),
@@ -722,9 +716,11 @@ class TestBoundaryErrors:
                                                    [(0.0, c[0].basis.lambda_max)] * 2),
              "cluster vertex 100 out of range for graph size 16"),
             # refusals no other test reached
-            (lambda c: gs.build_complete(1), "complete graph needs n >= 2"),
-            (lambda c: gs.build_community(4, 5), "infeasible community parameters"),
-            (lambda c: gs.build_random_sensor(8, 8), "need 1 <= k_nearest < n"),
+            (lambda c: gs.build_complete(1), "complete graph's n must be an integer >= 2"),
+            (lambda c: gs.build_community(4, 5),
+             r"community graph's k_communities must be an integer in \[1, 4\]"),
+            (lambda c: gs.build_random_sensor(8, 8),
+             r"random sensor graph's k_nearest must be an integer in \[1, 7\]"),
             (lambda c: gs.save_edge_list(gs.Graph(1.0 - np.eye(3)), os.devnull, os.devnull),
              "graph has no coordinates to save"),
             (lambda c: gs.PyramidConfig(sampling="x"), "unknown sampling 'x'"),
@@ -778,9 +774,7 @@ class TestBoundaryErrors:
              "string-p-out", "interpolant-no-spectrum", "interpolant-string-queries",
              "interpolant-string-query", "gft-string-entries",
              "collapse-no-grid", "groups-no-grid", "groups-empty-grid", "band-signal-no-basis",
-             "band-signal-no-clusters", "lowpass-no-eigenvalues", "downsample-time-no-signal",
-             "downsample-dft-no-signal", "upsample-time-no-signal", "upsample-dft-no-signal",
-             "dft-no-size", "dft-float-size", "decompose-complex-signal",
+             "band-signal-no-clusters", "lowpass-no-eigenvalues", "decompose-complex-signal",
              "decompose-string-signal", "analyze-complex-signal", "nla-complex-signal",
              "nla-string-signal", "config-no-filter-spec", "filter-response-not-callable",
              "band-signal-float-cluster", "band-signal-negative-cluster",

@@ -1,3 +1,5 @@
+"""The classical resamplers that the ring-graph equivalences use as their oracle:
+time- and DFT-domain routes agree."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,30 +7,31 @@ from hypothesis import strategies as st
 
 import gssamp as gs
 from gssamp.errors import InvalidParameterError
+from ring_oracle import dft_matrix, downsample_dft, downsample_time, upsample_dft, upsample_time
 
 
 class TestDownsample:
     def test_time_simple(self):
-        assert gs.downsample_time(np.array([1, 2, 3, 4]), 2).tolist() == [1, 3]
+        assert downsample_time(np.array([1, 2, 3, 4]), 2).tolist() == [1, 3]
 
     def test_time_constant(self):
-        out = gs.downsample_time(np.full(8, 3.7), 4)
+        out = downsample_time(np.full(8, 3.7), 4)
         assert np.allclose(out, [3.7, 3.7])
 
     def test_dft_matches_time(self):
         f = np.random.default_rng(0).standard_normal(12)
-        assert np.abs(gs.downsample_dft(f, 3) - gs.downsample_time(f, 3)).max() < 1e-10
+        assert np.abs(downsample_dft(f, 3) - downsample_time(f, 3)).max() < 1e-10
 
     def test_rate_must_divide(self):
         with pytest.raises(InvalidParameterError):
-            gs.downsample_time(np.ones(10), 3)
+            downsample_time(np.ones(10), 3)
         with pytest.raises(InvalidParameterError):
-            gs.downsample_dft(np.ones(10), 4)
+            downsample_dft(np.ones(10), 4)
 
 
 @pytest.mark.parametrize("rate", [True, 2.0, 2.5], ids=["bool", "float", "fraction"])
 @pytest.mark.parametrize(
-    "resample", [gs.downsample_time, gs.downsample_dft, gs.upsample_time, gs.upsample_dft]
+    "resample", [downsample_time, downsample_dft, upsample_time, upsample_dft]
 )
 def test_rate_must_be_an_integer(resample, rate):
     # True was once taken as rate 1, a float ended in a TypeError
@@ -37,24 +40,42 @@ def test_rate_must_be_an_integer(resample, rate):
 
 
 @pytest.mark.parametrize(
-    "resample", [gs.downsample_time, gs.downsample_dft, gs.upsample_time, gs.upsample_dft]
+    "call, message",
+    [
+        (lambda: downsample_time(None, 2), "signal length"),
+        (lambda: downsample_dft(None, 2), "signal length"),
+        (lambda: upsample_time(None, 2), "signal length"),
+        (lambda: upsample_dft(None, 2), "signal length"),
+        (lambda: dft_matrix(None), "n must be an integer"),
+        (lambda: dft_matrix(2.5), "n must be an integer"),
+    ],
+    ids=["downsample-time-no-signal", "downsample-dft-no-signal", "upsample-time-no-signal",
+         "upsample-dft-no-signal", "dft-no-size", "dft-float-size"],
+)
+def test_refused_at_the_call(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "resample", [downsample_time, downsample_dft, upsample_time, upsample_dft]
 )
 def test_empty_signal_gives_an_empty_signal(resample):
-    # the DFT routes once ended in numpy's "Invalid number of FFT data points (0)"
+    # numpy's FFT refuses 0 points: the DFT routes answer an empty signal themselves
     out = resample(np.ones(0), 2)
     assert out.shape == (0,) and out.dtype == float
 
 
 class TestUpsample:
     def test_time_simple(self):
-        assert gs.upsample_time(np.array([1.0, 2.0]), 2).tolist() == [1, 0, 2, 0]
+        assert upsample_time(np.array([1.0, 2.0]), 2).tolist() == [1, 0, 2, 0]
 
     def test_time_constant(self):
-        assert gs.upsample_time(np.ones(4), 2).tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
+        assert upsample_time(np.ones(4), 2).tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
 
     def test_dft_matches_time(self):
         f = np.random.default_rng(1).standard_normal(6)
-        assert np.abs(gs.upsample_dft(f, 3) - gs.upsample_time(f, 3)).max() < 1e-10
+        assert np.abs(upsample_dft(f, 3) - upsample_time(f, 3)).max() < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -68,7 +89,7 @@ def test_downsampling_routes_agree(n_blocks, m, seed):
     if n > 64:
         n = (64 // m) * m
     f = np.random.default_rng(seed).standard_normal(n)
-    assert np.abs(gs.downsample_dft(f, m) - gs.downsample_time(f, m)).max() < 1e-10
+    assert np.abs(downsample_dft(f, m) - downsample_time(f, m)).max() < 1e-10
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,32 +100,15 @@ def test_downsampling_routes_agree(n_blocks, m, seed):
 )
 def test_upsampling_routes_agree(n, l, seed):
     f = np.random.default_rng(seed).standard_normal(n)
-    assert np.abs(gs.upsample_dft(f, l) - gs.upsample_time(f, l)).max() < 1e-10
+    assert np.abs(upsample_dft(f, l) - upsample_time(f, l)).max() < 1e-10
 
 
 def test_dft_matrix_diagonalizes_ring_laplacian():
     n = 8
-    u = gs.dft_matrix(n)
+    u = dft_matrix(n)
     a = gs.build_ring(n).adjacency.toarray()
     lap = np.diag(a.sum(axis=1)) - a
     d = u.conj().T @ lap @ u
     off = d - np.diag(np.diag(d))
     assert np.abs(off).max() < 1e-10
     assert np.allclose(np.diag(d).real, 2 - 2 * np.cos(2 * np.pi * np.arange(n) / n))
-
-
-def test_ring_sampling_bases_are_spectral_bases():
-    u0, u1 = gs.ring_sampling_bases(8, 4)
-    assert isinstance(u0, gs.SpectralBasis) and isinstance(u1, gs.SpectralBasis)
-    for b in (u0, u1):  # DFT column order, as the DFT matrix diagonalizes the ring
-        assert np.array_equal(b.eigenvalues, 2 - 2 * np.cos(2 * np.pi * np.arange(b.n) / b.n))
-    assert np.array_equal(u0.eigenvectors, gs.dft_matrix(8))
-    assert np.array_equal(u1.eigenvectors, gs.dft_matrix(4) / np.sqrt(2))
-    # the top eigenvalue sits mid-grid in DFT order, not in the last column
-    assert (u0.lambda_max, u1.lambda_max) == (4.0, 4.0)
-
-
-@pytest.mark.parametrize("sizes", [(2.5, 5), (4.0, 2), (True, 1), (0, 4), (8, 3)])
-def test_ring_sampling_bases_reject_bad_sizes(sizes):
-    with pytest.raises(InvalidParameterError, match="n0|n1|divide"):
-        gs.ring_sampling_bases(*sizes)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import gssamp as gs
 from gssamp import sampling, spectral
 from gssamp.errors import DataError, InvalidParameterError
-from small_graphs import small_graph
+from ring_oracle import dft_matrix, downsample_time, upsample_time
+from small_graphs import SMALL_GRAPHS, small_graph
 
 
 def operator_matrix(op, n_in: int) -> np.ndarray:
@@ -71,11 +72,12 @@ class TestVertexOps:
 
 
 @st.composite
-def _rate_pairs(draw, rates=(2, 3, 4)):
-    """(rate M in ``rates``, graph of n0 = M n1 vertices, graph of n1 vertices), 8 <= n0 <= 64."""
+def _rate_pairs(draw, rates=(2, 3, 4), kinds=tuple(SMALL_GRAPHS)):
+    """(rate M in ``rates``, graph of n0 = M n1 vertices, graph of n1 vertices), 8 <= n0 <= 64,
+    each from one of the ``kinds`` of generator."""
     m = draw(st.sampled_from(rates))
     n1 = draw(st.integers(-(-8 // m), 64 // m))
-    return m, draw(small_graph(m * n1)), draw(small_graph(n1))
+    return m, draw(small_graph(m * n1, kinds)), draw(small_graph(n1, kinds))
 
 
 class TestSpectralDownsampleIndex:
@@ -173,6 +175,26 @@ class TestSpectralDownsampleIndex:
 
 
 class TestSpectralDownsampleSpectrum:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_rate_pairs(kinds=("path", "ring", "comet", "sensor", "community")),
+           seed=st.integers(0, 2**16))
+    def test_folding_aliases_less(self, case, seed):
+        # the spectrum family's own law: its main band is the interpolant of c at
+        # (rho / M) lambda_1, and with c >= 0 nonincreasing the alias (output minus
+        # that) is no larger folded than unfolded wherever lambda_1k <= lambda_1,max / 2:
+        # an odd segment's folded query (p + 1) lambda_1,max - lambda_1k is then no
+        # lower than the unfolded p lambda_1,max + lambda_1k
+        m, g0, g1 = case
+        b0, b1 = basis_of(g0), basis_of(g1)
+        c = np.sort(np.random.default_rng(seed).random(g0.n))[::-1]
+        f, ctx = gs.igft(b0, c), gs.SamplingContext(b0, b1)
+        main = reference_interpolant(b0.eigenvalues, c, ctx.rho / m * b1.eigenvalues)
+        unfolded, folded = (
+            gs.gft(b1, gs.spectral_downsample_spectrum(ctx, f, m, folded=fold)).coefficients
+            - main for fold in (False, True))
+        low = b1.eigenvalues <= b1.lambda_max / 2
+        assert np.all(np.abs(folded[low]) <= np.abs(unfolded[low]) + 1e-9 * np.linalg.norm(c))
+
     def test_affine_closed_form(self):
         # linear interpolation is exact on affine spectra; folded, the second
         # segment reflects in lambda and cancels the slope of c(lambda) = lambda
@@ -306,6 +328,23 @@ class TestIdealFilters:
             gs.ideal_lowpass_lambda(spec, np.nan)
 
 
+def test_ring_sampling_bases_are_spectral_bases():
+    u0, u1 = gs.ring_sampling_bases(8, 4)
+    assert isinstance(u0, gs.SpectralBasis) and isinstance(u1, gs.SpectralBasis)
+    for b in (u0, u1):  # DFT column order, as the DFT matrix diagonalizes the ring
+        assert np.array_equal(b.eigenvalues, 2 - 2 * np.cos(2 * np.pi * np.arange(b.n) / b.n))
+    assert np.array_equal(u0.eigenvectors, dft_matrix(8))
+    assert np.array_equal(u1.eigenvectors, dft_matrix(4) / np.sqrt(2))
+    # the top eigenvalue sits mid-grid in DFT order, not in the last column
+    assert (u0.lambda_max, u1.lambda_max) == (4.0, 4.0)
+
+
+@pytest.mark.parametrize("sizes", [(2.5, 5), (4.0, 2), (True, 1), (0, 4), (8, 3)])
+def test_ring_sampling_bases_reject_bad_sizes(sizes):
+    with pytest.raises(InvalidParameterError, match="n0|n1|divide"):
+        gs.ring_sampling_bases(*sizes)
+
+
 class TestRingEquivalences:
     """Ring graphs with DFT bases reduce graph sampling to classical sampling."""
 
@@ -332,10 +371,10 @@ class TestRingEquivalences:
         for _ in range(3):
             f, g = rng.standard_normal(n), rng.standard_normal(n // m)
             spec_down = gs.spectral_downsample_index(down, f, m, folded=False)
-            assert np.abs(spec_down - gs.downsample_time(f, m)).max() < 1e-9
+            assert np.abs(spec_down - downsample_time(f, m)).max() < 1e-9
             assert np.abs(spec_down - gs.vertex_downsample(f, corr)).max() < 1e-9
             spec_up = gs.spectral_upsample_index(up, g, m, folded=False)
-            assert np.abs(spec_up - gs.upsample_time(g, m)).max() < 1e-9
+            assert np.abs(spec_up - upsample_time(g, m)).max() < 1e-9
             assert np.abs(spec_up - gs.vertex_upsample(g, corr, n)).max() < 1e-9
 
     def test_spectrum_family_refuses_dft_order(self):
@@ -615,9 +654,6 @@ class TestCoefficientMaps:
 
 
 def reference_interpolant(grid, values, queries):
-    if np.iscomplexobj(values):  # the averaging takes real values: interpolate each part
-        return (reference_interpolant(grid, values.real, queries)
-                + 1j * reference_interpolant(grid, values.imag, queries))
     xs, ys = spectral.collapse_duplicate_nodes(grid, values)
     return np.interp(np.clip(queries, xs[0], xs[-1]), xs, ys)
 
@@ -662,7 +698,7 @@ def graph_basis(kind, rows, cols):
     if kind == "ring":  # DFT columns, reordered to ascending eigenvalues
         lambdas = 2.0 - 2.0 * np.cos(2 * np.pi * np.arange(n) / n)
         order = np.argsort(lambdas, kind="stable")
-        return gs.SpectralBasis(lambdas[order], gs.dft_matrix(n)[:, order])
+        return gs.SpectralBasis(lambdas[order], dft_matrix(n)[:, order])
     graph = {
         "path": lambda: gs.build_path(n),
         "grid": lambda: gs.build_grid(rows, cols),

@@ -175,6 +175,12 @@ class TestKeptAnalysis:
         with pytest.raises(InvalidParameterError, match=r"eigenvectors must be an \(n, n\) array"):
             gs.SpectralBasis(lam, u)
 
+    def test_empty_basis_is_refused(self):
+        # an n = 0 basis once built: then lambda_max and a Chebyshev filter ended in
+        # numpy's ValueError, and select_polarity asked for a size in [1, -1]
+        with pytest.raises(InvalidParameterError, match=r"n >= 1 eigenvalues"):
+            gs.SpectralBasis(np.zeros(0), np.zeros((0, 0)))
+
     def test_spectrum_copies_writable_arrays(self):
         c, g = np.ones(4), np.arange(4.0)
         s = Spectrum(c, g)
@@ -324,6 +330,18 @@ class TestVectorizedMatchesReference:
         for got, v in ((xs, lam), (ys, values)):
             want, scale = reference_collapse(lam, v)[1], reference_collapse(lam, np.abs(v))[1]
             assert np.all(np.abs(got - want) <= 2 * sizes * np.finfo(float).eps * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=grids(), seed=st.integers(0, 2**16))
+    def test_collapse_keeps_complex_values(self, lam, seed):
+        # values were once cast to float: the imaginary part dropped with only a
+        # ComplexWarning, which the suite's warning filter turns into a failure
+        re, im = np.random.default_rng(seed).standard_normal((2, lam.size))
+        xs, ys = spectral.collapse_duplicate_nodes(lam, re + 1j * im)
+        (xs_re, ys_re), (_, ys_im) = (spectral.collapse_duplicate_nodes(lam, v) for v in (re, im))
+        assert np.array_equal(xs, xs_re) and ys.dtype == complex
+        tol = 4 * np.finfo(float).eps * np.abs(re + 1j * im).max()
+        assert np.abs(ys - (ys_re + 1j * ys_im)).max() <= tol
 
     @settings(max_examples=200, deadline=None)
     @given(
