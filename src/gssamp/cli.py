@@ -308,9 +308,10 @@ def _check_signal_spec(sig, kind: str, n0: int, errors: list) -> None:
         if not (
             isinstance(bands, list)
             and len(bands) == 2
-            and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b)) for b in bands)
+            and all(isinstance(b, list) and len(b) == 2 and all(map(_is_number, b))
+                    and 0 <= b[0] <= b[1] for b in bands)
         ):
-            errors.append("signal.bands must be two [lo, hi] pairs of finite numbers")
+            errors.append("signal.bands must be two finite [lo, hi] pairs with 0 <= lo <= hi")
 
 
 def _prepare(cfg, errors: list):
@@ -320,8 +321,9 @@ def _prepare(cfg, errors: list):
     ``graph`` and ``graph1``; every other rule on their vertex counts; the
     keep set of a reduction that needs no basis. Returns (graph, target,
     keep), or None once a step breaks a rule. ``target`` is graph1 or the
-    graph a "generator" reduction builds; ``keep`` is None where the basis
-    picks it. A graph that cannot be read or built raises its own error.
+    graph a "generator" reduction builds; ``keep`` holds the correspondence
+    targets in the larger graph, or is None where polarity picks them. A graph
+    that cannot be read or built raises its own error.
     """
     if not isinstance(cfg, dict):
         errors.append("config must be a JSON object")
@@ -402,7 +404,7 @@ def _prepare(cfg, errors: list):
     if errors:
         return None
 
-    keep = None
+    keep = np.arange(0, target.n, rate) if kind == "upsample" else None  # in graph1
     try:
         if isinstance(red, dict):
             keep = np.arange(red["keep_first"])
@@ -471,11 +473,6 @@ def _build_signal(sig: dict, basis, seed: int, clusters=None) -> np.ndarray:
     return igft(basis, coeffs)
 
 
-def _reduce(lap, basis, keep, size):
-    """Kron-reduce to ``keep``, or to the ``size`` vertices polarity picks if it is None."""
-    return kron_reduce(lap, select_polarity(basis, size) if keep is None else keep)
-
-
 def _permute_within_groups(basis: SpectralBasis, seed: int) -> SpectralBasis:
     """``basis`` with each repeated-eigenvalue group's columns in the order of one
     ``default_rng(seed)`` permutation per group of two or more, in eigenvalue order."""
@@ -525,10 +522,12 @@ class _Artifacts:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         self.files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
-    def spectrum_csv(self, name: str, basis, signal: np.ndarray) -> None:
+    def spectrum_csv(self, name: str, basis, signal: np.ndarray) -> np.ndarray:
+        """Write the GFT of ``signal``'s real part; return its coefficients."""
         coeffs = gft(basis, np.real(signal)).coefficients
         rows = zip(range(basis.n), basis.eigenvalues, coeffs)
         self.write_csv(name, "index,lambda,coefficient", rows)
+        return coeffs
 
     def signal_csv(self, name: str, signal: np.ndarray) -> None:
         self.write_csv(name, "vertex,value", enumerate(np.real(signal)))
@@ -576,22 +575,22 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
     with _Artifacts(Path(out_dir)) as art, np.errstate(all="ignore"):
         lap = G.laplacian(graph)
         basis = eigendecompose(lap)
+        if kind != "pyramid-nla":  # the one graph G1 each other kind resamples onto
+            if target is None:  # Kron-reduce to keep, or to the n / rate vertices polarity picks
+                if keep is None:  # cluster-energy's rate is 2
+                    keep = select_polarity(basis, graph.n // cfg.get("rate", 2))
+                target, corr = kron_reduce(lap, keep)
+            else:  # graph1, or the graph a "generator" reduction built
+                corr = None if keep is None else VertexCorrespondence(keep)
+            basis1 = eigendecompose(G.laplacian(target))
 
         if direction is not None:
-            rate, corr = cfg.get("rate"), None
-            if kind == "upsample":
-                corr = VertexCorrespondence(np.arange(0, target.n, rate))
-            elif kind == "downsample" and target is not None:  # built by "generator"
-                corr = VertexCorrespondence(keep)
-            elif kind == "downsample":
-                target, corr = _reduce(lap, basis, keep, graph.n // rate)
-            basis1 = eigendecompose(G.laplacian(target))
             ctx = SamplingContext(basis, basis1)
             f = _build_signal(cfg["signal"], basis, cfg["seed"])
             art.spectrum_csv("original_spectrum.csv", basis, f)
             art.signal_csv("original_signal.csv", f)
             for op in cfg["operators"]:
-                out = apply_operator(op, direction, ctx, f, rate, corr)
+                out = apply_operator(op, direction, ctx, f, cfg.get("rate"), corr)
                 # fractional artifacts use underscores and record no energy
                 stem = op.replace("-", "_") if direction == "frac" else op
                 art.spectrum_csv(f"{stem}_spectrum.csv", basis1, out)
@@ -602,8 +601,6 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
         elif kind == "repeated-eigenvalues":
             # On a graph with a repeated top eigenvalue the eigenvector order is
             # free; an adversarial order scatters the spectrum into the fold band.
-            target, _ = _reduce(lap, basis, keep, None)
-            basis1 = eigendecompose(G.laplacian(target))
             coeffs0 = np.zeros(graph.n)
             coeffs0[: cfg["signal"]["cutoff"]] = 1.0
             f0 = igft(basis, coeffs0)
@@ -611,8 +608,7 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             for tag, b in (("ordered", basis), ("permuted", permuted)):
                 ctx = SamplingContext(b, basis1)
                 out = fractional_downsample(ctx, f0, mode="index", folded=True)
-                art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
-                out_coeffs = gft(basis1, np.real(out)).coefficients
+                out_coeffs = art.spectrum_csv(f"{tag}_down_spectrum.csv", basis1, out)
                 src = gft(b, f0).coefficients  # b's kept analysis of f0, taken by ctx
                 fold = out_coeffs - src[: target.n]
                 art.scalars[f"{tag}_fold_energy"] = float(np.linalg.norm(fold) ** 2)
@@ -622,24 +618,21 @@ def run_experiment(cfg: dict, out_dir, seed: int | None = None) -> dict:
             clusters = spectral_bisection(basis)
             f = _build_signal(cfg["signal"], basis, cfg["seed"], clusters=clusters)
             art.signal_csv("original_signal.csv", f)
-            art.spectrum_csv("original_spectrum.csv", basis, f)
+            orig = art.spectrum_csv("original_spectrum.csv", basis, f)
             labels = np.zeros(graph.n, dtype=int)
             labels[clusters[1]] = 1
             art.write_csv("clusters.csv", "vertex,cluster", enumerate(labels))
-            reduced, corr = _reduce(lap, basis, None, graph.n // 2)
-            basis1 = eigendecompose(G.laplacian(reduced))
-            n1 = reduced.n
+            n1 = target.n
             ctx = SamplingContext(basis, basis1)
             out = fractional_downsample(ctx, f, mode="index", folded=False)
             art.signal_csv("downsampled_signal.csv", out)
-            art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
+            down = art.spectrum_csv("downsampled_spectrum.csv", basis1, out)
             # split the downsampled signal into the main band (original spectrum
             # below the fold index) and the aliasing band (the rest of the output
             # spectrum: orig[n1:] folded onto n1 slots, unfolded), then measure
             # per-cluster energies; cluster labels follow the kept vertices
-            orig = gft(basis, f).coefficients
             f_main = igft(basis1, orig[:n1])
-            f_alias = igft(basis1, gft(basis1, np.real(out)).coefficients - orig[:n1])
+            f_alias = igft(basis1, down - orig[:n1])
             for ci in (0, 1):
                 idx = np.nonzero(labels[corr.targets] == ci)[0]
                 for band, part in (("main", f_main), ("alias", f_alias)):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gssamp import build_complete, build_path, cli, save_edge_list
+from gssamp import build_community, build_complete, build_path, cli, save_edge_list
 from gssamp.cli import PRESETS, list_presets, main, run_experiment, validate_config
 from gssamp.errors import InvalidParameterError
 from gssamp.sampling import OPERATORS
@@ -156,6 +156,14 @@ def _params(key="graph", **params):
     return edit
 
 
+def _bands(bands):
+    """The cluster-energy preset on a path graph, with a cluster-band signal of ``bands``."""
+    def edit(cfg):
+        cfg.update(graph={"generator": "path", "params": {"n": 16}},
+                   signal={"kind": "cluster-band", "bands": bands})
+    return edit
+
+
 def _reduced(generator, rate, **params):
     """A ``generator`` graph downsampled at ``rate``, with a signal any size can hold."""
     def edit(cfg):
@@ -237,6 +245,13 @@ class TestIncompleteConfig:
             ("path-downsample", _set("signal", {"kind": "cluster-band", "bands": [[0, 1], [2, 3]]}),
              "signal kind 'cluster-band' does not apply to kind 'downsample'"),
             ("path-downsample", _set("reduction", "foo"), "reduction must be one of"),
+            # a band no spectrum can hold was once refused only by run
+            ("minnesota-energy", _bands([[0.5, 0.1], [2.0, 3.0]]),
+             "signal.bands must be two finite [lo, hi] pairs with 0 <= lo <= hi"),
+            ("minnesota-energy", _bands([[0.0, 1.0], [-1.0, 3.0]]),
+             "signal.bands must be two finite [lo, hi] pairs with 0 <= lo <= hi"),
+            ("minnesota-energy", _bands([[0.0, 1.0]]),
+             "signal.bands must be two finite [lo, hi] pairs with 0 <= lo <= hi"),
             ("path-downsample", _set("reduction", ["generator"]), "reduction must be one of"),
             # index-structured reductions stride only path, ring and grid
             # graphs, and keep n / rate vertices: the library's own errors
@@ -460,6 +475,45 @@ def test_disconnected_graph_is_data_error(tmp_path, capsys):
     assert "config error: graph is disconnected (2 components)" in err
 
 
+@pytest.fixture(scope="module")
+def community_edges(tmp_path_factory):
+    """``build_community(256, 2, seed=0)`` as an edge list; its eigenvalues reach about 57."""
+    path = tmp_path_factory.mktemp("community") / "edges.csv"
+    save_edge_list(build_community(256, 2, seed=0), path)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edges, bands, match",
+    [
+        (None, [[0.0, 3.0], [40.0, 60.0]], "band [40.0, 60.0] out of range"),
+        # the minnesota-energy preset's bands
+        (None, [[0.06, 0.08], [3.5, 4.0]], "band [0.06, 0.08] contains no eigenvalue"),
+        # two paths: the Kron reduction to the target graph refuses them before any band
+        ("0,1,1.0\n1,2,1.0\n2,3,1.0\n4,5,1.0\n5,6,1.0\n6,7,1.0\n", [[0.0, 1.0], [1.0, 2.0]],
+         "graph is disconnected (2 components)"),
+    ],
+    ids=["above-lambda-max", "no-eigenvalue", "disconnected"],
+)
+def test_spectrum_dependent_refusals_show_only_at_run(edges, bands, match, community_edges,
+                                                      tmp_path, capsys):
+    # validate cannot see the spectrum, so it passes these configs; run refuses each
+    # with one config error line and leaves no output directory
+    path = community_edges  # where the row gives no edge list of its own
+    if edges is not None:
+        path = tmp_path / "edges.csv"
+        path.write_text(edges)
+    cfg = dict(PRESETS["minnesota-energy"](), graph={"edge_list": str(path)},
+               signal={"kind": "cluster-band", "bands": bands})
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    assert run_cli(["validate", str(p)], capsys) == (0, "ok\n", "")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["run", str(p), "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (1, "", f"config error: {match}\n")
+    assert not out_dir.exists()
+
+
 class TestRun:
     def test_run_writes_manifest_and_files(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -546,18 +600,30 @@ class TestRun:
         assert s["ordered_fold_energy"] < 1e-12
         assert s["permuted_fold_energy"] > 0.25 * s["permuted_total_energy"]
 
-    def test_repeated_eigenvalues_preset_decomposes_twice(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("preset, sizes", [
+        ("aliasing-path", [100, 50]),
+        ("comet-fractional", [32, 24]),
+        ("community-fractional", [256, 192]),
+        ("grid-downsample", [256, 64]),
+        ("path-downsample", [100, 50]),
+        ("path-upsample", [50, 100]),
+        ("pyramid-nla", [128]),  # the level chain decomposes in the pyramid module
+        ("random-regular-downsample", [100, 50]),
         # the complete graph once, its reordered basis reusing it, then the reduced graph
-        sizes = []
+        ("repeated-eigenvalues", [100, 52]),
+    ])
+    def test_preset_decomposes_each_graph_once(self, preset, sizes, monkeypatch, tmp_path):
+        # graph, then the one target graph the kind resamples onto
+        got = []
         original = cli.eigendecompose
 
         def counting(lap, *args, **kwargs):
-            sizes.append(lap.n)
+            got.append(lap.n)
             return original(lap, *args, **kwargs)
 
         monkeypatch.setattr(cli, "eigendecompose", counting)
-        run_experiment(PRESETS["repeated-eigenvalues"](), tmp_path)
-        assert sizes == [100, 52]
+        run_experiment(PRESETS[preset](), tmp_path)
+        assert got == sizes
 
 
 # Sorted artifact file names and scalar keys of every self-contained preset.

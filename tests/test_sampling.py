@@ -176,7 +176,7 @@ class TestSpectralDownsampleIndex:
 
 class TestSpectralDownsampleSpectrum:
     @settings(max_examples=100, deadline=None)
-    @given(case=_rate_pairs(kinds=("path", "ring", "comet", "sensor", "community")),
+    @given(case=_rate_pairs(kinds=("path", "ring", "comet", "sensor", "community", "weighted")),
            seed=st.integers(0, 2**16))
     def test_folding_aliases_less(self, case, seed):
         # the spectrum family's own law: its main band is the interpolant of c at
